@@ -25,6 +25,7 @@ from .errors import (
     GridTooNarrowError,
     InsufficientRealizationsError,
     MonochromaticPumpError,
+    NonFiniteValueError,
     NotPositiveSemidefiniteError,
     QuadratureNotConvergedError,
     RangeError,
@@ -50,7 +51,6 @@ from .rates import (
     QuadratureResult,
     RateCurve,
     SemiclassicalVerdict,
-    Tolerances,
     classify_semiclassical,
     compute_rate_curve,
     erf_complex,

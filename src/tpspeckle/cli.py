@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .correlation import CorrelationModel, FrequencyGrid, ModelI, model_from_config, model_to_config
-from .errors import TpspeckleError
+from .errors import NonFiniteValueError, TpspeckleError
 from .montecarlo import (
     EnsembleConfig,
     ensemble_config_from_json,
@@ -123,13 +123,17 @@ def state_to_config(state: StateSpec) -> dict:
     return {"state": kind, "omega_bar": state.omega_bar, "delta": state.delta}
 
 
+def _model_config(cfg) -> CorrelationModel:
+    try:
+        return model_from_config(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model config: {exc}") from exc
+
+
 def _parse_model(blob: str):
     if blob.strip().lower() in ("cw", "cw-limit"):
         return "cw-limit"
-    try:
-        return model_from_config(_load_json(blob))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
+    return _model_config(_load_json(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +146,10 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, comment_lines: Sequence[str], column_names: Sequence[str], rows) -> None:
-    """Atomic CSV write: '#' comment header, comma separators, LF endings."""
+    """Atomic CSV write: '#' comment header, comma separators, LF endings.
+
+    A NaN or infinite number raises ``NonFiniteValueError`` and leaves no file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -151,6 +158,8 @@ def write_csv(path: str, comment_lines: Sequence[str], column_names: Sequence[st
                 fh.write(f"# {line}\n")
             fh.write(",".join(column_names) + "\n")
             for row in rows:
+                if any(isinstance(x, float) and not math.isfinite(x) for x in row):
+                    raise NonFiniteValueError(f"non-finite value in output row {list(row)}")
                 fh.write(",".join(_fmt(x) for x in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -202,6 +211,8 @@ def cmd_rate(args) -> int:
     model = _parse_model(args.model)
     if args.tau_n < 2:
         raise ConfigError("tau-n must be >= 2")
+    if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
+        raise ConfigError("tau-min and tau-max must be finite")
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     config = {
         "state": state_to_config(state),
@@ -215,7 +226,10 @@ def cmd_rate(args) -> int:
             raise ConfigError("monte-carlo needs a concrete correlation model")
         center = state.omega_bar if hasattr(state, "omega_bar") else state.pump.omega_bar
         if args.ensemble is not None:
-            ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=center)
+            try:
+                ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=center)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad ensemble config: {exc}") from exc
         else:
             ens = EnsembleConfig(
                 grid=mc_default_grid(state, model), model=model, t_bar=0.01,
@@ -360,7 +374,7 @@ def cmd_sweep(args) -> int:
     if isinstance(taus, dict):
         taus = np.linspace(float(taus["min"]), float(taus["max"]), int(taus["n"])).tolist()
 
-    model = "cw-limit" if model_cfg == "cw" else model_from_config(model_cfg)
+    model = "cw-limit" if model_cfg == "cw" else _model_config(model_cfg)
     vary_keys = sorted(vary.keys())
     grids = [list(map(float, vary[k])) for k in vary_keys]
 
@@ -379,7 +393,7 @@ def cmd_sweep(args) -> int:
             if key == "scale":
                 if isinstance(model, str):
                     raise ConfigError("cannot vary 'scale' of the cw model")
-                mdl = model_from_config({**model_to_config(model), "scale": val})
+                mdl = _model_config({**model_to_config(model), "scale": val})
             else:
                 scfg[key] = val
         state = state_from_config(scfg)
@@ -448,19 +462,18 @@ def cmd_mc_validate(args) -> int:
     seed = int(cfg.get("seed", args.seed))
     t_bar = float(cfg.get("t_bar", 0.01))
     n_real = int(cfg.get("n_realizations", 10_000))
-    corrupt = float(cfg.get("_corrupt_closed_form", 0.0))  # test hook
     cases = cfg.get("cases") or _default_mc_cases()
 
     rows = []
     worst = 0.0
     for idx, case in enumerate(cases):
         state = state_from_config(case["state"])
-        model = model_from_config(case["model"])
+        model = _model_config(case["model"])
         tau = float(case.get("tau", 0.0))
         grid = _mc_case_grid(state, model, case)
         ens = EnsembleConfig(grid=grid, model=model, t_bar=t_bar, n_realizations=n_real, seed=seed + idx)
         est = mc_correlator(state, ens, tau)
-        closed = _closed_rate(state, model, tau) + corrupt
+        closed = _closed_rate(state, model, tau)
         z = (est.mean - closed) / est.std_error
         worst = max(worst, abs(z))
         dims = DimensionlessArgs.from_state(state, model, tau)

@@ -15,6 +15,7 @@ covariance matrix on a uniform grid, used to draw correlated samples.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,8 +49,8 @@ class ModelI:
     omega_corr: float
 
     def __post_init__(self):
-        if not self.omega_corr > 0:
-            raise ValueError("omega_corr must be > 0")
+        if not (math.isfinite(self.omega_corr) and self.omega_corr > 0):
+            raise ValueError("omega_corr must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class ModelII:
     omega_th: float
 
     def __post_init__(self):
-        if not self.omega_th > 0:
-            raise ValueError("omega_th must be > 0")
+        if not (math.isfinite(self.omega_th) and self.omega_th > 0):
+            raise ValueError("omega_th must be finite and > 0")
 
 
 CorrelationModel = Union[ModelI, ModelII]

@@ -37,5 +37,9 @@ class TailNotConvergedError(TpspeckleError):
     """Rate curve has no converged large-delay tail to define R(inf)."""
 
 
+class NonFiniteValueError(TpspeckleError, ValueError):
+    """A computed rate or estimate is NaN or infinite."""
+
+
 class RangeError(TpspeckleError):
     """Argument outside the documented accuracy range."""

@@ -12,8 +12,12 @@ the uncorrelated-intensity level):
 
 with dimensionless delay t, pump width s and correlation frequency w.
 ``f`` is the Fourier transform of |C|^2; for the exponential Model I it is
-the Lorentzian ``2w / (4 + w^2 (x + t)^2)``, for the diffusive Model II it
-is computed once as a scale-free kernel transform and cached.
+the Lorentzian ``2w / (4 + w^2 (x + t)^2)``.  For the diffusive Model II
+the exact pole expansion of |C_II|^2 makes ``f`` a short sum of
+exponentials and the Fock/coherent averages short sums of the
+Gaussian x Lorentzian closed form.  The x-integrals of both models use one
+composite Gauss-Legendre rule, evaluated as numpy arrays, whose embedded
+lower-order rule checks every value.
 
 The Fock/coherent closed forms are evaluated through the scaled
 complementary error function: the textbook grouping multiplies
@@ -30,14 +34,11 @@ with Richardson extrapolation) of the defining double-frequency integrals.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
+from scipy.integrate import quad
 from scipy.special import erf as _scipy_erf
 from scipy.special import erfcx as _scipy_erfcx
 
@@ -46,6 +47,7 @@ from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII, corre
 from .errors import (
     DegenerateStateError,
     GridTooNarrowError,
+    NonFiniteValueError,
     QuadratureNotConvergedError,
     RangeError,
     TailNotConvergedError,
@@ -61,7 +63,6 @@ from .states import (
 
 __all__ = [
     "DimensionlessArgs",
-    "Tolerances",
     "RateCurve",
     "QuadratureResult",
     "SemiclassicalVerdict",
@@ -85,19 +86,12 @@ __all__ = [
 ]
 
 ERF_RANGE = 30.0
-QUAD_ABS_TOL = 1e-11
 THETA_PI_LIMIT_S = 1e-6
 
 
 class QuadratureResult(NamedTuple):
     value: float
     error: float
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    absolute: float = 1e-8
-    relative: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -140,13 +134,14 @@ class RateCurve:
     state: StateSpec
     model: Union[CorrelationModel, str]
     method: str
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
         self.rs = np.asarray(self.rs, dtype=float)
         if self.taus.shape != self.rs.shape:
             raise ValueError("taus and rs must have identical shapes")
+        if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.rs))):
+            raise NonFiniteValueError("taus and rs must be finite")
         if np.any(np.diff(self.taus) <= 0):
             raise ValueError("taus must be strictly increasing")
         if np.any(self.rs < 0):
@@ -174,23 +169,23 @@ def erf_complex(z):
 
 
 # ---------------------------------------------------------------------------
-# Reduced one-dimensional kernels (dimensionless)
+# Reduced one-dimensional kernels (dimensionless, vectorised over x)
 
-def _i_kernel(s: float, x: float) -> float:
+def _i_kernel(s: float, x):
     """I(s,x) = Erf[(s/2)(1-|x|)] / (s sqrt(pi)); continuous s -> 0 limit (1-|x|)/pi."""
-    u = 1.0 - abs(x)
+    u = 1.0 - np.abs(x)
     return u / math.pi * erf_ratio(s * u)
 
 
-def _j_kernel(s: float, x: float) -> float:
+def _j_kernel(s: float, x):
     """J(s,x) = (1-|x|) exp(-s^2 x^2 / 4) / pi."""
-    u = 1.0 - abs(x)
-    return u / math.pi * math.exp(-0.25 * s * s * x * x)
+    u = 1.0 - np.abs(x)
+    return u / math.pi * np.exp(-0.25 * s * s * x * x)
 
 
-def _ij_diff(s: float, x: float) -> float:
+def _ij_diff(s: float, x):
     """I - J without cancellation; O(s^2) uniformly on [-1, 1]."""
-    u = 1.0 - abs(x)
+    u = 1.0 - np.abs(x)
     if abs(s) < 3e-2:
         s2 = s * s
         u2 = u * u
@@ -205,97 +200,84 @@ def _ij_diff(s: float, x: float) -> float:
     return _i_kernel(s, x) - _j_kernel(s, x)
 
 
-def _model_ii_psi(v: float) -> float:
-    """|C_II|^2 at |delta_omega| = v * omega_th (scale-free)."""
-    if v <= 0.0:
-        return 1.0
-    x = math.sqrt(0.5 * v)
-    if x < 1e-3:
-        return 1.0 / (1.0 + v * v / 90.0)
-    if x > 300.0:
-        return 4.0 * v * math.exp(-2.0 * x)
-    return v / (math.sinh(x) ** 2 + math.sin(x) ** 2)
+# Model II pole expansion.  With v = |dw|/omega_th, |C_II|^2 = psi(v) =
+# 2v / (cosh sqrt(2v) - cos sqrt(2v)) is even and meromorphic in v with
+# simple poles at v = +-i b_k, b_k = pi^2 k^2, hence
+#   psi(v) = sum_k c_k / (v^2 + b_k^2),   c_k = (-1)^(k+1) 4 pi^5 k^5 / sinh(pi k),
+#   G(xi)  = Int_0^inf psi(v) cos(xi v) dv = sum_k a_k exp(-b_k |xi|),   a_k = pi c_k / (2 b_k).
+# The terms past k = 20 carry under 1e-24 of psi(0) = 1 and of Int_R G = pi.
+# The series cancels for large v, so |C|^2 itself stays the direct
+# ``correlation_sq_magnitude``.
+_POLE_K = np.arange(1.0, 21.0)
+_POLE_B = math.pi**2 * _POLE_K**2
+_POLE_C = (-1.0) ** (_POLE_K + 1.0) * 4.0 * math.pi**5 * _POLE_K**5 / np.sinh(math.pi * _POLE_K)
+_POLE_A = 0.5 * math.pi * _POLE_C / _POLE_B
+
+# Composite Gauss-Legendre rule of the reduced integrals: 20 nodes per
+# panel, with the embedded 10-node rule as the error estimate.
+_GL_FINE = np.polynomial.legendre.leggauss(20)
+_GL_COARSE = np.polynomial.legendre.leggauss(10)
+_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
+REDUCED_ERROR_GATE = 1e-7
 
 
-_PSI_UPPER = 900.0  # psi < 2e-15 beyond; integration cutoff
+def _graded(center: float, smallest: float) -> list:
+    """Points center +- smallest * 4^j for widths below 2, the length of [-1, 1]."""
+    points = []
+    while smallest < 2.0:
+        points += [center - smallest, center + smallest]
+        smallest *= 4.0
+    return points
 
 
-def _model_ii_hat_direct(xi: float) -> float:
-    """G(xi) = Int_0^inf psi(v) cos(xi v) dv via the QUADPACK oscillatory rule."""
-    xi = abs(xi)
-    if xi == 0.0:
-        return quad(_model_ii_psi, 0.0, _PSI_UPPER, limit=400)[0]
-    return quad(_model_ii_psi, 0.0, _PSI_UPPER, weight="cos", wvar=xi, limit=400)[0]
+def _panel_edges(t: float, w: float, s: float) -> np.ndarray:
+    """Panel edges on [-1, 1] as offsets d = x - t from the kernel peak.
 
-
-@lru_cache(maxsize=1)
-def _model_ii_hat_spline():
-    # G is analytic and drops from ~11.8 at 0 to ~1e-13 by xi ~ 5 (psi is
-    # smooth in v^2, so there is no power-law tail); knots only need to
-    # cover [0, 8] densely.
-    knots = np.concatenate(
-        [
-            np.arange(0.0, 2.0, 0.002),
-            np.arange(2.0, 8.001, 0.01),
-        ]
-    )
-    vals = np.array([_model_ii_hat_direct(x) for x in knots])
-    return CubicSpline(knots, vals), knots[-1]
-
-
-def _kernel_hat(kind: str):
-    """Kernel transform G(xi), Int_R G = pi: Lorentzian for model I, cached for model II."""
-    if kind == "I":
-        return lambda xi: 2.0 / (4.0 + xi * xi)
-    spline, upper = _model_ii_hat_spline()
-
-    def g(xi):
-        a = abs(xi)
-        if a <= upper:
-            return float(spline(a))
-        return _model_ii_hat_direct(a)
-
-    return g
-
-
-def _ladder_points(t: float, w: float):
-    """Breakpoints resolving the width-1/w kernel peak at x = t for QUADPACK."""
-    pts = {0.0}
-    if -1.0 < t < 1.0:
-        pts.add(t)
-    r = 2.0 / w
-    while r < 2.0:
-        for p in (t - r, t + r):
-            if -1.0 < p < 1.0:
-                pts.add(p)
-        r *= 4.0
-    return sorted(pts)
-
-
-def _integrate_reduced(kernel, t: float, w: float, kind: str) -> float:
-    """Int_{-1}^{1} kernel(x) * w * G(w (x - t)) dx by adaptive quadrature.
-
-    The subdivision limit is routinely saturated for near-delta kernels
-    (w >> 1) while the returned estimate is still far below the target, so
-    the QUADPACK warning is converted into a checked accuracy bound.
+    Edges sit at x = -1, 0, t, 1 (the kinks of the state kernels and of
+    Model II's G).  Toward x = t, clipped to [-1, 1], the panels shrink
+    geometrically to 0.25 / (pi^2 w), a quarter of the decay length of
+    G_II's slowest term (Model I's Lorentzian is wider still, 2 / w).  For
+    s > 4 they also shrink toward x = -1, 0, 1 to 1 / s, because the erf
+    and Gaussian factors of the state kernels vary on the scale 2 / s
+    there.  Offsets keep w * d exact near the peak.
     """
-    g = _kernel_hat(kind)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(
-            lambda x: kernel(x) * w * g(w * (x - t)),
-            -1.0,
-            1.0,
-            points=_ladder_points(t, w),
-            epsabs=QUAD_ABS_TOL,
-            epsrel=QUAD_ABS_TOL,
-            limit=500,
-        )
-    if err > 1e-7:
+    lo, hi = -1.0 - t, 1.0 - t
+    peak = min(max(0.0, lo), hi)
+    edges = [lo, -t, hi, peak] + _graded(peak, 0.25 / (math.pi**2 * w))
+    if s > 4.0:
+        for center in (lo, -t, hi):
+            edges += _graded(center, 1.0 / s)
+    edges = np.unique(edges)
+    return edges[(edges >= lo) & (edges <= hi)]
+
+
+def _integrate_reduced(kernel, t: float, w: float, s: float, kind: str) -> float:
+    """Int_{-1}^{1} kernel(x) * w * G(w (x - t)) dx by the composite Gauss-Legendre rule.
+
+    G is the Lorentzian 2 / (4 + xi^2) for model I and the exponential sum
+    of the Model II pole expansion.  ``kernel`` takes an array of x.  The
+    sum over panels of |20-node - 10-node| bounds the error and must stay
+    under ``REDUCED_ERROR_GATE``.
+    """
+    edges = _panel_edges(t, w, s)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    d = mid[:, None] + half[:, None] * _GL_NODES
+    xi = np.abs(w * d)
+    if kind == "I":
+        g = 2.0 / (4.0 + xi * xi)
+    else:
+        g = np.exp(-xi[..., None] * _POLE_B) @ _POLE_A
+    y = kernel(t + d) * (w * g) * half[:, None]
+    n = _GL_FINE[0].size
+    fine = y[:, :n] @ _GL_FINE[1]
+    coarse = y[:, n:] @ _GL_COARSE[1]
+    err = float(np.abs(fine - coarse).sum())
+    if not err <= REDUCED_ERROR_GATE:
         raise QuadratureNotConvergedError(
             f"reduced rate integral did not converge: estimate {err:.2e}"
         )
-    return val
+    return float(fine.sum())
 
 
 def _check_w(w: float):
@@ -329,7 +311,7 @@ def rate_entangled(t: float, s: float, w: float, kind: str = "I") -> float:
     if math.isinf(w):
         return rate_entangled_cw_limit(t, s)
     _check_w(w)
-    return 1.0 + _integrate_reduced(lambda x: _i_kernel(s, x), t, w, kind)
+    return 1.0 + _integrate_reduced(lambda x: _i_kernel(s, x), t, w, s, kind)
 
 
 def rate_entangled_modelI(t: float, s: float, w: float) -> float:
@@ -340,42 +322,30 @@ def rate_entangled_modelI(t: float, s: float, w: float) -> float:
 # Fock and coherent states
 
 def _gauss_kernel_avg(t: float, w: float, kind: str) -> float:
-    """Gaussian-weighted average of |C|^2 cos(t y): Re erfcx(...) for model I."""
+    """Int_R N(y) |C(y/w)|^2 cos(t y) dy, N the unit normal density.
+
+    Model I: Re erfcx(sqrt2/w + i|t|/sqrt2).  Model II: the pole expansion
+    makes it sum_k c_k w^2 Int N(y) cos(t y) / (y^2 + q_k^2) dy, q_k = w b_k,
+    and each Gaussian x Lorentzian integral is
+    sqrt(pi/8) / q e^{-t^2/2} [erfcx((q - t)/sqrt2) + erfcx((q + t)/sqrt2)].
+    For q < t, erfcx(-a) = 2 e^{a^2} - erfcx(a) folds the growing factor
+    into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.
+    """
     t = abs(t)
-    if w == 0.0:
+    if w == 0.0 or math.isinf(t):
         return 0.0
     if kind == "I":
-        if math.isinf(t):
-            return 0.0
         re = 0.0 if math.isinf(w) else math.sqrt(2.0) / w
         return float(_scipy_erfcx(re + 1j * t / math.sqrt(2.0)).real)
     if math.isinf(w):
-        return math.exp(-0.5 * t * t) if math.isfinite(t) else 0.0
-    if math.isinf(t):
-        return 0.0
-
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    pts = set()
-    r = 10.0 * w
-    while r < 40.0:
-        pts.add(r)
-        r *= 4.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(
-            lambda y: 2.0 * norm * math.exp(-0.5 * y * y) * _model_ii_psi(y / w) * math.cos(y * t),
-            0.0,
-            40.0,
-            points=sorted(pts),
-            epsabs=QUAD_ABS_TOL,
-            epsrel=QUAD_ABS_TOL,
-            limit=400,
-        )
-    if err > 1e-7:
-        raise QuadratureNotConvergedError(
-            f"Gaussian kernel average did not converge: estimate {err:.2e}"
-        )
-    return val
+        return math.exp(-0.5 * t * t)
+    q = w * _POLE_B
+    a = (q - t) / math.sqrt(2.0)
+    below = a < 0.0
+    near = _scipy_erfcx((q + t) / math.sqrt(2.0)) + np.where(below, -1.0, 1.0) * _scipy_erfcx(np.abs(a))
+    far = np.where(below, 2.0 * np.exp(np.minimum(q * (0.5 * q - t), 0.0)), 0.0)
+    voigt = math.exp(-0.5 * t * t) * near + far
+    return math.sqrt(math.pi / 8.0) * w * float(np.dot(_POLE_C / _POLE_B, voigt))
 
 
 def rate_fock(t: float, w: float, kind: str = "I") -> float:
@@ -421,7 +391,7 @@ def _rate_theta_eval(t: float, s: float, w: float, theta: float, kind: str) -> f
         t_ = abs(t)
         num = math.pi * kernel(t_) if t_ < 1.0 else 0.0
     else:
-        num = _integrate_reduced(kernel, t, w, kind)
+        num = _integrate_reduced(kernel, t, w, s, kind)
     return 1.0 + 2.0 * num / denom
 
 
@@ -547,24 +517,23 @@ def _model_d_support(model: CorrelationModel) -> float:
     return 600.0 * model.omega_th
 
 
-def _cos_tail_integral(f, a: float, freq: float) -> float:
-    """Int_a^inf f(d) cos(freq d) dd for decaying f (QUADPACK Fourier rule)."""
+def _cos_tail_integral(f, a: float, freq: float) -> QuadratureResult:
+    """Int_a^inf f(d) cos(freq d) dd for decaying f (QUADPACK Fourier rule), with its error estimate."""
     freq = abs(freq)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if freq < 1e-12:
-            return quad(f, a, np.inf, limit=200)[0]
-        return quad(f, a, np.inf, weight="cos", wvar=freq, limit=200)[0]
+    if freq < 1e-12:
+        return QuadratureResult(*quad(f, a, np.inf, limit=200))
+    return QuadratureResult(*quad(f, a, np.inf, weight="cos", wvar=freq, limit=200))
 
 
-def _entangled_exchange_tail(pump, crystal, model, tau: float, d_half: float) -> float:
+def _entangled_exchange_tail(pump, crystal, model, tau: float, d_half: float) -> QuadratureResult:
     """|d| > d_half remainder of Int dp dd alpha^2 sinc(y+) sinc(y-) |C|^2 cos(d tau).
 
     The sinc product at large |d| is -2[cos(eta_- d) - cos(eta_+ p)] /
     (eta_- d)^2 to leading order; the pump integral is then analytic and
     the remainder collapses to one-dimensional cosine integrals.  Without
     this term, an undamped kernel (|C| ~ 1) loses a 1/(pi Y) fraction of
-    the exchange mass, Y = |eta_-| d_half / 2.
+    the exchange mass, Y = |eta_-| d_half / 2.  The error is the
+    propagated sum of the QUADPACK estimates.
     """
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
@@ -572,18 +541,14 @@ def _entangled_exchange_tail(pump, crystal, model, tau: float, d_half: float) ->
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
 
-    i_flat = _cos_tail_integral(csq_over_d2, d_half, tau)
-    i_osc = 0.5 * (
-        _cos_tail_integral(csq_over_d2, d_half, eta_m + tau)
-        + _cos_tail_integral(csq_over_d2, d_half, eta_m - tau)
-    )
-    return (
-        2.0
-        * pump.sigma
-        * SQRT_PI
-        / (eta_m * eta_m)
-        * 2.0
-        * (math.exp(-0.25 * s * s) * i_flat - i_osc)
+    flat = _cos_tail_integral(csq_over_d2, d_half, tau)
+    osc_plus = _cos_tail_integral(csq_over_d2, d_half, eta_m + tau)
+    osc_minus = _cos_tail_integral(csq_over_d2, d_half, eta_m - tau)
+    scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
+    damp = math.exp(-0.25 * s * s)
+    return QuadratureResult(
+        value=scale * (damp * flat.value - 0.5 * (osc_plus.value + osc_minus.value)),
+        error=scale * (damp * flat.error + 0.5 * (osc_plus.error + osc_minus.error)),
     )
 
 
@@ -644,7 +609,7 @@ def rate_numeric(
     hp = p[1] - p[0]
     hd = d[1] - d[0]
     csq = correlation_sq_magnitude(d, model)
-    tail = 0.0  # analytic |d| > d_half remainder (entangled exchange only)
+    tail = QuadratureResult(0.0, 0.0)  # analytic |d| > d_half remainder (entangled exchange only)
 
     if isinstance(state, (FockState, CoherentState)):
         gauss = np.exp(-0.5 * (p[:, None] ** 2 + d[None, :] ** 2) / state.delta**2) / (
@@ -690,8 +655,8 @@ def rate_numeric(
         )
 
     r1, err = _richardson_pair(F, hp, hd)
-    numerator = numerator_scale * (r1.real + tail)
-    err_rate = numerator_scale * err / denom
+    numerator = numerator_scale * (r1.real + tail.value)
+    err_rate = numerator_scale * (err + tail.error) / denom
 
     if two_photon:
         value = 1.0 + numerator / denom
@@ -727,7 +692,6 @@ def compute_rate_curve(
     model: Union[CorrelationModel, str],
     taus: Sequence[float],
     method: str = "closed-form",
-    tolerances: Tolerances = Tolerances(),
 ) -> RateCurve:
     """Evaluate R over a tau grid; ``model`` may be "cw-limit" for flat transmission."""
     taus = np.asarray(taus, dtype=float)
@@ -742,4 +706,4 @@ def compute_rate_curve(
         raise ValueError(f"unknown method {method!r}")
     # suppressed antisymmetric rates can round to -1e-13; clamp roundoff only
     rs[(rs < 0.0) & (rs > -1e-9)] = 0.0
-    return RateCurve(taus=taus, rs=rs, state=state, model=model, method=method, tolerances=tolerances)
+    return RateCurve(taus=taus, rs=rs, state=state, model=model, method=method)

@@ -79,6 +79,8 @@ class CrystalParams:
     nu_e: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.nu_o) and math.isfinite(self.nu_e)):
+            raise ValueError("nu_o and nu_e must be finite")
         if self.nu_o == self.nu_e:
             raise ValueError("nu_o == nu_e gives eta_minus = 0 (infinite coherence time)")
 
@@ -99,10 +101,10 @@ class PumpParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.omega_bar > 0:
-            raise ValueError("omega_bar must be > 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.omega_bar) and self.omega_bar > 0):
+            raise ValueError("omega_bar must be finite and > 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,20 @@ class SymmetrizedState:
             raise ValueError("theta must lie in [0, 2*pi)")
 
 
+def _check_envelope(omega_bar: float, delta: float) -> None:
+    if not math.isfinite(omega_bar):
+        raise ValueError("omega_bar must be finite")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class FockState:
     omega_bar: float
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        _check_envelope(self.omega_bar, self.delta)
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,7 @@ class CoherentState:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        _check_envelope(self.omega_bar, self.delta)
 
 
 StateSpec = Union[EntangledState, SymmetrizedState, FockState, CoherentState]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tpspeckle import cli
 from tpspeckle.cli import main, read_curve_csv
 
 ENT_STATE = json.dumps(
@@ -201,11 +202,11 @@ def test_mc_validate_healthy(tmp_path):
     assert np.all(np.abs(z) <= 4.0)
 
 
-def test_mc_validate_detects_corruption(tmp_path):
-    cfg = dict(MC_CONFIG)
-    cfg["_corrupt_closed_form"] = 0.5
+def test_mc_validate_detects_corruption(tmp_path, monkeypatch):
+    closed_rate = cli._closed_rate
+    monkeypatch.setattr(cli, "_closed_rate", lambda state, model, tau: closed_rate(state, model, tau) + 0.5)
     out = tmp_path / "bad.csv"
-    assert main(["mc-validate", "--config", json.dumps(cfg), "--out", str(out)]) == 4
+    assert main(["mc-validate", "--config", json.dumps(MC_CONFIG), "--out", str(out)]) == 4
 
 
 def test_mc_validate_rejects_model_ii(tmp_path):
@@ -334,3 +335,80 @@ def test_rate_command_antisymmetric_cw(tmp_path):
     _, data = read_curve_csv(str(out))
     mid = data[4]
     assert mid[0] == 0.0 and abs(mid[1]) < 1e-9
+
+
+# --- non-finite inputs and outputs
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _rate_args(state: dict, out, model: str = MODEL_I):
+    return ["rate", "--state", json.dumps(state), "--model", model,
+            "--tau-min", "-1", "--tau-max", "1", "--tau-n", "3", "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sigma", NAN), ("sigma", INF), ("omega_bar", NAN), ("omega_bar", INF), ("nu_o", NAN), ("nu_e", -INF)],
+)
+def test_rate_rejects_non_finite_entangled_params(tmp_path, key, value):
+    state = {**json.loads(ENT_STATE), key: value}
+    out = tmp_path / "r.csv"
+    assert main(_rate_args(state, out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("delta", NAN), ("delta", INF), ("omega_bar", NAN)])
+def test_rate_rejects_non_finite_envelope_params(tmp_path, key, value):
+    for kind in ("fock", "coherent"):
+        state = {"state": kind, "omega_bar": 100.0, "delta": 1.0, key: value}
+        out = tmp_path / f"{kind}.csv"
+        assert main(_rate_args(state, out)) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [NAN, INF])
+def test_non_finite_model_scale_is_config_error(tmp_path, scale):
+    for kind in ("I", "II"):
+        model = json.dumps({"model": kind, "scale": scale})
+        assert main(_rate_args(json.loads(FOCK_STATE), tmp_path / "r.csv", model)) == 2
+        sweep = {"state": json.loads(FOCK_STATE), "model": {"model": kind, "scale": scale}}
+        assert main(["sweep", "--config", json.dumps(sweep), "--out", str(tmp_path / "s.csv")]) == 2
+    sweep = {"state": json.loads(FOCK_STATE), "model": {"model": "I", "scale": 1.0},
+             "vary": {"scale": [1.0, scale]}}
+    assert main(["sweep", "--config", json.dumps(sweep), "--out", str(tmp_path / "v.csv")]) == 2
+    cfg = {**MC_CONFIG, "cases": [{**MC_CONFIG["cases"][0], "model": {"model": "I", "scale": scale}}]}
+    assert main(["mc-validate", "--config", json.dumps(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_rate_rejects_non_finite_tau(tmp_path):
+    out = tmp_path / "r.csv"
+    args = ["rate", "--state", FOCK_STATE, "--model", MODEL_I,
+            "--tau-min", "nan", "--tau-max", "1", "--tau-n", "3", "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
+    # a rate that comes out NaN from valid inputs is a numerical failure,
+    # and no command may write it
+    import tpspeckle.rates as rates
+
+    monkeypatch.setattr(rates, "rate_closed_form", lambda state, model, tau: NAN)
+    out = tmp_path / "r.csv"
+    assert main(_rate_args(json.loads(FOCK_STATE), out)) == 3
+    assert not out.exists()
+
+    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: INF)
+    sweep = {"state": json.loads(FOCK_STATE), "model": {"model": "I", "scale": 1.0}}
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", json.dumps(sweep), "--out", str(out)]) == 3
+    assert not out.exists()
+
+    monkeypatch.setattr(cli, "rate_fock", lambda t, w, kind="I": NAN)
+    out = tmp_path / "f5.csv"
+    assert main(["figure", "--id", "5", "--model", "I", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert not any(tmp_path.iterdir())

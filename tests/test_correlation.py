@@ -29,6 +29,14 @@ def test_model_validation():
         ModelII(omega_th=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_scale_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        ModelI(omega_corr=bad)
+    with pytest.raises(ValueError):
+        ModelII(omega_th=bad)
+
+
 def test_correlation_at_zero_is_exactly_one():
     assert correlation(0.0, MODEL_I) == 1.0 + 0.0j
     assert correlation(0.0, MODEL_II) == 1.0 + 0.0j

@@ -122,3 +122,19 @@ def test_quadrature_curve(entangled_s2):
     curve = compute_rate_curve(entangled_s2, M_I, taus, method="quadrature")
     for tau, r in zip(curve.taus, curve.rs):
         assert r == pytest.approx(rate_entangled_modelI(tau, 2.0, 1.0), abs=1e-6)
+
+
+def test_tail_integral_error_estimate_is_checked(monkeypatch):
+    # the QUADPACK estimates of the entangled exchange tail feed the
+    # reported error and its gate
+    import tpspeckle.rates as rates
+
+    state = _ent(2.0)
+    healthy = rate_numeric(state, M_I, tau=0.5)
+    quad = rates.quad
+    monkeypatch.setattr(rates, "quad", lambda *a, **k: (quad(*a, **k)[0], 1e-3))
+    with pytest.raises(QuadratureNotConvergedError):
+        rate_numeric(state, M_I, tau=0.5)
+    sloppy = rate_numeric(state, M_I, tau=0.5, tolerance=1.0)
+    assert sloppy.value == healthy.value
+    assert sloppy.error > healthy.error + 1e-4

@@ -14,6 +14,7 @@ from tpspeckle import (
     FockState,
     ModelI,
     ModelII,
+    NonFiniteValueError,
     RangeError,
     RateCurve,
     SymmetrizedState,
@@ -30,6 +31,7 @@ from tpspeckle import (
     rate_entangled_modelI,
     rate_fock,
     rate_fock_modelI,
+    rate_theta,
     rate_theta_modelI,
     visibility,
 )
@@ -266,6 +268,65 @@ def test_model_ii_coherent_bounds():
             assert 2.0 - 1e-9 <= v <= 4.0 + 1e-9
 
 
+# Model II against mpmath.  Values frozen from mpmath at 40 digits (printed
+# to 32), made without tpspeckle:
+# * entangled and symmetrized: tanh-sinh quadrature of kernel(x) w G(w (x - t))
+#   over [-1, 1], split at -1, 0, t, 1 and at t +- 10^-j (j = 0..7), with
+#   G(xi) = sum_{k <= 60} (-1)^(k+1) 2 pi^4 k^3 / sinh(pi k) exp(-pi^2 k^2 |xi|).
+#   At s = 0 and w in {0.3, 1} the same rates taken straight from
+#   psi = |C_II|^2, as (1/pi) Int_0^inf psi(u/w) cos(u t) 2 (1 - cos u) / u^2 du,
+#   agree to 1e-24;
+# * theta = pi, s = 0: the s -> 0 limit kernel (1-|x|)(3x^2 - (1-|x|)^2) / pi;
+# * Fock and coherent: Int_R N(y) psi(|y|/w) cos(t y) dy straight from psi,
+#   N the unit normal density.
+MODEL_II_ORACLE = {
+    0.3: {
+        "entangled": [((0.4, 2.0), 1.4467098962855097627071651113805),
+                      ((0.0, 0.0), 1.659233595187566415343870343629)],
+        "theta_0": ((0.5, 4.0), 1.4019575506292811045418131514111),
+        "theta_pi_s0": (0.0, 0.7372578547082153609762028877497),
+        "fock": [(1.0, 1.5976332583561706402358970184279), (50.0, 1.0)],
+        "coherent": [(1.0, 3.5024697772482472745876927839067), (50.0, 2.9048365188920766343517957654788)],
+    },
+    1.0: {
+        "entangled": [((0.4, 2.0), 1.5256066972024591630336075769979),
+                      ((0.0, 0.0), 1.8920678354691379724737341946713)],
+        "theta_0": ((0.5, 4.0), 1.4031918602438562104101811641023),
+        "theta_pi_s0": (0.0, 0.31027474924607868300766352184267),
+        "fock": [(1.0, 1.6064021360899181107599932218118), (50.0, 1.0)],
+        "coherent": [(1.0, 3.5956184450840696965541467038376), (50.0, 2.9892163089941515857941534820258)],
+    },
+    5e3: {
+        "entangled": [((0.4, 2.0), 1.5351535264359846618401711641317),
+                      ((0.0, 0.0), 1.9999784124266056060293080840938)],
+        "theta_0": ((0.5, 4.0), 1.386770332084556018649031619004),
+        "theta_pi_s0": (0.0, 0.000064762720074673153483288847822643),
+        "fock": [(1.0, 1.6065306597126334233812979885967), (50.0, 1.0)],
+        "coherent": [(1.0, 3.6065306592681889794871180932867), (50.0, 2.9999999995555555561058201046899)],
+    },
+}
+
+
+@pytest.mark.parametrize("w", sorted(MODEL_II_ORACLE))
+def test_model_ii_mpmath_oracle(w):
+    ref = MODEL_II_ORACLE[w]
+    for (t, s), v in ref["entangled"]:
+        assert rate_entangled(t, s, w, kind="II") == pytest.approx(v, abs=1e-10)
+        assert rate_entangled(-t, s, w, kind="II") == pytest.approx(v, abs=1e-10)
+    (t, s), v = ref["theta_0"]
+    assert rate_theta(t, s, w, 0.0, kind="II") == pytest.approx(v, abs=1e-10)
+    t, v = ref["theta_pi_s0"]
+    assert rate_theta(t, 0.0, w, math.pi, kind="II") == pytest.approx(v, abs=1e-10)
+    for t, v in ref["fock"]:
+        got = rate_fock(t, w, kind="II")
+        assert math.isfinite(got) and 1.0 <= got <= 2.0
+        assert got == pytest.approx(v, abs=1e-10)
+    for t, v in ref["coherent"]:
+        got = rate_coherent(-t, w, kind="II")
+        assert math.isfinite(got) and 2.0 <= got <= 4.0
+        assert got == pytest.approx(v, abs=1e-10)
+
+
 # --- parity and bounds sweeps
 
 def test_parity_in_t():
@@ -411,6 +472,12 @@ def test_rate_curve_validation():
         RateCurve(taus=np.array([0.0, 0.0]), rs=np.array([1.0, 1.0]), state=None, model="cw-limit", method="closed-form")
     with pytest.raises(ValueError):
         RateCurve(taus=np.array([0.0, 1.0]), rs=np.array([1.0, -0.1]), state=None, model="cw-limit", method="closed-form")
+
+
+def test_rate_curve_rejects_non_finite():
+    for taus, rs in (([0.0, 1.0], [1.0, math.nan]), ([0.0, 1.0], [1.0, math.inf]), ([0.0, math.nan], [1.0, 1.0])):
+        with pytest.raises(NonFiniteValueError):
+            RateCurve(taus=np.array(taus), rs=np.array(rs), state=None, model="cw-limit", method="closed-form")
 
 
 def test_compute_rate_curve_closed_form(entangled_s2):

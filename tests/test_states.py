@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspeckle import (
+    CoherentState,
     CrystalParams,
     DegenerateStateError,
     EntangledState,
@@ -53,6 +54,23 @@ def test_state_validation():
         FockState(omega_bar=1.0, delta=0.0)
     with pytest.raises(ValueError):
         SymmetrizedState(PumpParams(1.0, 0.1), CrystalParams(1.5, 0.5), theta=7.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameters_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        PumpParams(omega_bar=bad, sigma=1.0)
+    with pytest.raises(ValueError):
+        PumpParams(omega_bar=1.0, sigma=bad)
+    with pytest.raises(ValueError):
+        CrystalParams(nu_o=bad, nu_e=0.5)
+    with pytest.raises(ValueError):
+        CrystalParams(nu_o=1.5, nu_e=bad)
+    for cls in (FockState, CoherentState):
+        with pytest.raises(ValueError):
+            cls(omega_bar=1.0, delta=bad)
+        with pytest.raises(ValueError):
+            cls(omega_bar=bad, delta=1.0)
 
 
 # --- pump envelope
