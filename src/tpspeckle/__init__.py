@@ -57,16 +57,12 @@ from .rates import (
     mean_photocount,
     rate_closed_form,
     rate_coherent,
-    rate_coherent_modelI,
     rate_cross_mode,
     rate_entangled,
     rate_entangled_cw_limit,
-    rate_entangled_modelI,
     rate_fock,
-    rate_fock_modelI,
     rate_numeric,
     rate_theta,
-    rate_theta_modelI,
     visibility,
 )
 from .states import (

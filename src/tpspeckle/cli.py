@@ -10,11 +10,13 @@ are written atomically (temp file + rename).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +68,22 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing
 
+@contextmanager
+def _config_boundary(command: str):
+    """Each command parses all of its configuration in this block: a malformed value exits 2."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"bad {command} config: {exc!r}") from exc
+
+
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite")
+    return x
+
+
 def _load_json(blob: str):
     if os.path.exists(blob):
         with open(blob, "r", encoding="utf-8") as fh:
@@ -79,61 +97,40 @@ def _load_json(blob: str):
 def state_from_config(cfg) -> StateSpec:
     if isinstance(cfg, str):
         cfg = _load_json(cfg)
-    try:
-        kind = cfg["state"]
+    kind = cfg["state"]
+    if kind in ("entangled", "symmetrized"):
+        pump = PumpParams(float(cfg["omega_bar"]), float(cfg["sigma"]))
+        crystal = CrystalParams(float(cfg["nu_o"]), float(cfg["nu_e"]))
         if kind == "entangled":
-            return EntangledState(
-                pump=PumpParams(float(cfg["omega_bar"]), float(cfg["sigma"])),
-                crystal=CrystalParams(float(cfg["nu_o"]), float(cfg["nu_e"])),
-            )
-        if kind == "symmetrized":
-            return SymmetrizedState(
-                pump=PumpParams(float(cfg["omega_bar"]), float(cfg["sigma"])),
-                crystal=CrystalParams(float(cfg["nu_o"]), float(cfg["nu_e"])),
-                theta=float(cfg["theta"]),
-            )
-        if kind == "fock":
-            return FockState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
-        if kind == "coherent":
-            return CoherentState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad state config: {exc}") from exc
-    raise ConfigError(f"unknown state kind {cfg.get('state')!r}")
+            return EntangledState(pump=pump, crystal=crystal)
+        return SymmetrizedState(pump=pump, crystal=crystal, theta=float(cfg["theta"]))
+    if kind == "fock":
+        return FockState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
+    if kind == "coherent":
+        return CoherentState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
+    raise ConfigError(f"unknown state kind {kind!r}")
 
 
 def state_to_config(state: StateSpec) -> dict:
-    if isinstance(state, EntangledState):
-        return {
+    if isinstance(state, (EntangledState, SymmetrizedState)):
+        cfg = {
             "state": "entangled",
             "omega_bar": state.pump.omega_bar,
             "sigma": state.pump.sigma,
             "nu_o": state.crystal.nu_o,
             "nu_e": state.crystal.nu_e,
         }
-    if isinstance(state, SymmetrizedState):
-        return {
-            "state": "symmetrized",
-            "omega_bar": state.pump.omega_bar,
-            "sigma": state.pump.sigma,
-            "nu_o": state.crystal.nu_o,
-            "nu_e": state.crystal.nu_e,
-            "theta": state.theta,
-        }
+        if isinstance(state, SymmetrizedState):
+            cfg.update(state="symmetrized", theta=state.theta)
+        return cfg
     kind = "fock" if isinstance(state, FockState) else "coherent"
     return {"state": kind, "omega_bar": state.omega_bar, "delta": state.delta}
-
-
-def _model_config(cfg) -> CorrelationModel:
-    try:
-        return model_from_config(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
 
 
 def _parse_model(blob: str):
     if blob.strip().lower() in ("cw", "cw-limit"):
         return "cw-limit"
-    return _model_config(_load_json(blob))
+    return model_from_config(_load_json(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +204,21 @@ def _header(command: str, config: dict, notes: Sequence[str] = ()) -> List[str]:
 # rate
 
 def cmd_rate(args) -> int:
-    state = state_from_config(_load_json(args.state))
-    model = _parse_model(args.model)
-    if args.tau_n < 2:
-        raise ConfigError("tau-n must be >= 2")
-    if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
-        raise ConfigError("tau-min and tau-max must be finite")
+    with _config_boundary("rate"):
+        state = state_from_config(_load_json(args.state))
+        model = _parse_model(args.model)
+        if args.tau_n < 2:
+            raise ConfigError("tau-n must be >= 2")
+        if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
+            raise ConfigError("tau-min and tau-max must be finite")
+        if args.method == "monte-carlo":
+            if isinstance(model, str):
+                raise ConfigError("monte-carlo needs a concrete correlation model")
+            grid = mc_default_grid(state, model)
+            if args.ensemble is not None:
+                ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=grid.center)
+            else:
+                ens = EnsembleConfig(grid=grid, model=model, t_bar=0.01, n_realizations=10_000, seed=args.seed)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     config = {
         "state": state_to_config(state),
@@ -222,19 +228,6 @@ def cmd_rate(args) -> int:
     }
 
     if args.method == "monte-carlo":
-        if isinstance(model, str):
-            raise ConfigError("monte-carlo needs a concrete correlation model")
-        center = state.omega_bar if hasattr(state, "omega_bar") else state.pump.omega_bar
-        if args.ensemble is not None:
-            try:
-                ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=center)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad ensemble config: {exc}") from exc
-        else:
-            ens = EnsembleConfig(
-                grid=mc_default_grid(state, model), model=model, t_bar=0.01,
-                n_realizations=10_000, seed=args.seed,
-            )
         config["ensemble"] = {
             "grid": {"center": ens.grid.center, "half_width": ens.grid.half_width, "n": ens.grid.n},
             "model": model_to_config(ens.model),
@@ -242,22 +235,11 @@ def cmd_rate(args) -> int:
             "n_realizations": ens.n_realizations,
             "seed": ens.seed,
         }
-        rows = mc_estimate_rows(state, ens, taus.tolist())
-        write_csv(
-            args.out,
-            _header("rate", config),
-            ["tau", "mean", "std_error", "n", "seed"],
-            rows,
-        )
-        return EXIT_OK
-
-    curve = compute_rate_curve(state, model, taus, method=args.method)
-    write_csv(
-        args.out,
-        _header("rate", config),
-        ["tau", "r"],
-        zip(curve.taus.tolist(), curve.rs.tolist()),
-    )
+        columns, rows = ["tau", "mean", "std_error", "n", "seed"], mc_estimate_rows(state, ens, taus.tolist())
+    else:
+        curve = compute_rate_curve(state, model, taus, method=args.method)
+        columns, rows = ["tau", "r"], zip(curve.taus.tolist(), curve.rs.tolist())
+    write_csv(args.out, _header("rate", config), columns, rows)
     return EXIT_OK
 
 
@@ -278,7 +260,8 @@ def _figure_dataset(figure_id, kind, args):
     if figure_id == 2:
         if args.nu_o is None or args.nu_e is None:
             raise ConfigError("figure 2 needs --nu-o and --nu-e (no values are printed in the source)")
-        crystal = CrystalParams(args.nu_o, args.nu_e)
+        with _config_boundary("figure"):
+            crystal = CrystalParams(args.nu_o, args.nu_e)
         dw_cw = 2.78 / abs(crystal.eta_minus)
         sig = np.linspace(0.0, 3.0, 151)  # sigma in units of dw_cw
         ratios = np.array([spectral_width_ratio(s * dw_cw, crystal) for s in sig])
@@ -287,6 +270,8 @@ def _figure_dataset(figure_id, kind, args):
 
     if figure_id == 3:
         svals = args.s_values if args.s_values is not None else [0.0, 2.0, 8.0]
+        if not all(s >= 0 for s in svals):
+            raise ConfigError(f"--s-values must be >= 0, got {svals}")
         if args.s_values is None:
             notes.append("s values are placeholders (figure shows them graphically); override with --s-values")
         t = np.linspace(-3.0, 3.0, 241)
@@ -344,8 +329,6 @@ def _figure_dataset(figure_id, kind, args):
 
 
 def cmd_figure(args) -> int:
-    if not 2 <= args.id <= 10:
-        raise ConfigError(f"unknown figure id {args.id} (valid: 2..10)")
     xname, x, names, cols, notes = _figure_dataset(args.id, args.model, args)
     config = {
         "figure": args.id,
@@ -363,43 +346,35 @@ def cmd_figure(args) -> int:
 # sweep
 
 def cmd_sweep(args) -> int:
-    cfg = _load_json(args.config)
-    try:
+    with _config_boundary("sweep"):
+        cfg = _load_json(args.config)
         base_state = cfg["state"]
         model_cfg = cfg.get("model", "cw")
         vary = cfg.get("vary", {})
         taus = cfg.get("tau", [0.0])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad sweep config: {exc}") from exc
-    if isinstance(taus, dict):
-        taus = np.linspace(float(taus["min"]), float(taus["max"]), int(taus["n"])).tolist()
+        if isinstance(taus, dict):
+            taus = np.linspace(float(taus["min"]), float(taus["max"]), int(taus["n"])).tolist()
+        tau_values = [_finite(tau) for tau in taus]
+        model = "cw-limit" if model_cfg == "cw" else model_from_config(model_cfg)
+        vary_keys = sorted(vary.keys())
+        points = []
+        for combo in itertools.product(*([_finite(v) for v in vary[k]] for k in vary_keys)):
+            scfg = dict(base_state)
+            mdl = model
+            for key, val in zip(vary_keys, combo):
+                if key == "scale":
+                    if isinstance(model, str):
+                        raise ConfigError("cannot vary 'scale' of the cw model")
+                    mdl = model_from_config({**model_to_config(model), "scale": val})
+                else:
+                    scfg[key] = val
+            points.append((list(combo), state_from_config(scfg), mdl))
 
-    model = "cw-limit" if model_cfg == "cw" else _model_config(model_cfg)
-    vary_keys = sorted(vary.keys())
-    grids = [list(map(float, vary[k])) for k in vary_keys]
-
-    def combos(level=0, current=()):
-        if level == len(grids):
-            yield current
-            return
-        for v in grids[level]:
-            yield from combos(level + 1, current + (v,))
-
-    rows = []
-    for combo in combos():
-        scfg = dict(base_state)
-        mdl = model
-        for key, val in zip(vary_keys, combo):
-            if key == "scale":
-                if isinstance(model, str):
-                    raise ConfigError("cannot vary 'scale' of the cw model")
-                mdl = _model_config({**model_to_config(model), "scale": val})
-            else:
-                scfg[key] = val
-        state = state_from_config(scfg)
-        for tau in taus:
-            r = rate_closed_form(state, mdl, float(tau))
-            rows.append(list(combo) + [float(tau), float(r)])
+    rows = [
+        combo + [tau, float(rate_closed_form(state, mdl, tau))]
+        for combo, state, mdl in points
+        for tau in tau_values
+    ]
     config = {"state": base_state, "model": model_cfg, "vary": vary, "tau": taus}
     write_csv(
         args.out,
@@ -447,7 +422,7 @@ def _mc_case_grid(state: StateSpec, model, cfg: dict) -> FrequencyGrid:
         center = g.get("center")
         if center is None:
             center = state.omega_bar if isinstance(state, (FockState, CoherentState)) else state.pump.omega_bar
-        return FrequencyGrid(float(center), float(g["half_width"]), int(g["n"]))
+        return FrequencyGrid(float(center), float(g["half_width"]), g["n"])
     return mc_default_grid(state, model, n=128)
 
 
@@ -458,27 +433,30 @@ def _closed_rate(state: StateSpec, model: CorrelationModel, tau: float) -> float
 
 
 def cmd_mc_validate(args) -> int:
-    cfg = _load_json(args.config)
-    seed = int(cfg.get("seed", args.seed))
-    t_bar = float(cfg.get("t_bar", 0.01))
-    n_real = int(cfg.get("n_realizations", 10_000))
-    cases = cfg.get("cases") or _default_mc_cases()
+    with _config_boundary("mc-validate"):
+        cfg = _load_json(args.config)
+        seed = int(cfg.get("seed", args.seed))
+        t_bar = float(cfg.get("t_bar", 0.01))
+        n_real = int(cfg.get("n_realizations", 10_000))
+        cases = cfg.get("cases") or _default_mc_cases()
+        runs = []
+        for idx, case in enumerate(cases):
+            state = state_from_config(case["state"])
+            model = model_from_config(case["model"])
+            grid = _mc_case_grid(state, model, case)
+            ens = EnsembleConfig(grid=grid, model=model, t_bar=t_bar, n_realizations=n_real, seed=seed + idx)
+            runs.append((state, ens, _finite(case.get("tau", 0.0))))
 
     rows = []
     worst = 0.0
-    for idx, case in enumerate(cases):
-        state = state_from_config(case["state"])
-        model = _model_config(case["model"])
-        tau = float(case.get("tau", 0.0))
-        grid = _mc_case_grid(state, model, case)
-        ens = EnsembleConfig(grid=grid, model=model, t_bar=t_bar, n_realizations=n_real, seed=seed + idx)
+    for idx, (state, ens, tau) in enumerate(runs):
         est = mc_correlator(state, ens, tau)
-        closed = _closed_rate(state, model, tau)
+        closed = _closed_rate(state, ens.model, tau)
         z = (est.mean - closed) / est.std_error
         worst = max(worst, abs(z))
-        dims = DimensionlessArgs.from_state(state, model, tau)
+        dims = DimensionlessArgs.from_state(state, ens.model, tau)
         rows.append(
-            [case["state"]["state"], idx, tau, dims.t, dims.s, dims.w,
+            [state_to_config(state)["state"], idx, tau, dims.t, dims.s, dims.w,
              closed, est.mean, est.std_error, est.n, z]
         )
     config = {"seed": seed, "t_bar": t_bar, "n_realizations": n_real, "cases": cases}
@@ -499,16 +477,16 @@ def cmd_mc_validate(args) -> int:
 # visibility
 
 def cmd_visibility(args) -> int:
-    names, data = read_curve_csv(args.infile)
-    try:
-        tau_idx = names.index("tau")
-    except ValueError:
-        tau_idx = 0
-    r_idx = 1 if tau_idx == 0 else 0
-    curve = RateCurve(
-        taus=data[:, tau_idx], rs=data[:, r_idx], state=None, model="cw-limit", method="closed-form"
-    )
-    v = visibility(curve)
+    with _config_boundary("visibility"):
+        names, data = read_curve_csv(args.infile)
+        if data.ndim != 2 or data.shape[1] < 2:
+            raise ConfigError(f"{args.infile} needs a tau and a rate column")
+        tau_idx = names.index("tau") if "tau" in names else 0
+        r_idx = 1 if tau_idx == 0 else 0
+        curve = RateCurve(
+            taus=data[:, tau_idx], rs=data[:, r_idx], state=None, model="cw-limit", method="closed-form"
+        )
+        v = visibility(curve)
     print(repr(v))
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -80,10 +81,12 @@ class FrequencyGrid:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise TypeError(f"grid n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("grid needs n >= 1 points")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be > 0")
+        if not (math.isfinite(self.center) and math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("center must be finite and half_width finite and > 0")
 
     @property
     def spacing(self) -> float:

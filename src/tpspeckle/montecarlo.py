@@ -19,9 +19,17 @@ dividing by ``t_bar^2 (1 + delta_ij)``.
 Sampling-time integrals are already the infinite-window delta functions,
 so no time grid exists; everything lives on the frequency grid.
 
+Every estimator runs through one chunked ensemble pass (``_ensemble``):
+per chunk of realizations it draws ``(t_o, t_e)`` for each output mode
+and hands them to a per-realization function.  The same-mode and
+cross-mode correlators share one pair estimator of two modes' draws (the
+same-mode call passes mode 0 twice); they differ only in the norm.
+
 Randomness is counter-based (Philox): stream (realization r, mode m,
 polarization p) uses counter ``[0, 0, 2 m + p, r]`` under the master seed,
-so results are bit-identical regardless of batching or worker count.
+so results are bit-identical regardless of batching or worker count.  One
+Philox bit generator per stream and chunk is reset to each realization's
+counter, rather than constructing a new generator per realization.
 """
 
 from __future__ import annotations
@@ -30,12 +38,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._special import erf_ratio
 from .correlation import (
     CorrelationModel,
     CovarianceFactor,
@@ -55,7 +62,7 @@ from .states import (
     grid_amplitude_matrix,
     grid_envelope,
 )
-from .states import _biphoton_raw
+from .states import _grid_mass, _theta_norm_denominator
 
 __all__ = [
     "EnsembleConfig",
@@ -95,6 +102,8 @@ class EnsembleConfig:
             raise ValueError("t_bar must be in (0, 1]")
         if self.n_realizations < 2:
             raise ValueError("need at least 2 realizations")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grid.n < 8:
             raise ValueError("ensemble grids need n >= 8 points")
 
@@ -115,7 +124,7 @@ def ensemble_config_from_json(cfg, default_center: float = 0.0) -> EnsembleConfi
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
     g = cfg["grid"]
-    grid = FrequencyGrid(float(g.get("center", default_center)), float(g["half_width"]), int(g["n"]))
+    grid = FrequencyGrid(float(g.get("center", default_center)), float(g["half_width"]), g["n"])
     return EnsembleConfig(
         grid=grid,
         model=model_from_config(cfg["model"]),
@@ -160,16 +169,16 @@ def mc_default_grid(state: StateSpec, model: CorrelationModel, n: int = 128) -> 
     return FrequencyGrid(state.pump.omega_bar, half, n)
 
 
-def _stream(seed: int, stream_id: int, realization: int) -> Generator:
-    return Generator(Philox(key=seed, counter=[0, 0, stream_id, realization]))
-
-
 def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range) -> np.ndarray:
     """Correlated complex Gaussian draws, one column per realization."""
     n = L.shape[0]
+    bitgen = Philox(key=seed)
+    state = bitgen.state
+    g = Generator(bitgen)
     u = np.empty((n, len(realizations)), dtype=complex)
     for j, r in enumerate(realizations):
-        g = _stream(seed, stream_id, r)
+        state["state"]["counter"] = [0, 0, stream_id, r]
+        bitgen.state = state
         u[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
     return L @ u
 
@@ -183,51 +192,89 @@ def sample_transmission(
     an independent draw with covariance ``t_bar * C(w_m - w_n)``.
     """
     L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
+    block = range(realization_index, realization_index + 1)
     t_o = np.empty((mode_count, cfg.grid.n), dtype=complex)
     t_e = np.empty((mode_count, cfg.grid.n), dtype=complex)
     for m in range(mode_count):
-        t_o[m] = _draw_block(L, cfg.seed, 2 * m, range(realization_index, realization_index + 1))[:, 0]
-        t_e[m] = _draw_block(L, cfg.seed, 2 * m + 1, range(realization_index, realization_index + 1))[:, 0]
+        t_o[m] = _draw_block(L, cfg.seed, 2 * m, block)[:, 0]
+        t_e[m] = _draw_block(L, cfg.seed, 2 * m + 1, block)[:, 0]
     return t_o, t_e
 
 
-def _estimate(values: np.ndarray) -> McEstimate:
+def _ensemble(cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray]) -> np.ndarray:
+    """One value per realization: ``per_block((t_o, t_e) of mode 0, ...)``
+    over chunks of ``_CHUNK`` realizations, each array of shape (grid.n, chunk)."""
+    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
+    values = np.empty(cfg.n_realizations)
+    for start in range(0, cfg.n_realizations, _CHUNK):
+        block = range(start, min(start + _CHUNK, cfg.n_realizations))
+        draws = [
+            (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
+            for m in range(modes)
+        ]
+        values[block.start : block.stop] = per_block(*draws)
+    return values
+
+
+def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
+    """Mean and standard error; a standard error above ``tol`` raises
+    ``InsufficientRealizationsError``."""
     n = values.size
-    return McEstimate(
+    est = McEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(n)),
         n=n,
     )
+    if tol is not None and est.std_error > tol:
+        raise InsufficientRealizationsError(
+            f"insufficient realizations: std_error {est.std_error:.3e} > tolerance {tol:.3e}"
+        )
+    return est
 
 
-def _two_photon_kernels(state: StateSpec, grid: FrequencyGrid, tau: float):
-    """Direct and exchange kernels of the per-realization correlator.
+def _pair_estimator(state: StateSpec, grid: FrequencyGrid, tau: float):
+    """Per-realization <:n_i n_j:> (before the t_bar norm) as a function of
+    the draws ``(t_o, t_e)`` of modes i and j; pass one mode twice for i = j.
 
-    The direct kernel uses the on-grid norm (its disorder mean is then
-    exactly 2 t_bar^2).  For the sinc-tailed states the exchange kernel is
-    rescaled by (grid norm)/(continuum norm): the grid clips a 1/(pi Y)
-    fraction of the |B|^2 mass that the exchange integral, damped by
-    |C|^2, does not lose, and without the rescaling the estimator would
-    carry a systematic +1/(pi Y) relative bias on R - 1.
+    For the two-photon states the direct kernel uses the on-grid norm (its
+    disorder mean is then exactly 2 t_bar^2).  For the sinc-tailed states
+    the exchange kernel is rescaled by (grid norm)/(continuum norm): the
+    grid clips a 1/(pi Y) fraction of the |B|^2 mass that the exchange
+    integral, damped by |C|^2, does not lose, and without the rescaling the
+    estimator would carry a systematic +1/(pi Y) relative bias on R - 1.
     """
     wts = grid.trapezoid_weights()
+    if isinstance(state, CoherentState):
+        env = grid_envelope(state, grid)
+        a2w = env * env * wts
+        phase = np.exp(-1j * grid.axis() * tau)
+
+        def intensity(t_o, t_e):
+            return a2w @ (np.abs(t_e * phase[:, None] + t_o) ** 2)
+
+        return lambda mode_i, mode_j: intensity(*mode_i) * intensity(*mode_j)
+
     b = grid_amplitude_matrix(state, grid, check="none")
     ww = np.outer(wts, wts)
     m_direct = (np.abs(b) ** 2) * ww
     g_exch = (b * np.conj(b.T)) * ww
     if isinstance(state, (EntangledState, SymmetrizedState)):
-        raw = _biphoton_raw(grid.axis()[:, None], grid.axis()[None, :], state.pump, state.crystal)
-        n_grid = float(np.einsum("m,mn,n->", wts, np.abs(raw) ** 2, wts))
         n_exact = biphoton_norm_closed_form(state.pump, state.crystal)
         if isinstance(state, SymmetrizedState):
-            s = abs(state.pump.sigma * state.crystal.eta_plus)
-            m = erf_ratio(s)
-            n_exact = 2.0 * n_exact * (1.0 + math.cos(state.theta) * m)
-            raw_t = raw + np.exp(1j * state.theta) * raw.T
-            n_grid = float(np.einsum("m,mn,n->", wts, np.abs(raw_t) ** 2, wts))
-        g_exch = g_exch * (n_grid / n_exact)
-    phase = np.exp(1j * grid.axis() * tau)
-    return m_direct, g_exch, phase
+            n_exact *= _theta_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
+        g_exch = g_exch * (_grid_mass(state, grid)[0] / n_exact)
+    g_t = g_exch.T.copy()
+    phase = np.exp(1j * grid.axis() * tau)[:, None]
+
+    def pair(mode_i, mode_j):
+        (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
+        direct = np.einsum("mc,mc->c", np.abs(t_oi) ** 2, m_direct @ (np.abs(t_ej) ** 2))
+        direct += np.einsum("mc,mc->c", np.abs(t_ei) ** 2, m_direct @ (np.abs(t_oj) ** 2))
+        u_i = phase * np.conj(t_ei) * t_oi
+        u_j = phase * np.conj(t_ej) * t_oj
+        return direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), g_t @ u_i))
+
+    return pair
 
 
 def mc_correlator(
@@ -238,44 +285,9 @@ def mc_correlator(
     ``tol`` (if given) is the acceptable standard error; exceeding it
     raises ``InsufficientRealizationsError``.
     """
-    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
+    pair = _pair_estimator(state, cfg.grid, tau)
     norm = 2.0 * cfg.t_bar**2
-    values = np.empty(cfg.n_realizations)
-
-    if isinstance(state, CoherentState):
-        wts = cfg.grid.trapezoid_weights()
-        env = grid_envelope(state, cfg.grid)
-        a2w = env * env * wts
-        phase = np.exp(-1j * cfg.grid.axis() * tau)
-        for start in range(0, cfg.n_realizations, _CHUNK):
-            block = range(start, min(start + _CHUNK, cfg.n_realizations))
-            t_o = _draw_block(L, cfg.seed, 0, block)
-            t_e = _draw_block(L, cfg.seed, 1, block)
-            g = t_e * phase[:, None] + t_o
-            intensity = a2w @ (np.abs(g) ** 2)
-            values[block.start : block.stop] = intensity**2 / norm
-    else:
-        m_direct, g_exch, phase = _two_photon_kernels(state, cfg.grid, tau)
-        g_t = g_exch.T.copy()
-        for start in range(0, cfg.n_realizations, _CHUNK):
-            block = range(start, min(start + _CHUNK, cfg.n_realizations))
-            t_o = _draw_block(L, cfg.seed, 0, block)
-            t_e = _draw_block(L, cfg.seed, 1, block)
-            a_o = np.abs(t_o) ** 2
-            a_e = np.abs(t_e) ** 2
-            direct = np.einsum("mc,mc->c", a_o, m_direct @ a_e) + np.einsum(
-                "mc,mc->c", a_e, m_direct @ a_o
-            )
-            q = phase[:, None] * np.conj(t_e) * t_o
-            exch = 2.0 * np.real(np.einsum("mc,mc->c", np.conj(q), g_t @ q))
-            values[block.start : block.stop] = (direct + exch) / norm
-
-    est = _estimate(values)
-    if tol is not None and est.std_error > tol:
-        raise InsufficientRealizationsError(
-            f"insufficient realizations: std_error {est.std_error:.3e} > tolerance {tol:.3e}"
-        )
-    return est
+    return _estimate(_ensemble(cfg, 1, lambda mode: pair(mode, mode) / norm), tol)
 
 
 def mc_correlator_cross_mode(
@@ -285,47 +297,9 @@ def mc_correlator_cross_mode(
 
     Parameter-free targets: 2 for the two-photon states, 4 for coherent.
     """
-    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
-    values = np.empty(cfg.n_realizations)
-
-    if isinstance(state, CoherentState):
-        wts = cfg.grid.trapezoid_weights()
-        env = grid_envelope(state, cfg.grid)
-        a2w = env * env * wts
-        phase = np.exp(-1j * cfg.grid.axis() * tau)
-        norm = cfg.t_bar**2  # delta_ij = 0: no indistinguishability factor
-        for start in range(0, cfg.n_realizations, _CHUNK):
-            block = range(start, min(start + _CHUNK, cfg.n_realizations))
-            intensities = []
-            for mode in (0, 1):
-                t_o = _draw_block(L, cfg.seed, 2 * mode, block)
-                t_e = _draw_block(L, cfg.seed, 2 * mode + 1, block)
-                g = t_e * phase[:, None] + t_o
-                intensities.append(a2w @ (np.abs(g) ** 2))
-            values[block.start : block.stop] = intensities[0] * intensities[1] / norm
-    else:
-        m_direct, g_exch, phase = _two_photon_kernels(state, cfg.grid, tau)
-        g_t = g_exch.T.copy()
-        norm = cfg.t_bar**2
-        for start in range(0, cfg.n_realizations, _CHUNK):
-            block = range(start, min(start + _CHUNK, cfg.n_realizations))
-            t_o0 = _draw_block(L, cfg.seed, 0, block)
-            t_e0 = _draw_block(L, cfg.seed, 1, block)
-            t_o1 = _draw_block(L, cfg.seed, 2, block)
-            t_e1 = _draw_block(L, cfg.seed, 3, block)
-            direct = np.einsum("mc,mc->c", np.abs(t_o0) ** 2, m_direct @ (np.abs(t_e1) ** 2))
-            direct += np.einsum("mc,mc->c", np.abs(t_e0) ** 2, m_direct @ (np.abs(t_o1) ** 2))
-            u0 = phase[:, None] * np.conj(t_e0) * t_o0
-            u1 = phase[:, None] * np.conj(t_e1) * t_o1
-            exch = 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u1), g_t @ u0))
-            values[block.start : block.stop] = (direct + exch) / norm
-
-    est = _estimate(values)
-    if tol is not None and est.std_error > tol:
-        raise InsufficientRealizationsError(
-            f"insufficient realizations: std_error {est.std_error:.3e} > tolerance {tol:.3e}"
-        )
-    return est
+    pair = _pair_estimator(state, cfg.grid, tau)
+    norm = cfg.t_bar**2  # delta_ij = 0: no indistinguishability factor
+    return _estimate(_ensemble(cfg, 2, lambda mode_i, mode_j: pair(mode_i, mode_j) / norm), tol)
 
 
 def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
@@ -333,24 +307,21 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
 
     Converges to 2 for every supported state.
     """
-    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
     wts = cfg.grid.trapezoid_weights()
     if isinstance(state, CoherentState):
-        env2 = grid_envelope(state, cfg.grid) ** 2
-        rho_o = rho_e = env2
+        rho_o = rho_e = grid_envelope(state, cfg.grid) ** 2
     else:
         b2 = np.abs(grid_amplitude_matrix(state, cfg.grid, check="none")) ** 2
         rho_o = b2 @ wts
         rho_e = b2.T @ wts
     wo = wts * rho_o
     we = wts * rho_e
-    values = np.empty(cfg.n_realizations)
-    for start in range(0, cfg.n_realizations, _CHUNK):
-        block = range(start, min(start + _CHUNK, cfg.n_realizations))
-        t_o = _draw_block(L, cfg.seed, 0, block)
-        t_e = _draw_block(L, cfg.seed, 1, block)
-        values[block.start : block.stop] = (wo @ (np.abs(t_o) ** 2) + we @ (np.abs(t_e) ** 2)) / cfg.t_bar
-    return _estimate(values)
+
+    def photocount(mode):
+        t_o, t_e = mode
+        return (wo @ (np.abs(t_o) ** 2) + we @ (np.abs(t_e) ** 2)) / cfg.t_bar
+
+    return _estimate(_ensemble(cfg, 1, photocount))
 
 
 def rate_correlation_relation(normal_ordered: float, mean_n: float, same_mode: bool) -> RateRelation:

@@ -42,7 +42,7 @@ from scipy.integrate import quad
 from scipy.special import erf as _scipy_erf
 from scipy.special import erfcx as _scipy_erfcx
 
-from ._special import SQRT_PI, erf_ratio, one_minus_erf_ratio, sinc
+from ._special import SQRT_PI, erf_ratio, sinc
 from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII, correlation_sq_magnitude
 from .errors import (
     DegenerateStateError,
@@ -58,6 +58,9 @@ from .states import (
     FockState,
     StateSpec,
     SymmetrizedState,
+    EDGE_MASS_BUDGET,
+    _edge_fraction,
+    _theta_norm_denominator,
     biphoton_norm_closed_form,
 )
 
@@ -67,11 +70,7 @@ __all__ = [
     "QuadratureResult",
     "SemiclassicalVerdict",
     "erf_complex",
-    "rate_entangled_modelI",
     "rate_entangled_cw_limit",
-    "rate_fock_modelI",
-    "rate_coherent_modelI",
-    "rate_theta_modelI",
     "rate_entangled",
     "rate_fock",
     "rate_coherent",
@@ -314,10 +313,6 @@ def rate_entangled(t: float, s: float, w: float, kind: str = "I") -> float:
     return 1.0 + _integrate_reduced(lambda x: _i_kernel(s, x), t, w, s, kind)
 
 
-def rate_entangled_modelI(t: float, s: float, w: float) -> float:
-    return rate_entangled(t, s, w, kind="I")
-
-
 # ---------------------------------------------------------------------------
 # Fock and coherent states
 
@@ -355,10 +350,6 @@ def rate_fock(t: float, w: float, kind: str = "I") -> float:
     return 1.0 + _gauss_kernel_avg(t, w, kind)
 
 
-def rate_fock_modelI(t: float, w: float) -> float:
-    return rate_fock(t, w, kind="I")
-
-
 def rate_coherent(t: float, w: float, kind: str = "I") -> float:
     """Coherent-state rate; bounded in [2, 4], tail value 2 + erfcx(sqrt2/w)."""
     if w < 0:
@@ -368,17 +359,8 @@ def rate_coherent(t: float, w: float, kind: str = "I") -> float:
     return 2.0 + _gauss_kernel_avg(0.0, w, kind) + _gauss_kernel_avg(t, w, kind)
 
 
-def rate_coherent_modelI(t: float, w: float) -> float:
-    return rate_coherent(t, w, kind="I")
-
-
 # ---------------------------------------------------------------------------
 # Symmetrized states
-
-def _theta_norm_denominator(theta: float, s: float) -> float:
-    """2 * [1 + cos(theta) m(s)] written as 2 * [(1 - m) + (1 + cos theta) m]."""
-    return 2.0 * (one_minus_erf_ratio(s) + (1.0 + math.cos(theta)) * erf_ratio(s))
-
 
 def _rate_theta_eval(t: float, s: float, w: float, theta: float, kind: str) -> float:
     cpl = 1.0 + math.cos(theta)
@@ -418,10 +400,6 @@ def rate_theta(t: float, s: float, w: float, theta: float, kind: str = "I", allo
         r_half = _rate_theta_eval(t, 0.5 * s0, w, theta, kind)
         return (4.0 * r_half - r_full) / 3.0
     return _rate_theta_eval(t, s, w, theta, kind)
-
-
-def rate_theta_modelI(t: float, s: float, w: float, theta: float, allow_limit: bool = True) -> float:
-    return rate_theta(t, s, w, theta, kind="I", allow_limit=allow_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +475,6 @@ def _richardson_pair(F: np.ndarray, hp: float, hd: float):
     r1 = (4.0 * s1 - s2) / 3.0
     r2 = (4.0 * s2 - s4) / 3.0
     return r1, abs(r1 - r2) / 8.0
-
-
-def _edge_fraction(mag: np.ndarray) -> float:
-    total = float(mag.sum())
-    if total == 0.0:
-        return 0.0
-    ring = float(mag[0, :].sum() + mag[-1, :].sum() + mag[1:-1, 0].sum() + mag[1:-1, -1].sum())
-    return ring / total
 
 
 def _round_to_4k1(n: int) -> int:
@@ -648,8 +618,8 @@ def rate_numeric(
         F = exchange * (alpha2[:, None] * (csq * np.exp(-1j * d * tau))[None, :])
         numerator_scale = 0.5
 
-    edge = _edge_fraction(np.abs(envelope) if envelope is not F else np.abs(F))
-    if edge > 1e-6:
+    edge = _edge_fraction(envelope)
+    if edge > EDGE_MASS_BUDGET:
         raise GridTooNarrowError(
             f"grid too narrow for rate_numeric: outermost cells carry {edge:.2e} of the integrand"
         )

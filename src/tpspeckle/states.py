@@ -210,18 +210,28 @@ def biphoton_norm_closed_form(pump: PumpParams, crystal: CrystalParams) -> float
     return math.pi ** 1.5 * pump.sigma / abs(crystal.eta_minus)
 
 
+def _theta_norm_denominator(theta: float, s: float) -> float:
+    """2 [1 + cos(theta) m(s)], m(s) = Erf(s/2) sqrt(pi)/s, written as
+    2 [(1 - m) + (1 + cos theta) m] so it does not cancel at theta = pi.
+
+    The continuum norm of B(w1,w2) + e^{i theta} B(w2,w1) is this times
+    ``biphoton_norm_closed_form``.
+    """
+    return 2.0 * (one_minus_erf_ratio(s) + (1.0 + math.cos(theta)) * erf_ratio(s))
+
+
 def symmetrized_norm_sq(theta: float, s: float) -> float:
     """|K_theta|^2 = 1/2 / [1 + cos(theta) * Erf(s/2) * sqrt(pi)/s], s = sigma*eta_plus.
 
-    Raises ``DegenerateStateError`` when the denominator drops below
+    Raises ``DegenerateStateError`` when the bracket drops below
     1e-10 (antisymmetric state with a nearly monochromatic pump).
     """
-    denom = one_minus_erf_ratio(s) + (1.0 + math.cos(theta)) * erf_ratio(s)
-    if denom < NORM_DEGENERACY_FLOOR:
+    denom = _theta_norm_denominator(theta, s)
+    if denom < 2.0 * NORM_DEGENERACY_FLOOR:
         raise DegenerateStateError(
-            f"degenerate antisymmetric state: norm denominator {denom:.3e} < {NORM_DEGENERACY_FLOOR}"
+            f"degenerate antisymmetric state: norm denominator {0.5 * denom:.3e} < {NORM_DEGENERACY_FLOOR}"
         )
-    return 0.5 / denom
+    return 1.0 / denom
 
 
 def _biphoton_raw(omega1, omega2, pump: PumpParams, crystal: CrystalParams):
@@ -231,65 +241,52 @@ def _biphoton_raw(omega1, omega2, pump: PumpParams, crystal: CrystalParams):
     return pump_envelope(o1 + o2, pump) * phase_matching(o1, o2, crystal, pump.omega_bar)
 
 
-def _grid_sums(pump, crystal, grid, theta=None):
-    """Blockwise total and edge-ring sums of |B|^2 (or |B_theta|^2) over the grid."""
+def _edge_fraction(mass: np.ndarray) -> float:
+    """Share of a non-negative 2-D mass held by its outermost ring of cells."""
+    total = float(mass.sum())
+    if total == 0.0:
+        return 0.0
+    ring = float(mass[0, :].sum() + mass[-1, :].sum() + mass[1:-1, 0].sum() + mass[1:-1, -1].sum())
+    return ring / total
+
+
+def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
+    """Unnormalized B (real) or B + e^{i theta} B^T (complex) on the grid."""
     omega = grid.axis()
+    raw = _biphoton_raw(omega[:, None], omega[None, :], state.pump, state.crystal)
+    if isinstance(state, SymmetrizedState):
+        symmetrized_norm_sq(state.theta, state.pump.sigma * state.crystal.eta_plus)
+        raw = raw + np.exp(1j * state.theta) * raw.T
+    return raw
+
+
+@lru_cache(maxsize=64)
+def _grid_mass(state: StateSpec, grid: FrequencyGrid) -> Tuple[float, float]:
+    """On-grid total of the unnormalized |B|^2 and its outermost-cell share."""
     wts = grid.trapezoid_weights()
-    total = 0.0
-    ring = 0.0
-    block = 1024
-    n = grid.n
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        o1 = omega[i0:i1][:, None]
-        b = _biphoton_raw(o1, omega[None, :], pump, crystal)
-        if theta is not None:
-            b = b + np.exp(1j * theta) * _biphoton_raw(omega[None, :], o1, pump, crystal)
-        mass = (np.abs(b) ** 2) * (wts[i0:i1][:, None] * wts[None, :])
-        total += float(mass.sum())
-        ring += float(mass[:, 0].sum() + mass[:, -1].sum())
-        if i0 == 0:
-            ring += float(mass[0, 1:-1].sum())
-        if i1 == n:
-            ring += float(mass[-1, 1:-1].sum())
-    return total, ring
+    mass = np.abs(_raw_matrix(state, grid)) ** 2
+    total = float(np.einsum("m,mn,n->", wts, mass, wts))
+    mass *= wts[:, None]
+    mass *= wts
+    return total, _edge_fraction(mass)
 
 
-@lru_cache(maxsize=64)
-def _biphoton_norm_grid(pump: PumpParams, crystal: CrystalParams, grid: FrequencyGrid) -> float:
-    if pump.sigma == 0.0:
-        raise MonochromaticPumpError("sigma = 0: no grid-representable amplitude")
-    total, ring = _grid_sums(pump, crystal, grid)
-    if ring > EDGE_MASS_BUDGET * total:
+def _grid_norm(state: StateSpec, grid: FrequencyGrid, check: bool = True) -> float:
+    """sqrt of the on-grid |B|^2 total; ``check`` enforces the edge-mass budget."""
+    total, edge = _grid_mass(state, grid)
+    if check and edge > EDGE_MASS_BUDGET:
         raise GridTooNarrowError(
-            f"grid too narrow: outermost cells hold {ring / total:.2e} of the |B|^2 mass "
+            f"grid too narrow: outermost cells hold {edge:.2e} of the |B|^2 mass "
             f"(budget {EDGE_MASS_BUDGET:.0e})"
         )
-    return 1.0 / math.sqrt(total)
-
-
-@lru_cache(maxsize=64)
-def _symmetrized_norm_grid(
-    pump: PumpParams, crystal: CrystalParams, theta: float, grid: FrequencyGrid
-) -> float:
-    if pump.sigma == 0.0:
-        raise MonochromaticPumpError("sigma = 0: no grid-representable amplitude")
-    # Surface the analytic degeneracy before the 0/0 shows up numerically.
-    symmetrized_norm_sq(theta, pump.sigma * crystal.eta_plus)
-    total, ring = _grid_sums(pump, crystal, grid, theta=theta)
-    if ring > EDGE_MASS_BUDGET * total:
-        raise GridTooNarrowError(
-            f"grid too narrow: outermost cells hold {ring / total:.2e} of the |B_theta|^2 mass "
-            f"(budget {EDGE_MASS_BUDGET:.0e})"
-        )
-    return 1.0 / math.sqrt(total)
+    return math.sqrt(total)
 
 
 def biphoton_amplitude(omega1, omega2, pump: PumpParams, crystal: CrystalParams, grid: FrequencyGrid):
     """Normalized biphoton amplitude B(w1, w2); the double integral of |B|^2
     over the grid equals 1."""
-    k = _biphoton_norm_grid(pump, crystal, grid)
-    out = k * _biphoton_raw(omega1, omega2, pump, crystal) + 0j
+    norm = _grid_norm(EntangledState(pump, crystal), grid)
+    out = _biphoton_raw(omega1, omega2, pump, crystal) / norm + 0j
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -297,11 +294,11 @@ def symmetrized_amplitude(
     omega1, omega2, theta: float, pump: PumpParams, crystal: CrystalParams, grid: FrequencyGrid
 ):
     """Normalized symmetrized amplitude K_theta [B(w1,w2) + e^{i theta} B(w2,w1)]."""
-    k = _symmetrized_norm_grid(pump, crystal, theta, grid)
-    out = k * (
+    norm = _grid_norm(SymmetrizedState(pump, crystal, theta), grid)
+    out = (
         _biphoton_raw(omega1, omega2, pump, crystal)
         + np.exp(1j * theta) * _biphoton_raw(omega2, omega1, pump, crystal)
-    )
+    ) / norm
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -322,28 +319,11 @@ def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "s
     """
     if isinstance(state, CoherentState):
         raise TypeError("coherent state has no two-photon amplitude; use grid_envelope")
-    omega = grid.axis()
-    wts = grid.trapezoid_weights()
     if isinstance(state, FockState):
-        env = gaussian_envelope(omega, state.omega_bar, state.delta)
-        env = env / math.sqrt(float(wts @ (env * env)))
+        env = grid_envelope(state, grid)
         return np.outer(env, env).astype(complex)
-
-    o1 = omega[:, None]
-    o2 = omega[None, :]
-    raw = _biphoton_raw(o1, o2, state.pump, state.crystal).astype(complex)
-    if isinstance(state, SymmetrizedState):
-        symmetrized_norm_sq(state.theta, state.pump.sigma * state.crystal.eta_plus)
-        raw = raw + np.exp(1j * state.theta) * raw.T
-    if check == "strict":
-        mass = (np.abs(raw) ** 2) * (wts[:, None] * wts[None, :])
-        ring = mass[0, :].sum() + mass[-1, :].sum() + mass[1:-1, 0].sum() + mass[1:-1, -1].sum()
-        if ring > EDGE_MASS_BUDGET * mass.sum():
-            raise GridTooNarrowError(
-                f"grid too narrow: outermost cells hold {ring / mass.sum():.2e} of the mass"
-            )
-    total = float(np.einsum("m,mn,n->", wts, np.abs(raw) ** 2, wts))
-    return raw / math.sqrt(total)
+    norm = _grid_norm(state, grid, check=check == "strict")
+    return _raw_matrix(state, grid).astype(complex, copy=False) / norm
 
 
 def grid_envelope(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:

@@ -30,14 +30,11 @@ from tpspeckle import (
     mc_mean_photocount,
     mean_photocount,
     rate_coherent,
-    rate_coherent_modelI,
     rate_entangled,
     rate_entangled_cw_limit,
-    rate_entangled_modelI,
     rate_fock,
-    rate_fock_modelI,
     rate_numeric,
-    rate_theta_modelI,
+    rate_theta,
     sample_transmission,
     visibility,
 )
@@ -70,16 +67,16 @@ def test_criterion_1_exact_limits():
             abs(rate_entangled_cw_limit(1.0, 2.0) - 1.0),
             abs(rate_entangled_cw_limit(3.7, 0.0) - 1.0),
         ),
-        "R_Fock(0, w->inf) = 2": abs(rate_fock_modelI(0.0, INF) - 2.0),
-        "R_coh(0, w->inf) = 4": abs(rate_coherent_modelI(0.0, INF) - 4.0),
-        "R_coh(inf, w->inf) = 3": abs(rate_coherent_modelI(INF, INF) - 3.0),
+        "R_Fock(0, w->inf) = 2": abs(rate_fock(0.0, INF) - 2.0),
+        "R_coh(0, w->inf) = 4": abs(rate_coherent(0.0, INF) - 4.0),
+        "R_coh(inf, w->inf) = 3": abs(rate_coherent(INF, INF) - 3.0),
         "R_coh(., w->0) = 2": max(
-            abs(rate_coherent_modelI(1.3, 0.0) - 2.0),
-            abs(rate_coherent_modelI(0.4, 1e-12) - 2.0),
+            abs(rate_coherent(1.3, 0.0) - 2.0),
+            abs(rate_coherent(0.4, 1e-12) - 2.0),
         ),
-        "R_theta=pi(0) -> 0": abs(rate_theta_modelI(0.0, 0.0, INF, math.pi)),
+        "R_theta=pi(0) -> 0": abs(rate_theta(0.0, 0.0, INF, math.pi)),
         "R_theta=0(0, w->inf) = 2": max(
-            abs(rate_theta_modelI(0.0, s, INF, 0.0) - 2.0) for s in (0.0, 1.0, 5.0)
+            abs(rate_theta(0.0, s, INF, 0.0) - 2.0) for s in (0.0, 1.0, 5.0)
         ),
     }
     worst = max(checks.values())
@@ -105,12 +102,12 @@ def test_criterion_2_visibility_maxima():
         "entangled cw": (curve_of(lambda t: rate_entangled_cw_limit(t, 0.0), 20.0), 1 / 3),
         "Fock cw": (curve_of(lambda t: rate_fock(t, INF), 60.0), 1 / 3),
         "symmetric theta=0 cw": (
-            curve_of(lambda t: rate_theta_modelI(t, 2.0, INF, 0.0), 20.0),
+            curve_of(lambda t: rate_theta(t, 2.0, INF, 0.0), 20.0),
             1 / 3,
         ),
         "coherent cw": (curve_of(lambda t: rate_coherent(t, INF), 60.0), 1 / 7),
         "antisymmetric cw": (
-            curve_of(lambda t: rate_theta_modelI(t, 0.0, INF, math.pi), 20.0),
+            curve_of(lambda t: rate_theta(t, 0.0, INF, math.pi), 20.0),
             1.0,
         ),
     }
@@ -131,7 +128,7 @@ def test_criterion_3_theta_half_pi_equivalence():
         for s in ss:
             for w in ws:
                 diff = abs(
-                    rate_theta_modelI(t, s, w, math.pi / 2) - rate_entangled_modelI(t, s, w)
+                    rate_theta(t, s, w, math.pi / 2) - rate_entangled(t, s, w)
                 )
                 worst = max(worst, diff)
     assert worst < 1e-8
@@ -148,7 +145,7 @@ def test_criterion_4_closed_form_vs_quadrature():
         for s in (0.5, 2.0, 4.0):
             for w in (0.3, 1.0, 3.0):
                 got = rate_numeric(_entangled(s), ModelI(omega_corr=w), tau=t).value
-                worst = max(worst, abs(got - rate_entangled_modelI(t, s, w)))
+                worst = max(worst, abs(got - rate_entangled(t, s, w)))
                 runs += 1
 
     # symmetrized: 3 x 3 x 3 with theta cycling over the s-axis
@@ -156,7 +153,7 @@ def test_criterion_4_closed_form_vs_quadrature():
         for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
             for w in (0.3, 1.0, 3.0):
                 got = rate_numeric(_symmetrized(s, theta), ModelI(omega_corr=w), tau=t).value
-                worst = max(worst, abs(got - rate_theta_modelI(t, s, w, theta)))
+                worst = max(worst, abs(got - rate_theta(t, s, w, theta)))
                 runs += 1
 
     # Fock and coherent: 9 x 3 each
@@ -165,9 +162,9 @@ def test_criterion_4_closed_form_vs_quadrature():
     for t in (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0):
         for w in (0.3, 1.0, 3.0):
             got = rate_numeric(fock, ModelI(omega_corr=w), tau=t).value
-            worst = max(worst, abs(got - rate_fock_modelI(t, w)))
+            worst = max(worst, abs(got - rate_fock(t, w)))
             got = rate_numeric(coh, ModelI(omega_corr=w), tau=t).value
-            worst = max(worst, abs(got - rate_coherent_modelI(t, w)))
+            worst = max(worst, abs(got - rate_coherent(t, w)))
             runs += 2
 
     assert runs == 108
@@ -185,17 +182,17 @@ def _mc_sweep_cases():
     def ent_case(t, s, w):
         state = _entangled(s)
         model = ModelI(w)
-        return (state, model, t, rate_entangled_modelI(t, s, w), mc_default_grid(state, model))
+        return (state, model, t, rate_entangled(t, s, w), mc_default_grid(state, model))
 
     def sym_case(t, s, w, theta):
         state = _symmetrized(s, theta)
         model = ModelI(w)
-        return (state, model, t, rate_theta_modelI(t, s, w, theta), mc_default_grid(state, model))
+        return (state, model, t, rate_theta(t, s, w, theta), mc_default_grid(state, model))
 
     def env_case(kind, t, w):
         state = FockState(OMEGA_BAR, 1.0) if kind == "fock" else CoherentState(OMEGA_BAR, 1.0)
         model = ModelI(w)
-        closed = rate_fock_modelI(t, w) if kind == "fock" else rate_coherent_modelI(t, w)
+        closed = rate_fock(t, w) if kind == "fock" else rate_coherent(t, w)
         return (state, model, t, closed, mc_default_grid(state, model))
 
     cases = []
@@ -307,16 +304,16 @@ def test_criterion_8_property_suites():
     # parity in tau
     for _ in range(10):
         t, s, w = rng.uniform(0.1, 3), rng.uniform(0, 6), rng.uniform(0.2, 5)
-        assert rate_entangled_modelI(t, s, w) == pytest.approx(
-            rate_entangled_modelI(-t, s, w), abs=1e-9
+        assert rate_entangled(t, s, w) == pytest.approx(
+            rate_entangled(-t, s, w), abs=1e-9
         )
 
     # state bounds
     for _ in range(50):
         t, s, w = rng.uniform(-4, 4), rng.uniform(0, 8), rng.uniform(0.05, 20)
-        assert 1 - 1e-9 <= rate_entangled_modelI(t, s, w) <= 2 + 1e-9
-        assert 2 - 1e-9 <= rate_coherent_modelI(t, w) <= 4 + 1e-9
-        assert 0 - 1e-9 <= rate_theta_modelI(t, s, w, rng.uniform(0, 2 * math.pi)) <= 2 + 1e-9
+        assert 1 - 1e-9 <= rate_entangled(t, s, w) <= 2 + 1e-9
+        assert 2 - 1e-9 <= rate_coherent(t, w) <= 4 + 1e-9
+        assert 0 - 1e-9 <= rate_theta(t, s, w, rng.uniform(0, 2 * math.pi)) <= 2 + 1e-9
 
     # Hermitian symmetry and branch invariance of C
     m2 = ModelII(omega_th=1.0)

@@ -155,9 +155,9 @@ def test_sweep_single_point_matches_rate(tmp_path):
     out = tmp_path / "one.csv"
     assert main(["sweep", "--config", json.dumps(cfg), "--out", str(out)]) == 0
     _, data = read_curve_csv(str(out))
-    from tpspeckle import rate_fock_modelI
+    from tpspeckle import rate_fock
 
-    assert data[0, -1] == pytest.approx(rate_fock_modelI(1.0, 1.0), rel=1e-12)
+    assert data[0, -1] == pytest.approx(rate_fock(1.0, 1.0), rel=1e-12)
 
 
 def test_sweep_deterministic(tmp_path):
@@ -412,3 +412,128 @@ def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
     assert main(["figure", "--id", "5", "--model", "I", "--out", str(out)]) == 3
     assert not out.exists()
     assert not any(tmp_path.iterdir())
+
+
+# --- one configuration boundary: every malformed config exits 2
+
+_ENT = json.loads(ENT_STATE)
+_ENSEMBLE = '{"grid": %s, "model": {"model": "I", "scale": 1.0}, "t_bar": 0.01, "n_realizations": 10}'
+_BAD_GRIDS = ['{"center": NaN, "half_width": 8, "n": 64}', '{"half_width": Infinity, "n": 64}',
+              '{"half_width": 8, "n": Infinity}', '{"half_width": 8, "n": 32.7}']
+
+
+def _mc_validate(blob):
+    return ["mc-validate", "--config", blob]
+
+
+def _sweep(**cfg):
+    return ["sweep", "--config", json.dumps({"state": _ENT, **cfg})]
+
+
+def _mc_rate(ensemble):
+    return ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+            "--tau-n", "2", "--method", "monte-carlo", "--ensemble", ensemble]
+
+
+_BAD_CONFIGS = {
+    "case-without-state": _mc_validate('{"cases": [{"model": {"model": "I", "scale": 1}}]}'),
+    "t_bar-string": _mc_validate('{"t_bar": "x"}'),
+    "t_bar-nan": _mc_validate('{"t_bar": NaN}'),
+    "n_realizations-1": _mc_validate('{"n_realizations": 1}'),
+    "n_realizations-inf": _mc_validate('{"n_realizations": Infinity}'),
+    "seed-negative": _mc_validate('{"seed": -1, "n_realizations": 10}'),
+    "vary-string": _sweep(vary={"sigma": ["a"]}),
+    "vary-number": _sweep(vary={"sigma": 3}),
+    "vary-nested-list": _sweep(vary={"sigma": [[1.0]]}),
+    "vary-list": _sweep(vary=[1.0]),
+    "tau-dict-incomplete": _sweep(tau={"min": 0}),
+    "figure-crystal-degenerate": ["figure", "--id", "2", "--nu-o", "1", "--nu-e", "1"],
+    "figure-s-negative": ["figure", "--id", "3", "--s-values", "0", "-1"],
+    "figure-s-nan": ["figure", "--id", "3", "--s-values", "nan"],
+    **{f"ensemble-grid-{i}": _mc_rate(_ENSEMBLE % g) for i, g in enumerate(_BAD_GRIDS)},
+    **{f"case-grid-{i}": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "grid": %s}]}'
+                                      % (ENT_STATE, MODEL_I, g))
+       for i, g in enumerate(_BAD_GRIDS)},
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
+def test_malformed_config_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["tau\n0\n1\n", "tau,r\n0,2\n1\n", "tau,r\n0,2\n-1,1.5\n"],
+                         ids=["one-column", "ragged", "decreasing-tau"])
+def test_malformed_visibility_input_exits_2(tmp_path, capsys, text):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(text)
+    assert main(["visibility", "--in", str(curve)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# --- property: no config leaf makes sweep or mc-validate crash
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_VALID_SWEEP = {
+    "state": {"state": "fock", "omega_bar": 100.0, "delta": 1.0},
+    "model": {"model": "I", "scale": 1.0},
+    "vary": {"delta": [1.0, 2.0]},
+    "tau": [0.0, 0.5],
+}
+_VALID_MC = {
+    "seed": 3,
+    "t_bar": 0.01,
+    "n_realizations": 40,
+    "cases": [
+        {"state": {"state": "entangled", "omega_bar": 100.0, "sigma": 1.0, "nu_o": 1.5, "nu_e": 0.5},
+         "model": {"model": "I", "scale": 1.0}, "grid": {"half_width": 8.0, "n": 32}, "tau": 0.5},
+        {"state": {"state": "coherent", "omega_bar": 100.0, "delta": 1.0},
+         "model": {"model": "I", "scale": 1.0}, "grid": {"half_width": 8.0, "n": 32}, "tau": 0.0},
+    ],
+}
+_BAD_LEAVES = [NAN, INF, -INF, -1, 0, "a", None, [], {}, True]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("sweep"), st.sampled_from(list(_leaf_paths(_VALID_SWEEP))), st.sampled_from(_BAD_LEAVES)),
+    st.tuples(st.just("mc-validate"), st.sampled_from(list(_leaf_paths(_VALID_MC))), st.sampled_from(_BAD_LEAVES)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_MUTATIONS)
+def test_config_leaf_never_crashes(tmp_path, capsys, mutation):
+    command, path, value = mutation
+    cfg = _replaced(_VALID_SWEEP if command == "sweep" else _VALID_MC, path, value)
+    out = tmp_path / "x.csv"
+    if out.exists():
+        out.unlink()
+    rc = main([command, "--config", json.dumps(cfg), "--out", str(out)])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 0 or not out.exists()

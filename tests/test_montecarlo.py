@@ -22,9 +22,9 @@ from tpspeckle import (
     mc_default_grid,
     mc_mean_photocount,
     rate_correlation_relation,
-    rate_entangled_modelI,
-    rate_fock_modelI,
-    rate_theta_modelI,
+    rate_entangled,
+    rate_fock,
+    rate_theta,
     sample_transmission,
 )
 
@@ -109,21 +109,21 @@ def test_sampler_covariance_recovery():
 
 def test_mc_fock_matches_closed_form():
     est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(10_000), tau=0.0)
-    closed = rate_fock_modelI(0.0, 1.0)
+    closed = rate_fock(0.0, 1.0)
     assert abs(est.mean - closed) < 3.0 * est.std_error
     assert est.std_error < 0.02 * closed
 
 
 def test_mc_entangled_matches_closed_form(entangled_s2):
     est = mc_correlator(entangled_s2, _ent_cfg(10_000), tau=0.5)
-    closed = rate_entangled_modelI(0.5, 2.0, 1.0)
+    closed = rate_entangled(0.5, 2.0, 1.0)
     assert abs(est.mean - closed) < 3.0 * est.std_error
 
 
 def test_mc_symmetrized_matches_closed_form(pump_s2, crystal):
     state = SymmetrizedState(pump_s2, crystal, theta=math.pi)
     est = mc_correlator(state, _ent_cfg(10_000, seed=303), tau=0.0)
-    closed = rate_theta_modelI(0.0, 2.0, 1.0, math.pi)
+    closed = rate_theta(0.0, 2.0, 1.0, math.pi)
     assert abs(est.mean - closed) < 3.0 * est.std_error
 
 
@@ -276,3 +276,73 @@ def test_ensemble_config_validation():
         EnsembleConfig(grid=grid, model=M_I, t_bar=0.01, n_realizations=1, seed=0)
     with pytest.raises(ValueError):
         EnsembleConfig(grid=FrequencyGrid(0.0, 1.0, 4), model=M_I, t_bar=0.01, n_realizations=10, seed=0)
+
+# --- pinned draws and estimators
+
+# Recorded with ``repr`` before the estimators shared one ensemble pass.
+# 600 realizations leave a partial last chunk; 1e-12 relative allows BLAS
+# summation order but catches any changed draw.
+_PIN_CFG = EnsembleConfig(grid=FrequencyGrid(100.0, 8.0, 64), model=M_I, t_bar=0.01, n_realizations=600, seed=11)
+_PIN_STATES = {
+    "entangled": _ENT_REF,
+    "symmetrized": SymmetrizedState(PumpParams(100.0, 1.0), CrystalParams(1.5, 0.5), 1.0),
+    "fock": FockState(100.0, 1.0),
+    "coherent": CoherentState(100.0, 1.0),
+}
+_PINNED = {
+    ("same", "entangled", 0.0): (1.1177134842941627, 0.03348211085087082),
+    ("same", "entangled", 0.7): (1.0882564599482134, 0.031555074474651106),
+    ("same", "symmetrized", 0.0): (1.1316377882470599, 0.03563981120720378),
+    ("same", "symmetrized", 0.7): (1.0995703407488255, 0.03355994501262853),
+    ("same", "fock", 0.0): (1.3394531201071858, 0.05573791892514249),
+    ("same", "fock", 0.7): (1.314547882077192, 0.05362858787064121),
+    ("same", "coherent", 0.0): (2.73004658613923, 0.15060797595410305),
+    ("same", "coherent", 0.7): (2.7713360610062057, 0.16109710754222384),
+    ("cross", "entangled", 0.7): (1.9656306956980825, 0.03837779411981038),
+    ("cross", "coherent", 0.7): (3.9561512903438794, 0.12916074608551437),
+    ("photocount", "entangled", None): (1.9886817746646563, 0.024670990873518112),
+    ("photocount", "coherent", None): (1.9944641204188587, 0.03343730238985643),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED), ids=lambda k: "-".join(map(str, k)))
+def test_estimators_match_pinned_values(key):
+    route, name, tau = key
+    state = _PIN_STATES[name]
+    if route == "same":
+        est = mc_correlator(state, _PIN_CFG, tau)
+    elif route == "cross":
+        est = mc_correlator_cross_mode(state, _PIN_CFG, tau)
+    else:
+        est = mc_mean_photocount(_PIN_CFG, state)
+    mean, std_error = _PINNED[key]
+    assert est.n == 600
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0)
+    assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+
+def test_sample_transmission_matches_pinned_vector():
+    t_o, t_e = sample_transmission(_PIN_CFG, 2, 517)
+    assert t_o.shape == t_e.shape == (2, 64)
+    expect_o = [-0.05343900073676127 - 0.08876506521640501j, 0.04857622547813379 - 0.08326311788233043j,
+                0.06822132787768671 - 0.04554650952496212j]
+    expect_e = [-0.057517267702972344 - 0.09084831305783675j, -0.007536690783605153 - 0.05856499475981298j,
+                -0.05734637751276009 - 0.03538931850292702j]
+    np.testing.assert_allclose(t_o[0, :3], expect_o, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(t_e[1, :3], expect_e, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
+def test_reused_philox_matches_fresh_generators(stream_id):
+    # reference: one fresh counter-based generator per realization
+    from numpy.random import Generator, Philox
+
+    from tpspeckle.montecarlo import _CHUNK, _draw_block
+
+    n, seed = 16, 2024
+    block = range(_CHUNK - 3, _CHUNK + 3)  # crosses a chunk edge
+    ref = np.empty((n, len(block)), dtype=complex)
+    for j, r in enumerate(block):
+        g = Generator(Philox(key=seed, counter=[0, 0, stream_id, r]))
+        ref[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
+    assert np.array_equal(_draw_block(np.eye(n), seed, stream_id, block), np.eye(n) @ ref)

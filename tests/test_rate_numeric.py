@@ -16,12 +16,11 @@ from tpspeckle import (
     QuadratureNotConvergedError,
     SymmetrizedState,
     compute_rate_curve,
-    rate_coherent_modelI,
+    rate_coherent,
     rate_entangled,
-    rate_entangled_modelI,
-    rate_fock_modelI,
+    rate_fock,
     rate_numeric,
-    rate_theta_modelI,
+    rate_theta,
 )
 
 CRYSTAL = CrystalParams(nu_o=1.5, nu_e=0.5)  # eta- = 1, eta+ = 2
@@ -35,7 +34,7 @@ def _ent(s):
 def test_entangled_quadrature_matches_closed_form():
     for (t, s, w) in ((0.0, 2.0, 1.0), (0.7, 0.5, 3.0), (1.6, 4.0, 0.3)):
         res = rate_numeric(_ent(s), ModelI(omega_corr=w), tau=t)
-        closed = rate_entangled_modelI(t, s, w)
+        closed = rate_entangled(t, s, w)
         assert res.value == pytest.approx(closed, abs=1e-6)
         assert abs(res.value - closed) <= max(1e-6, res.error)
 
@@ -44,14 +43,14 @@ def test_fock_quadrature_matches_closed_form():
     state = FockState(omega_bar=100.0, delta=1.0)
     for (t, w) in ((1.0, 1.0), (0.0, 0.3), (2.0, 3.0)):
         res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
-        assert res.value == pytest.approx(rate_fock_modelI(t, w), abs=1e-6)
+        assert res.value == pytest.approx(rate_fock(t, w), abs=1e-6)
 
 
 def test_coherent_quadrature_matches_closed_form():
     state = CoherentState(omega_bar=100.0, delta=1.0)
     for (t, w) in ((0.0, 1.0), (1.0, 0.3), (3.0, 3.0)):
         res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
-        assert res.value == pytest.approx(rate_coherent_modelI(t, w), abs=1e-6)
+        assert res.value == pytest.approx(rate_coherent(t, w), abs=1e-6)
 
 
 def test_coherent_strong_correlation_peak():
@@ -74,7 +73,7 @@ def test_symmetrized_quadrature_matches_closed_form(theta):
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
     for (t, w) in ((0.0, 1.0), (0.8, 0.5)):
         res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
-        closed = rate_theta_modelI(t, 2.0, w, theta)
+        closed = rate_theta(t, 2.0, w, theta)
         assert res.value == pytest.approx(closed, abs=1e-6)
 
 
@@ -96,7 +95,7 @@ def test_parity_in_tau():
 def test_error_estimate_reported():
     res = rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5)
     assert res.error >= 0.0
-    assert res.value == pytest.approx(rate_fock_modelI(0.5, 1.0), abs=max(1e-6, res.error))
+    assert res.value == pytest.approx(rate_fock(0.5, 1.0), abs=max(1e-6, res.error))
 
 
 def test_quadrature_not_converged_error():
@@ -114,14 +113,14 @@ def test_grid_too_narrow_error():
 def test_explicit_grid_path():
     state = FockState(100.0, 1.0)
     res = rate_numeric(state, M_I, tau=1.0, grid=FrequencyGrid(100.0, 10.0, 1025))
-    assert res.value == pytest.approx(rate_fock_modelI(1.0, 1.0), abs=1e-6)
+    assert res.value == pytest.approx(rate_fock(1.0, 1.0), abs=1e-6)
 
 
 def test_quadrature_curve(entangled_s2):
     taus = np.linspace(0.0, 1.0, 3)
     curve = compute_rate_curve(entangled_s2, M_I, taus, method="quadrature")
     for tau, r in zip(curve.taus, curve.rs):
-        assert r == pytest.approx(rate_entangled_modelI(tau, 2.0, 1.0), abs=1e-6)
+        assert r == pytest.approx(rate_entangled(tau, 2.0, 1.0), abs=1e-6)
 
 
 def test_tail_integral_error_estimate_is_checked(monkeypatch):

@@ -24,15 +24,11 @@ from tpspeckle import (
     erf_complex,
     mean_photocount,
     rate_coherent,
-    rate_coherent_modelI,
     rate_cross_mode,
     rate_entangled,
     rate_entangled_cw_limit,
-    rate_entangled_modelI,
     rate_fock,
-    rate_fock_modelI,
     rate_theta,
-    rate_theta_modelI,
     visibility,
 )
 
@@ -93,16 +89,16 @@ def test_erf_complex_range_guard():
 
 def test_entangled_monochromatic_w1():
     # 1 + (2/pi)(atan(1/2) - ln(5/4)), mpmath 20 digits
-    assert rate_entangled_modelI(0.0, 0.0, 1.0) == pytest.approx(1.153109638457921, abs=1e-10)
+    assert rate_entangled(0.0, 0.0, 1.0) == pytest.approx(1.153109638457921, abs=1e-10)
 
 
 def test_entangled_weak_disorder_doubles():
-    assert rate_entangled_modelI(0.0, 0.0, INF) == 2.0
-    assert rate_entangled_modelI(0.0, 1e-9, 1e7) == pytest.approx(2.0, abs=1e-3)
+    assert rate_entangled(0.0, 0.0, INF) == 2.0
+    assert rate_entangled(0.0, 1e-9, 1e7) == pytest.approx(2.0, abs=1e-3)
 
 
 def test_entangled_large_delay_uncorrelated():
-    assert rate_entangled_modelI(50.0, 2.0, 1.0) == pytest.approx(1.0, abs=1e-3)
+    assert rate_entangled(50.0, 2.0, 1.0) == pytest.approx(1.0, abs=1e-3)
     assert rate_entangled_cw_limit(1.0, 2.0) == 1.0
     assert rate_entangled_cw_limit(5.0, 0.0) == 1.0
 
@@ -124,23 +120,23 @@ def test_entangled_matches_raw_integral():
         return f * math.erf(0.5 * s * (1 - abs(x))) / (s * math.sqrt(math.pi))
 
     expect = 1.0 + quad(integrand, -1, 1, points=[0.0, -t], epsabs=1e-13, limit=200)[0]
-    assert rate_entangled_modelI(t, s, w) == pytest.approx(expect, abs=1e-9)
+    assert rate_entangled(t, s, w) == pytest.approx(expect, abs=1e-9)
 
 
 # --- Fock state
 
 def test_fock_weak_disorder():
-    assert rate_fock_modelI(0.0, INF) == 2.0
+    assert rate_fock(0.0, INF) == 2.0
 
 
 def test_fock_tail():
-    assert rate_fock_modelI(40.0, 1.0) == pytest.approx(1.0, abs=1e-3)
-    assert rate_fock_modelI(INF, 1.0) == 1.0
+    assert rate_fock(40.0, 1.0) == pytest.approx(1.0, abs=1e-3)
+    assert rate_fock(INF, 1.0) == 1.0
 
 
 def test_fock_value_frozen():
     # mpmath: 1 + Re[e^{z^2} erfc(z)], z = sqrt2 + i/sqrt2
-    assert rate_fock_modelI(1.0, 1.0) == pytest.approx(1.2972559924545785, rel=1e-12)
+    assert rate_fock(1.0, 1.0) == pytest.approx(1.2972559924545785, rel=1e-12)
 
 
 def test_fock_matches_naive_formula_moderate_t():
@@ -150,7 +146,7 @@ def test_fock_matches_naive_formula_moderate_t():
         inner = math.cos(2 * t / w) - (
             np.exp(-2j * t / w) * erf_complex((2 / w - 1j * t) / math.sqrt(2))
         ).real
-        assert rate_fock_modelI(t, w) == pytest.approx(1 + pre * inner, abs=1e-10)
+        assert rate_fock(t, w) == pytest.approx(1 + pre * inner, abs=1e-10)
 
 
 def test_fock_cancellation_safe_far_tail():
@@ -159,27 +155,27 @@ def test_fock_cancellation_safe_far_tail():
     # the algebraic 1/t^2 tail of the finite-w rate.
     expect = {8.0: 1.024485342153353, 12.0: 1.0109998021003082, 20.0: 1.0039792221474675}
     for t, v in expect.items():
-        assert rate_fock_modelI(t, 1.0) == pytest.approx(v, rel=1e-12)
+        assert rate_fock(t, 1.0) == pytest.approx(v, rel=1e-12)
 
 
 # --- coherent state
 
 def test_coherent_weak_disorder_peak():
-    assert rate_coherent_modelI(0.0, INF) == 4.0
+    assert rate_coherent(0.0, INF) == 4.0
 
 
 def test_coherent_weak_disorder_tail():
-    assert rate_coherent_modelI(INF, INF) == 3.0
-    assert rate_coherent_modelI(50.0, 1e8) == pytest.approx(3.0, abs=1e-6)
+    assert rate_coherent(INF, INF) == 3.0
+    assert rate_coherent(50.0, 1e8) == pytest.approx(3.0, abs=1e-6)
 
 
 def test_coherent_no_fluctuations():
-    assert rate_coherent_modelI(1.3, 0.0) == 2.0
-    assert rate_coherent_modelI(0.0, 1e-12) == pytest.approx(2.0, abs=1e-9)
+    assert rate_coherent(1.3, 0.0) == 2.0
+    assert rate_coherent(0.0, 1e-12) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_coherent_value_frozen():
-    assert rate_coherent_modelI(1.0, 1.0) == pytest.approx(2.6334599949009197, rel=1e-12)
+    assert rate_coherent(1.0, 1.0) == pytest.approx(2.6334599949009197, rel=1e-12)
 
 
 # --- symmetrized states
@@ -189,22 +185,22 @@ def test_theta_pi_over_2_equals_entangled():
     for t in (0.0, 0.4, 0.9, 1.5, 2.5):
         for s in (0.3, 1.0, 2.0, 4.0, 8.0):
             for w in (0.3, 1.0, 3.0):
-                a = rate_theta_modelI(t, s, w, math.pi / 2)
-                b = rate_entangled_modelI(t, s, w)
+                a = rate_theta(t, s, w, math.pi / 2)
+                b = rate_entangled(t, s, w)
                 worst = max(worst, abs(a - b))
     assert worst < 1e-8
 
 
 def test_theta_pi_complete_suppression():
-    assert abs(rate_theta_modelI(0.0, 0.0, INF, math.pi)) < 1e-9
+    assert abs(rate_theta(0.0, 0.0, INF, math.pi)) < 1e-9
     # flat in s at weak disorder
     for s in (0.5, 2.0, 6.0):
-        assert abs(rate_theta_modelI(0.0, s, INF, math.pi)) < 1e-12
+        assert abs(rate_theta(0.0, s, INF, math.pi)) < 1e-12
 
 
 def test_theta_zero_weak_disorder_is_two_for_any_s():
     for s in (0.0, 0.5, 2.0, 8.0):
-        assert rate_theta_modelI(0.0, s, INF, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert rate_theta(0.0, s, INF, 0.0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_theta_pi_limit_matches_analytic_kernel():
@@ -220,25 +216,25 @@ def test_theta_pi_limit_matches_analytic_kernel():
         return 1.0 + quad(kern, -1, 1, points=pts, epsabs=1e-13, limit=200)[0]
 
     for t, w in ((0.0, 1.0), (0.5, 0.3), (1.5, 3.0), (0.0, 0.3)):
-        assert rate_theta_modelI(t, 0.0, w, math.pi) == pytest.approx(analytic(t, w), abs=1e-9)
+        assert rate_theta(t, 0.0, w, math.pi) == pytest.approx(analytic(t, w), abs=1e-9)
 
 
 def test_theta_pi_limit_frozen_value():
     # mpmath quadrature of the limit kernel at (t, w) = (0.5, 0.3)
-    assert rate_theta_modelI(0.5, 0.0, 0.3, math.pi) == pytest.approx(
+    assert rate_theta(0.5, 0.0, 0.3, math.pi) == pytest.approx(
         0.9998290987168762, abs=1e-10
     )
 
 
 def test_theta_degenerate_error_when_limit_disabled():
     with pytest.raises(DegenerateStateError):
-        rate_theta_modelI(0.0, 0.0, 1.0, math.pi, allow_limit=False)
+        rate_theta(0.0, 0.0, 1.0, math.pi, allow_limit=False)
 
 
 def test_theta_small_s_continuity():
     # approaching s -> 0 continuously matches the limit path
-    lim = rate_theta_modelI(0.3, 0.0, 1.0, math.pi)
-    near = rate_theta_modelI(0.3, 1e-3, 1.0, math.pi)
+    lim = rate_theta(0.3, 0.0, 1.0, math.pi)
+    near = rate_theta(0.3, 1e-3, 1.0, math.pi)
     assert near == pytest.approx(lim, abs=1e-6)
 
 
@@ -336,13 +332,13 @@ def test_parity_in_t():
         s = rng.uniform(0.0, 6.0)
         w = rng.uniform(0.1, 5.0)
         th = rng.uniform(0.0, 2 * math.pi)
-        assert rate_entangled_modelI(t, s, w) == pytest.approx(
-            rate_entangled_modelI(-t, s, w), abs=1e-9
+        assert rate_entangled(t, s, w) == pytest.approx(
+            rate_entangled(-t, s, w), abs=1e-9
         )
-        assert rate_fock_modelI(t, w) == pytest.approx(rate_fock_modelI(-t, w), abs=1e-12)
-        assert rate_coherent_modelI(t, w) == pytest.approx(rate_coherent_modelI(-t, w), abs=1e-12)
-        assert rate_theta_modelI(t, s, w, th) == pytest.approx(
-            rate_theta_modelI(-t, s, w, th), abs=1e-9
+        assert rate_fock(t, w) == pytest.approx(rate_fock(-t, w), abs=1e-12)
+        assert rate_coherent(t, w) == pytest.approx(rate_coherent(-t, w), abs=1e-12)
+        assert rate_theta(t, s, w, th) == pytest.approx(
+            rate_theta(-t, s, w, th), abs=1e-9
         )
 
 
@@ -354,13 +350,13 @@ def test_bounds_randomized_sweep():
     ws = np.exp(rng.uniform(math.log(0.05), math.log(50.0), n))
     thetas = rng.uniform(0, 2 * math.pi, n)
     for i in range(n):
-        r_ent = rate_entangled_modelI(ts[i], ss[i], ws[i])
+        r_ent = rate_entangled(ts[i], ss[i], ws[i])
         assert 1.0 - 1e-9 <= r_ent <= 2.0 + 1e-9
-        r_fock = rate_fock_modelI(ts[i], ws[i])
+        r_fock = rate_fock(ts[i], ws[i])
         assert 1.0 - 1e-9 <= r_fock <= 2.0 + 1e-9
-        r_coh = rate_coherent_modelI(ts[i], ws[i])
+        r_coh = rate_coherent(ts[i], ws[i])
         assert 2.0 - 1e-9 <= r_coh <= 4.0 + 1e-9
-        r_th = rate_theta_modelI(ts[i], ss[i], ws[i], thetas[i])
+        r_th = rate_theta(ts[i], ss[i], ws[i], thetas[i])
         assert 0.0 - 1e-9 <= r_th <= 2.0 + 1e-9
 
 
@@ -368,9 +364,9 @@ def test_peak_monotone_in_disorder():
     # R(0) grows with w (less disorder) for the two-photon states
     ws = [0.2, 0.5, 1.0, 3.0, 10.0]
     for fn in (
-        lambda w: rate_entangled_modelI(0.0, 0.0, w),
-        lambda w: rate_fock_modelI(0.0, w),
-        lambda w: rate_theta_modelI(0.0, 2.0, w, 0.0),
+        lambda w: rate_entangled(0.0, 0.0, w),
+        lambda w: rate_fock(0.0, w),
+        lambda w: rate_theta(0.0, 2.0, w, 0.0),
     ):
         vals = [fn(w) for w in ws]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -382,7 +378,7 @@ def test_peak_monotone_in_disorder():
 )
 @settings(max_examples=150, deadline=None)
 def test_fock_bounds_property(t, w):
-    v = rate_fock_modelI(t, w)
+    v = rate_fock(t, w)
     assert 1.0 - 1e-9 <= v <= 2.0 + 1e-9
 
 
@@ -484,4 +480,4 @@ def test_compute_rate_curve_closed_form(entangled_s2):
     taus = np.linspace(-2, 2, 21)
     curve = compute_rate_curve(entangled_s2, ModelI(omega_corr=1.0), taus)
     assert curve.method == "closed-form"
-    assert curve.rs[10] == pytest.approx(rate_entangled_modelI(0.0, 2.0, 1.0), rel=1e-12)
+    assert curve.rs[10] == pytest.approx(rate_entangled(0.0, 2.0, 1.0), rel=1e-12)
