@@ -39,6 +39,7 @@ from .montecarlo import (
     beam_splitter_check,
     ensemble_config_from_json,
     mc_correlator,
+    mc_correlator_batch,
     mc_correlator_cross_mode,
     mc_default_grid,
     mc_estimate_rows,
@@ -62,6 +63,7 @@ from .rates import (
     rate_entangled_cw_limit,
     rate_fock,
     rate_numeric,
+    rate_numeric_batch,
     rate_theta,
     visibility,
 )

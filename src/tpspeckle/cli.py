@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .correlation import CorrelationModel, FrequencyGrid, ModelI, model_from_config, model_to_config
+from .correlation import FrequencyGrid, ModelI, model_from_config, model_to_config
 from .errors import NonFiniteValueError, TpspeckleError
 from .montecarlo import (
     EnsembleConfig,
@@ -211,6 +211,8 @@ def cmd_rate(args) -> int:
             raise ConfigError("tau-n must be >= 2")
         if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
             raise ConfigError("tau-min and tau-max must be finite")
+        if not args.tau_min < args.tau_max:
+            raise ConfigError("tau-min must be below tau-max")
         if args.method == "monte-carlo":
             if isinstance(model, str):
                 raise ConfigError("monte-carlo needs a concrete correlation model")
@@ -260,18 +262,18 @@ def _figure_dataset(figure_id, kind, args):
     if figure_id == 2:
         if args.nu_o is None or args.nu_e is None:
             raise ConfigError("figure 2 needs --nu-o and --nu-e (no values are printed in the source)")
+        sig = np.linspace(0.0, 3.0, 151)  # sigma in units of dw_cw
         with _config_boundary("figure"):
             crystal = CrystalParams(args.nu_o, args.nu_e)
-        dw_cw = 2.78 / abs(crystal.eta_minus)
-        sig = np.linspace(0.0, 3.0, 151)  # sigma in units of dw_cw
-        ratios = np.array([spectral_width_ratio(s * dw_cw, crystal) for s in sig])
+            dw_cw = 2.78 / abs(crystal.eta_minus)
+            ratios = np.array([spectral_width_ratio(s * dw_cw, crystal) for s in sig])
         notes.append("nu_o, nu_e are user inputs; literature-style placeholders, not source values")
         return "sigma_over_dw_cw", sig, ["ratio_o", "ratio_e"], [ratios[:, 0], ratios[:, 1]], notes
 
     if figure_id == 3:
         svals = args.s_values if args.s_values is not None else [0.0, 2.0, 8.0]
-        if not all(s >= 0 for s in svals):
-            raise ConfigError(f"--s-values must be >= 0, got {svals}")
+        if not all(math.isfinite(s) and s >= 0 for s in svals):
+            raise ConfigError(f"--s-values must be finite and >= 0, got {svals}")
         if args.s_values is None:
             notes.append("s values are placeholders (figure shows them graphically); override with --s-values")
         t = np.linspace(-3.0, 3.0, 241)
@@ -426,12 +428,6 @@ def _mc_case_grid(state: StateSpec, model, cfg: dict) -> FrequencyGrid:
     return mc_default_grid(state, model, n=128)
 
 
-def _closed_rate(state: StateSpec, model: CorrelationModel, tau: float) -> float:
-    if not isinstance(model, ModelI):
-        raise ConfigError("mc-validate compares against Model I closed forms only")
-    return rate_closed_form(state, model, tau)
-
-
 def cmd_mc_validate(args) -> int:
     with _config_boundary("mc-validate"):
         cfg = _load_json(args.config)
@@ -443,6 +439,8 @@ def cmd_mc_validate(args) -> int:
         for idx, case in enumerate(cases):
             state = state_from_config(case["state"])
             model = model_from_config(case["model"])
+            if not isinstance(model, ModelI):
+                raise ConfigError("mc-validate compares against Model I closed forms only")
             grid = _mc_case_grid(state, model, case)
             ens = EnsembleConfig(grid=grid, model=model, t_bar=t_bar, n_realizations=n_real, seed=seed + idx)
             runs.append((state, ens, _finite(case.get("tau", 0.0))))
@@ -451,7 +449,7 @@ def cmd_mc_validate(args) -> int:
     worst = 0.0
     for idx, (state, ens, tau) in enumerate(runs):
         est = mc_correlator(state, ens, tau)
-        closed = _closed_rate(state, ens.model, tau)
+        closed = rate_closed_form(state, ens.model, tau)
         z = (est.mean - closed) / est.std_error
         worst = max(worst, abs(z))
         dims = DimensionlessArgs.from_state(state, ens.model, tau)

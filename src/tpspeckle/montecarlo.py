@@ -25,6 +25,14 @@ and hands them to a per-realization function.  The same-mode and
 cross-mode correlators share one pair estimator of two modes' draws (the
 same-mode call passes mode 0 twice); they differ only in the norm.
 
+The transmissions do not depend on the delay, so a rate curve takes one
+draw per curve: ``mc_correlator_batch`` draws each chunk once and
+evaluates the estimator at every tau of the curve (the tau-independent
+direct term once per chunk, the exchange term per tau).  Its value
+buffer holds one row per tau; past ``_VALUE_BUDGET`` values the taus are
+split into groups that draw once each.  ``mc_correlator`` and
+``mc_correlator_cross_mode`` are its one-tau calls.
+
 Randomness is counter-based (Philox): stream (realization r, mode m,
 polarization p) uses counter ``[0, 0, 2 m + p, r]`` under the master seed,
 so results are bit-identical regardless of batching or worker count.  One
@@ -38,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -74,6 +82,7 @@ __all__ = [
     "mc_estimate_rows",
     "sample_transmission",
     "mc_correlator",
+    "mc_correlator_batch",
     "mc_correlator_cross_mode",
     "mc_mean_photocount",
     "rate_correlation_relation",
@@ -81,6 +90,7 @@ __all__ = [
 ]
 
 _CHUNK = 512
+_VALUE_BUDGET = 8 * 2**20  # float64 values (64 MB) of one ensemble pass over a tau group
 
 
 @dataclass(frozen=True)
@@ -136,11 +146,11 @@ def ensemble_config_from_json(cfg, default_center: float = 0.0) -> EnsembleConfi
 
 def mc_estimate_rows(state: StateSpec, cfg: EnsembleConfig, taus) -> list:
     """CSV-ready rows (tau, mean, std_error, n, seed) for a tau sweep."""
-    rows = []
-    for tau in taus:
-        est = mc_correlator(state, cfg, float(tau))
-        rows.append((float(tau), est.mean, est.std_error, est.n, cfg.seed))
-    return rows
+    taus = [float(tau) for tau in taus]
+    return [
+        (tau, est.mean, est.std_error, est.n, cfg.seed)
+        for tau, est in zip(taus, mc_correlator_batch(state, cfg, taus))
+    ]
 
 
 class RateRelation(NamedTuple):
@@ -201,18 +211,21 @@ def sample_transmission(
     return t_o, t_e
 
 
-def _ensemble(cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray]) -> np.ndarray:
-    """One value per realization: ``per_block((t_o, t_e) of mode 0, ...)``
-    over chunks of ``_CHUNK`` realizations, each array of shape (grid.n, chunk)."""
+def _ensemble(
+    cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray], rows: int = 1
+) -> np.ndarray:
+    """``rows`` values per realization, shape (rows, n_realizations):
+    ``per_block((t_o, t_e) of mode 0, ...)`` over chunks of ``_CHUNK``
+    realizations, each array of shape (grid.n, chunk)."""
     L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
-    values = np.empty(cfg.n_realizations)
+    values = np.empty((rows, cfg.n_realizations))
     for start in range(0, cfg.n_realizations, _CHUNK):
         block = range(start, min(start + _CHUNK, cfg.n_realizations))
         draws = [
             (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
             for m in range(modes)
         ]
-        values[block.start : block.stop] = per_block(*draws)
+        values[:, block.start : block.stop] = per_block(*draws)
     return values
 
 
@@ -232,9 +245,10 @@ def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
     return est
 
 
-def _pair_estimator(state: StateSpec, grid: FrequencyGrid, tau: float):
-    """Per-realization <:n_i n_j:> (before the t_bar norm) as a function of
-    the draws ``(t_o, t_e)`` of modes i and j; pass one mode twice for i = j.
+def _pair_estimator(state: StateSpec, grid: FrequencyGrid, taus: Sequence[float]):
+    """Per-realization <:n_i n_j:> (before the t_bar norm) at every tau, shape
+    (len(taus), chunk), as a function of the draws ``(t_o, t_e)`` of modes i
+    and j; pass one mode twice for i = j.
 
     For the two-photon states the direct kernel uses the on-grid norm (its
     disorder mean is then exactly 2 t_bar^2).  For the sinc-tailed states
@@ -247,12 +261,20 @@ def _pair_estimator(state: StateSpec, grid: FrequencyGrid, tau: float):
     if isinstance(state, CoherentState):
         env = grid_envelope(state, grid)
         a2w = env * env * wts
-        phase = np.exp(-1j * grid.axis() * tau)
+        phases = [np.exp(-1j * grid.axis() * tau)[:, None] for tau in taus]
 
-        def intensity(t_o, t_e):
-            return a2w @ (np.abs(t_e * phase[:, None] + t_o) ** 2)
+        def intensity(mode, phase):
+            t_o, t_e = mode
+            return a2w @ (np.abs(t_e * phase + t_o) ** 2)
 
-        return lambda mode_i, mode_j: intensity(*mode_i) * intensity(*mode_j)
+        def coherent_pair(mode_i, mode_j):
+            out = np.empty((len(phases), mode_i[0].shape[1]))
+            for row, phase in zip(out, phases):
+                i_i = intensity(mode_i, phase)
+                row[:] = i_i * (i_i if mode_j is mode_i else intensity(mode_j, phase))
+            return out
+
+        return coherent_pair
 
     b = grid_amplitude_matrix(state, grid, check="none")
     ww = np.outer(wts, wts)
@@ -264,42 +286,72 @@ def _pair_estimator(state: StateSpec, grid: FrequencyGrid, tau: float):
             n_exact *= _theta_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
         g_exch = g_exch * (_grid_mass(state, grid)[0] / n_exact)
     g_t = g_exch.T.copy()
-    phase = np.exp(1j * grid.axis() * tau)[:, None]
+    phases = [np.exp(1j * grid.axis() * tau)[:, None] for tau in taus]
 
     def pair(mode_i, mode_j):
         (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
         direct = np.einsum("mc,mc->c", np.abs(t_oi) ** 2, m_direct @ (np.abs(t_ej) ** 2))
         direct += np.einsum("mc,mc->c", np.abs(t_ei) ** 2, m_direct @ (np.abs(t_oj) ** 2))
-        u_i = phase * np.conj(t_ei) * t_oi
-        u_j = phase * np.conj(t_ej) * t_oj
-        return direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), g_t @ u_i))
+        same = mode_j is mode_i
+        conj_ei = np.conj(t_ei)
+        conj_ej = conj_ei if same else np.conj(t_ej)
+        out = np.empty((len(phases), direct.size))
+        for row, phase in zip(out, phases):
+            u_i = phase * conj_ei * t_oi
+            u_j = u_i if same else phase * conj_ej * t_oj
+            row[:] = direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), g_t @ u_i))
+        return out
 
     return pair
+
+
+def mc_correlator_batch(
+    state: StateSpec,
+    cfg: EnsembleConfig,
+    taus: Sequence[float],
+    tol: Optional[float] = None,
+    *,
+    cross_mode: bool = False,
+) -> List[McEstimate]:
+    """Coincidence rates at every tau from one draw of the ensemble.
+
+    Same-mode R(tau) by default; ``cross_mode=True`` gives R_{ij}, i != j,
+    from a two-mode run (parameter-free targets: 2 for the two-photon
+    states, 4 for coherent).  Each estimate equals the one-tau call at
+    the same seed.  ``tol`` (if given) is the acceptable standard error;
+    exceeding it raises ``InsufficientRealizationsError``.
+    """
+    taus = [float(tau) for tau in taus]
+    # delta_ij = 0 across modes: no indistinguishability factor
+    norm = cfg.t_bar**2 if cross_mode else 2.0 * cfg.t_bar**2
+    group_size = max(1, _VALUE_BUDGET // cfg.n_realizations)
+    estimates = []
+    for lo in range(0, len(taus), group_size):
+        group = taus[lo : lo + group_size]
+        pair = _pair_estimator(state, cfg.grid, group)
+        if cross_mode:
+            values = _ensemble(cfg, 2, lambda mode_i, mode_j: pair(mode_i, mode_j) / norm, len(group))
+        else:
+            values = _ensemble(cfg, 1, lambda mode: pair(mode, mode) / norm, len(group))
+        estimates.extend(_estimate(row, tol) for row in values)
+    return estimates
 
 
 def mc_correlator(
     state: StateSpec, cfg: EnsembleConfig, tau: float, tol: Optional[float] = None
 ) -> McEstimate:
-    """Same-mode coincidence rate R(tau), estimated over the ensemble.
-
-    ``tol`` (if given) is the acceptable standard error; exceeding it
-    raises ``InsufficientRealizationsError``.
-    """
-    pair = _pair_estimator(state, cfg.grid, tau)
-    norm = 2.0 * cfg.t_bar**2
-    return _estimate(_ensemble(cfg, 1, lambda mode: pair(mode, mode) / norm), tol)
+    """Same-mode coincidence rate R(tau): ``mc_correlator_batch`` at one tau."""
+    return mc_correlator_batch(state, cfg, [tau], tol)[0]
 
 
 def mc_correlator_cross_mode(
     state: StateSpec, cfg: EnsembleConfig, tau: float = 0.0, tol: Optional[float] = None
 ) -> McEstimate:
-    """Cross-mode rate R_{ij}, i != j, from a two-mode ensemble run.
+    """Cross-mode rate R_{ij}, i != j: ``mc_correlator_batch`` at one tau.
 
     Parameter-free targets: 2 for the two-photon states, 4 for coherent.
     """
-    pair = _pair_estimator(state, cfg.grid, tau)
-    norm = cfg.t_bar**2  # delta_ij = 0: no indistinguishability factor
-    return _estimate(_ensemble(cfg, 2, lambda mode_i, mode_j: pair(mode_i, mode_j) / norm), tol)
+    return mc_correlator_batch(state, cfg, [tau], tol, cross_mode=True)[0]
 
 
 def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
@@ -321,7 +373,7 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
         t_o, t_e = mode
         return (wo @ (np.abs(t_o) ** 2) + we @ (np.abs(t_e) ** 2)) / cfg.t_bar
 
-    return _estimate(_ensemble(cfg, 1, photocount))
+    return _estimate(_ensemble(cfg, 1, photocount)[0])
 
 
 def rate_correlation_relation(normal_ordered: float, mean_n: float, same_mode: bool) -> RateRelation:

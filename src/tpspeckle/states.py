@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -186,14 +185,18 @@ def spectral_width_ratio(sigma: float, crystal: CrystalParams) -> Tuple[float, f
 
     Uses the Gaussian replacement exp(-x^2/2.79) for the squared sinc; at
     sigma = 0 both ratios reduce to 2*sqrt(ln2 * 2.79)/2.78 ~ 1.0005
-    independent of the crystal.
+    independent of the crystal.  A zero (or underflowing) ``nu_o * dw_cw``
+    or ``nu_e * dw_cw`` raises ``ValueError``.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     dw_cw = 2.78 / abs(crystal.eta_minus)
     out = []
     for nu in (crystal.nu_o, crystal.nu_e):
-        bracket = 2.79 / (nu * dw_cw) ** 2 + (sigma / dw_cw) ** 2
+        scaled_sq = (nu * dw_cw) ** 2
+        if scaled_sq == 0.0:
+            raise ValueError(f"spectral_width_ratio needs nonzero nu_o and nu_e, got {nu!r}")
+        bracket = 2.79 / scaled_sq + (sigma / dw_cw) ** 2
         out.append(2.0 * abs(nu) / abs(crystal.eta_minus) * math.sqrt(math.log(2.0) * bracket))
     return out[0], out[1]
 
@@ -260,20 +263,36 @@ def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     return raw
 
 
-@lru_cache(maxsize=64)
-def _grid_mass(state: StateSpec, grid: FrequencyGrid) -> Tuple[float, float]:
-    """On-grid total of the unnormalized |B|^2 and its outermost-cell share."""
-    wts = grid.trapezoid_weights()
-    mass = np.abs(_raw_matrix(state, grid)) ** 2
-    total = float(np.einsum("m,mn,n->", wts, mass, wts))
-    mass *= wts[:, None]
-    mass *= wts
-    return total, _edge_fraction(mass)
+_GRID_MASS: Dict[Tuple[StateSpec, FrequencyGrid], Tuple[float, float]] = {}
+_GRID_MASS_SIZE = 64
 
 
-def _grid_norm(state: StateSpec, grid: FrequencyGrid, check: bool = True) -> float:
+def _grid_mass(state: StateSpec, grid: FrequencyGrid, raw: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """On-grid total of the unnormalized |B|^2 and its outermost-cell share.
+
+    Cached per (state, grid), oldest entry evicted first; on a miss
+    ``raw``, the caller's ``_raw_matrix(state, grid)``, spares a rebuild.
+    """
+    key = (state, grid)
+    if key not in _GRID_MASS:
+        if raw is None:
+            raw = _raw_matrix(state, grid)
+        wts = grid.trapezoid_weights()
+        mass = np.abs(raw) ** 2
+        total = float(np.einsum("m,mn,n->", wts, mass, wts))
+        mass *= wts[:, None]
+        mass *= wts
+        if len(_GRID_MASS) >= _GRID_MASS_SIZE:
+            del _GRID_MASS[next(iter(_GRID_MASS))]
+        _GRID_MASS[key] = (total, _edge_fraction(mass))
+    return _GRID_MASS[key]
+
+
+def _grid_norm(
+    state: StateSpec, grid: FrequencyGrid, check: bool = True, raw: Optional[np.ndarray] = None
+) -> float:
     """sqrt of the on-grid |B|^2 total; ``check`` enforces the edge-mass budget."""
-    total, edge = _grid_mass(state, grid)
+    total, edge = _grid_mass(state, grid, raw)
     if check and edge > EDGE_MASS_BUDGET:
         raise GridTooNarrowError(
             f"grid too narrow: outermost cells hold {edge:.2e} of the |B|^2 mass "
@@ -322,8 +341,11 @@ def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "s
     if isinstance(state, FockState):
         env = grid_envelope(state, grid)
         return np.outer(env, env).astype(complex)
-    norm = _grid_norm(state, grid, check=check == "strict")
-    return _raw_matrix(state, grid).astype(complex, copy=False) / norm
+    raw = _raw_matrix(state, grid)
+    norm = _grid_norm(state, grid, check=check == "strict", raw=raw)
+    out = raw.astype(complex, copy=False)
+    out /= norm
+    return out
 
 
 def grid_envelope(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:

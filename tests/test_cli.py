@@ -203,13 +203,18 @@ def test_mc_validate_healthy(tmp_path):
 
 
 def test_mc_validate_detects_corruption(tmp_path, monkeypatch):
-    closed_rate = cli._closed_rate
-    monkeypatch.setattr(cli, "_closed_rate", lambda state, model, tau: closed_rate(state, model, tau) + 0.5)
+    closed_rate = cli.rate_closed_form
+    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: closed_rate(state, model, tau) + 0.5)
     out = tmp_path / "bad.csv"
     assert main(["mc-validate", "--config", json.dumps(MC_CONFIG), "--out", str(out)]) == 4
 
 
-def test_mc_validate_rejects_model_ii(tmp_path):
+def test_mc_validate_rejects_model_ii(tmp_path, monkeypatch):
+    # the case is rejected while the config is parsed, before any ensemble is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the config check")
+
+    monkeypatch.setattr(cli, "mc_correlator", no_draws)
     cfg = dict(MC_CONFIG)
     cfg["cases"] = [
         {
@@ -450,6 +455,12 @@ _BAD_CONFIGS = {
     "figure-crystal-degenerate": ["figure", "--id", "2", "--nu-o", "1", "--nu-e", "1"],
     "figure-s-negative": ["figure", "--id", "3", "--s-values", "0", "-1"],
     "figure-s-nan": ["figure", "--id", "3", "--s-values", "nan"],
+    "figure-s-inf": ["figure", "--id", "3", "--s-values", "0", "inf"],
+    "figure-nu-o-zero": ["figure", "--id", "2", "--nu-o", "0", "--nu-e", "-0.264"],
+    "figure-nu-e-zero": ["figure", "--id", "2", "--nu-o", "-0.073", "--nu-e", "0"],
+    "figure-nu-o-underflow": ["figure", "--id", "2", "--nu-o", "1e-200", "--nu-e", "-0.264"],
+    "rate-tau-decreasing": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "1", "--tau-max", "-1",
+                            "--tau-n", "3"],
     **{f"ensemble-grid-{i}": _mc_rate(_ENSEMBLE % g) for i, g in enumerate(_BAD_GRIDS)},
     **{f"case-grid-{i}": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "grid": %s}]}'
                                       % (ENT_STATE, MODEL_I, g))
@@ -474,7 +485,7 @@ def test_malformed_visibility_input_exits_2(tmp_path, capsys, text):
     assert "Traceback" not in capsys.readouterr().err
 
 
-# --- property: no config leaf makes sweep or mc-validate crash
+# --- property: no config leaf, option value or curve cell makes a command crash
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -496,7 +507,22 @@ _VALID_MC = {
          "model": {"model": "I", "scale": 1.0}, "grid": {"half_width": 8.0, "n": 32}, "tau": 0.0},
     ],
 }
+# the JSON blobs of `rate --state/--model/--ensemble`
+_VALID_RATE = {
+    "state": {"state": "entangled", "omega_bar": 100.0, "sigma": 1.0, "nu_o": 1.5, "nu_e": 0.5},
+    "model": {"model": "I", "scale": 1.0},
+    "ensemble": {"grid": {"half_width": 8.0, "n": 32}, "model": {"model": "I", "scale": 1.0},
+                 "t_bar": 0.01, "n_realizations": 40, "seed": 3},
+}
+_RATE_OPTIONS = ["--tau-min", "-1", "--tau-max", "1", "--tau-n", "3", "--method", "monte-carlo"]
+_FIGURE_OPTIONS = [
+    ["--id", "2", "--nu-o", "-0.073", "--nu-e", "-0.264"],
+    ["--id", "3", "--s-values", "0", "2"],
+    ["--id", "5", "--model", "I"],
+]
+_CURVE = [["tau", "r"], ["-1", "1.5"], ["0", "2"], ["1", "1.5"], ["2", "1.0"]]
 _BAD_LEAVES = [NAN, INF, -INF, -1, 0, "a", None, [], {}, True]
+_BAD_WORDS = ["nan", "inf", "-inf", "-1", "0", "a", "", "1e999", "2.5"]
 
 
 def _leaf_paths(node, path=()):
@@ -519,21 +545,61 @@ def _replaced(cfg, path, value):
     return cfg
 
 
+def _value_slots(options):
+    return [i for i, word in enumerate(options) if not word.startswith("--")]
+
+
+def _rate_argv(cfg, options):
+    return ["rate", "--state", json.dumps(cfg["state"]), "--model", json.dumps(cfg["model"]),
+            "--ensemble", json.dumps(cfg["ensemble"]), *options]
+
+
+def _mutated_argv(kind, where, value, tmp_path):
+    if kind in ("sweep", "mc-validate"):
+        valid = _VALID_SWEEP if kind == "sweep" else _VALID_MC
+        return [kind, "--config", json.dumps(_replaced(valid, where, value))]
+    if kind == "rate":
+        return _rate_argv(_replaced(_VALID_RATE, where, value), _RATE_OPTIONS)
+    if kind == "rate-option":
+        return _rate_argv(_VALID_RATE, _replaced(_RATE_OPTIONS, (where,), value))
+    if kind == "figure":
+        figure, slot = where
+        return ["figure", *_replaced(_FIGURE_OPTIONS[figure], (slot,), value)]
+    curve = tmp_path / "curve.csv"
+    curve.write_text("".join(",".join(row) + "\n" for row in _replaced(_CURVE, where, value)))
+    return ["visibility", "--in", str(curve)]
+
+
 _MUTATIONS = st.one_of(
     st.tuples(st.just("sweep"), st.sampled_from(list(_leaf_paths(_VALID_SWEEP))), st.sampled_from(_BAD_LEAVES)),
     st.tuples(st.just("mc-validate"), st.sampled_from(list(_leaf_paths(_VALID_MC))), st.sampled_from(_BAD_LEAVES)),
+    st.tuples(st.just("rate"), st.sampled_from(list(_leaf_paths(_VALID_RATE))), st.sampled_from(_BAD_LEAVES)),
+    st.tuples(st.just("rate-option"), st.sampled_from(_value_slots(_RATE_OPTIONS)), st.sampled_from(_BAD_WORDS)),
+    st.tuples(st.just("figure"),
+              st.sampled_from([(k, i) for k, options in enumerate(_FIGURE_OPTIONS) for i in _value_slots(options)]),
+              st.sampled_from(_BAD_WORDS)),
+    st.tuples(st.just("visibility"), st.sampled_from(list(_leaf_paths(_CURVE))), st.sampled_from(_BAD_WORDS)),
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _exit_code(argv):
+    """The process exit code of ``tpspeckle argv``: argparse usage errors raise SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=_MUTATIONS)
 def test_config_leaf_never_crashes(tmp_path, capsys, mutation):
-    command, path, value = mutation
-    cfg = _replaced(_VALID_SWEEP if command == "sweep" else _VALID_MC, path, value)
+    kind, where, value = mutation
     out = tmp_path / "x.csv"
     if out.exists():
         out.unlink()
-    rc = main([command, "--config", json.dumps(cfg), "--out", str(out)])
+    argv = _mutated_argv(kind, where, value, tmp_path)
+    rc = _exit_code(argv if kind == "visibility" else argv + ["--out", str(out)])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
     assert rc == 0 or not out.exists()
+

@@ -18,6 +18,7 @@ from tpspeckle import (
     beam_splitter_check,
     correlation,
     mc_correlator,
+    mc_correlator_batch,
     mc_correlator_cross_mode,
     mc_default_grid,
     mc_mean_photocount,
@@ -288,6 +289,7 @@ _PIN_STATES = {
     "symmetrized": SymmetrizedState(PumpParams(100.0, 1.0), CrystalParams(1.5, 0.5), 1.0),
     "fock": FockState(100.0, 1.0),
     "coherent": CoherentState(100.0, 1.0),
+    "antisymmetric": SymmetrizedState(PumpParams(100.0, 0.3), CrystalParams(1.5, 0.5), math.pi),  # s = 0.6
 }
 _PINNED = {
     ("same", "entangled", 0.0): (1.1177134842941627, 0.03348211085087082),
@@ -300,6 +302,10 @@ _PINNED = {
     ("same", "coherent", 0.7): (2.7713360610062057, 0.16109710754222384),
     ("cross", "entangled", 0.7): (1.9656306956980825, 0.03837779411981038),
     ("cross", "coherent", 0.7): (3.9561512903438794, 0.12916074608551437),
+    ("same", "antisymmetric", 0.0): (0.9416547767277562, 0.0232128927180717),
+    ("same", "antisymmetric", 0.7): (0.9900958062132594, 0.023617373535391843),
+    ("cross", "antisymmetric", 0.7): (1.9202087640197836, 0.030629617999004936),
+    ("cross", "fock", 0.7): (1.9884008629686931, 0.05172292570698497),
     ("photocount", "entangled", None): (1.9886817746646563, 0.024670990873518112),
     ("photocount", "coherent", None): (1.9944641204188587, 0.03343730238985643),
 }
@@ -346,3 +352,44 @@ def test_reused_philox_matches_fresh_generators(stream_id):
         g = Generator(Philox(key=seed, counter=[0, 0, stream_id, r]))
         ref[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
     assert np.array_equal(_draw_block(np.eye(n), seed, stream_id, block), np.eye(n) @ ref)
+
+
+# --- tau batches: one draw per curve
+
+_BATCH_TAUS = [-0.9, 0.0, 0.35, 1.2, 2.5]
+
+
+@pytest.mark.parametrize("cross_mode", [False, True], ids=["same", "cross"])
+@pytest.mark.parametrize("name", ["entangled", "antisymmetric", "fock", "coherent"])
+def test_batch_equals_single_tau_calls(name, cross_mode):
+    # 600 realizations cross the 512-realization chunk edge
+    state = _PIN_STATES[name]
+    single = mc_correlator_cross_mode if cross_mode else mc_correlator
+    batch = mc_correlator_batch(state, _PIN_CFG, _BATCH_TAUS, cross_mode=cross_mode)
+    assert batch == [single(state, _PIN_CFG, tau) for tau in _BATCH_TAUS]
+
+
+@pytest.mark.parametrize("budget, draws_per_stream", [(10**9, 2), (1200, 6)], ids=["one-group", "three-groups"])
+def test_batch_draws_once_per_tau_group(monkeypatch, budget, draws_per_stream):
+    # 600 realizations are two chunks; a 1200-value budget splits 5 taus into groups of 2, 2, 1
+    from tpspeckle import montecarlo
+
+    state = _PIN_STATES["entangled"]
+    expect = [mc_correlator(state, _PIN_CFG, tau) for tau in _BATCH_TAUS]
+    calls = []
+    draw = montecarlo._draw_block
+
+    def counted(L, seed, stream_id, realizations):
+        calls.append(stream_id)
+        return draw(L, seed, stream_id, realizations)
+
+    monkeypatch.setattr(montecarlo, "_VALUE_BUDGET", budget)
+    monkeypatch.setattr(montecarlo, "_draw_block", counted)
+    assert mc_correlator_batch(state, _PIN_CFG, _BATCH_TAUS) == expect
+    assert sorted(calls) == [0] * draws_per_stream + [1] * draws_per_stream
+
+
+def test_batch_tolerance_applies_per_tau():
+    cfg = _fock_cfg(200, seed=9)
+    with pytest.raises(InsufficientRealizationsError):
+        mc_correlator_batch(FockState(100.0, 1.0), cfg, [0.0, 0.5], tol=1e-6)

@@ -20,6 +20,7 @@ from tpspeckle import (
     rate_entangled,
     rate_fock,
     rate_numeric,
+    rate_numeric_batch,
     rate_theta,
 )
 
@@ -108,6 +109,8 @@ def test_grid_too_narrow_error():
     state = FockState(100.0, 1.0)
     with pytest.raises(GridTooNarrowError):
         rate_numeric(state, M_I, tau=0.0, grid=FrequencyGrid(100.0, 1.0, 257))
+    with pytest.raises(GridTooNarrowError):
+        rate_numeric_batch(state, M_I, [0.0, 1.0], grid=FrequencyGrid(100.0, 1.0, 257))
 
 
 def test_explicit_grid_path():
@@ -137,3 +140,48 @@ def test_tail_integral_error_estimate_is_checked(monkeypatch):
     sloppy = rate_numeric(state, M_I, tau=0.5, tolerance=1.0)
     assert sloppy.value == healthy.value
     assert sloppy.error > healthy.error + 1e-4
+
+
+# --- tau batches: one field per curve
+
+_BATCH_TAUS = [-0.8, 0.0, 0.5, 1.6]
+_BATCH_STATES = {
+    "entangled": _ent(2.0),
+    "antisymmetric": SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, math.pi),
+    "fock": FockState(100.0, 1.0),
+    "coherent": CoherentState(100.0, 1.0),
+}
+# Recorded with ``repr`` when every tau built its own field.
+_PER_TAU_VALUES = {
+    "entangled": [1.1160233685282164, 1.1314500695732586, 1.125021230592166, 1.0847274719414088],
+    "antisymmetric": [0.9976571540455657, 0.9942443753153563, 0.9958259228723391, 1.0011045047978246],
+    "fock": [1.3104689333396744, 1.3362040051230326, 1.3257901582106206, 1.2487677287062948],
+    "coherent": [2.646672938462707, 2.6724080102460652, 2.6619941633336532, 2.5849717338293274],
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCH_STATES))
+def test_batch_matches_per_tau_quadrature(name):
+    state = _BATCH_STATES[name]
+    batch = rate_numeric_batch(state, M_I, _BATCH_TAUS)
+    for tau, res, value in zip(_BATCH_TAUS, batch, _PER_TAU_VALUES[name]):
+        assert res.value == pytest.approx(value, abs=1e-14)
+        single = rate_numeric(state, M_I, tau)
+        assert single.value == pytest.approx(res.value, abs=1e-14)
+        assert single.error == pytest.approx(res.error, abs=1e-14)
+
+
+def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
+    import tpspeckle.rates as rates
+
+    tail = rates._entangled_exchange_tail
+
+    def sloppy_at_half(pump, crystal, model, tau, d_half):
+        res = tail(pump, crystal, model, tau, d_half)
+        return res._replace(error=1e-3) if tau == 0.5 else res
+
+    monkeypatch.setattr(rates, "_entangled_exchange_tail", sloppy_at_half)
+    state = _ent(2.0)
+    assert len(rate_numeric_batch(state, M_I, [0.0, 1.0])) == 2
+    with pytest.raises(QuadratureNotConvergedError, match="quadrature not converged: estimate"):
+        compute_rate_curve(state, M_I, [0.0, 0.5, 1.0], method="quadrature")

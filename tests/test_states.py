@@ -183,6 +183,31 @@ def test_biphoton_normalized_on_grid(entangled_s2):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("theta", [None, 1.0], ids=["entangled", "symmetrized"])
+def test_grid_amplitude_matrix_builds_once_per_call(monkeypatch, pump_s2, crystal, theta):
+    from tpspeckle import states
+
+    state = EntangledState(pump_s2, crystal) if theta is None else SymmetrizedState(pump_s2, crystal, theta)
+    grid = FrequencyGrid(100.0, 8.0, 97)
+    raw_matrix = states._raw_matrix
+    calls = []
+
+    def counted(state, grid):
+        calls.append(grid)
+        return raw_matrix(state, grid)
+
+    monkeypatch.setattr(states, "_GRID_MASS", {})  # cold cache
+    monkeypatch.setattr(states, "_raw_matrix", counted)
+    b = grid_amplitude_matrix(state, grid, check="none")
+    assert len(calls) == 1
+    grid_amplitude_matrix(state, grid, check="none")
+    assert len(calls) == 2
+    raw = raw_matrix(state, grid)
+    w = grid.trapezoid_weights()
+    total = float(np.einsum("m,mn,n->", w, np.abs(raw) ** 2, w))
+    assert np.array_equal(b, raw.astype(complex) / math.sqrt(total))
+
+
 def test_biphoton_not_exchange_symmetric(pump_s2, crystal):
     grid = default_grid(EntangledState(pump_s2, crystal))
     a = biphoton_amplitude(100.8, 99.5, pump_s2, crystal, grid)
