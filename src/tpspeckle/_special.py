@@ -1,7 +1,6 @@
 """Small numerical kernels shared by the state and rate modules.
 
-Everything here is pure and branch-stable near removable singularities;
-the series cutovers keep relative error at the 1e-13 level or better.
+Everything here is pure and accurate through removable singularities.
 """
 
 from __future__ import annotations
@@ -14,21 +13,29 @@ from scipy.special import erf as _erf
 SQRT_PI = math.sqrt(math.pi)
 
 
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalized convention).
+# Below this |x| the correctly rounded sin(x)/x and sqrt(pi) erf(x/2)/x are
+# both 1: their x^2/6 and x^2/12 terms are under half an ulp.  The guard
+# also keeps erf off subnormal arguments, where it loses relative accuracy.
+UNIT_BELOW = 1e-8
 
-    Series branch below |x| = 1e-4 avoids the 0/0 at the phase-matching
-    center.
+
+def _over_x(x, numerator):
+    """numerator(x, out) / x, evaluated into one array; 1 where |x| < UNIT_BELOW.
+
+    Returns a float for 0-d input.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, series, np.sin(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.abs(x, out=np.empty_like(x))
+    unit = out < UNIT_BELOW
+    numerator(x, out)
+    np.divide(out, x, out=out, where=~unit)
+    out[unit] = 1.0
+    return float(out) if out.ndim == 0 else out
+
+
+def sinc(x):
+    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
+    return _over_x(x, lambda x, out: np.sin(x, out=out))
 
 
 def erf_ratio(z):
@@ -37,15 +44,13 @@ def erf_ratio(z):
     This is the two-photon spectral overlap of the biphoton with its
     frequency-swapped copy at dimensionless pump width z.
     """
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-2
-    z2 = z * z
-    series = 1.0 - z2 / 12.0 + z2 * z2 / 160.0 - z2 * z2 * z2 / 2688.0
-    safe = np.where(small, 1.0, z)
-    out = np.where(small, series, SQRT_PI * _erf(0.5 * safe) / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
+
+    def numerator(z, out):
+        np.multiply(0.5, z, out=out)
+        _erf(out, out=out)
+        out *= SQRT_PI
+
+    return _over_x(z, numerator)
 
 
 def one_minus_erf_ratio(s: float) -> float:

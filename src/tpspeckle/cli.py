@@ -32,6 +32,7 @@ from .montecarlo import (
     mc_estimate_rows,
 )
 from .rates import (
+    CW_LIMIT,
     DimensionlessArgs,
     RateCurve,
     compute_rate_curve,
@@ -127,10 +128,17 @@ def state_to_config(state: StateSpec) -> dict:
     return {"state": kind, "omega_bar": state.omega_bar, "delta": state.delta}
 
 
-def _parse_model(blob: str):
-    if blob.strip().lower() in ("cw", "cw-limit"):
-        return "cw-limit"
-    return model_from_config(_load_json(blob))
+def _parse_model(cfg):
+    """The correlation model of ``rate --model`` or a sweep's ``"model"``.
+
+    "cw", "CW" or "cw-limit" is the flat-transmission ``CW_LIMIT``; any
+    other string is JSON (inline or a file path) in the model wire format.
+    """
+    if isinstance(cfg, str):
+        if cfg.strip().lower() in ("cw", "cw-limit"):
+            return CW_LIMIT
+        cfg = _load_json(cfg)
+    return model_from_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +221,9 @@ def cmd_rate(args) -> int:
             raise ConfigError("tau-min and tau-max must be finite")
         if not args.tau_min < args.tau_max:
             raise ConfigError("tau-min must be below tau-max")
+        if args.method != "closed-form" and model == CW_LIMIT:
+            raise ConfigError(f"{args.method} needs a concrete correlation model")
         if args.method == "monte-carlo":
-            if isinstance(model, str):
-                raise ConfigError("monte-carlo needs a concrete correlation model")
             grid = mc_default_grid(state, model)
             if args.ensemble is not None:
                 ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=grid.center)
@@ -224,7 +232,7 @@ def cmd_rate(args) -> int:
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
     config = {
         "state": state_to_config(state),
-        "model": "cw" if isinstance(model, str) else model_to_config(model),
+        "model": "cw" if model == CW_LIMIT else model_to_config(model),
         "tau_grid": [args.tau_min, args.tau_max, args.tau_n],
         "method": args.method,
     }
@@ -270,64 +278,51 @@ def _figure_dataset(figure_id, kind, args):
         notes.append("nu_o, nu_e are user inputs; literature-style placeholders, not source values")
         return "sigma_over_dw_cw", sig, ["ratio_o", "ratio_e"], [ratios[:, 0], ratios[:, 1]], notes
 
+    xname, x, columns = _figure_columns(figure_id, kind, args, notes)
+    cols = [np.array([rate(v) for v in x]) for _, rate in columns]
+    return xname, x, [name for name, _ in columns], cols, notes
+
+
+def _figure_columns(figure_id, kind, args, notes):
+    """(abscissa name, abscissa, [(column name, rate at one abscissa value)]) of figures 3..10.
+
+    The rate functions are looked up in this module's namespace during the
+    call, so a replaced ``cli.rate_*`` attribute (a test double or a
+    profiling wrapper) is the one evaluated, once per point.
+    """
+    t = np.linspace(-3.0, 3.0, 241)
     if figure_id == 3:
         svals = args.s_values if args.s_values is not None else [0.0, 2.0, 8.0]
         if not all(math.isfinite(s) and s >= 0 for s in svals):
             raise ConfigError(f"--s-values must be finite and >= 0, got {svals}")
         if args.s_values is None:
             notes.append("s values are placeholders (figure shows them graphically); override with --s-values")
-        t = np.linspace(-3.0, 3.0, 241)
-        cols = [np.array([rate_entangled_cw_limit(tt, s) for tt in t]) for s in svals]
-        return "t", t, [f"r_s={_fmt(float(s))}" for s in svals], cols, notes
+        return "t", t, [(f"r_s={_fmt(float(s))}", lambda x, s=s: rate_entangled_cw_limit(x, s)) for s in svals]
+    if not 4 <= figure_id <= 10:
+        raise ConfigError(f"unknown figure id {figure_id} (valid: 2..10)")
 
     notes.append(f"correlation model: {kind} (captions leave it implicit; --model overrides)")
+    if figure_id == 4:
+        return "t", t, [(f"r_w={_w_label(w)}", lambda x, w=w: rate_entangled(x, 0.0, w, kind)) for w in _W_SET]
+    if figure_id in (5, 6):
+        rate = rate_fock if figure_id == 5 else rate_coherent
+        columns = [(f"r_w={_w_label(w)}", lambda x, w=w: rate(x, w, kind)) for w in _W_SET]
+        return "t", np.linspace(-5.0, 5.0, 241), columns
 
-    if figure_id in (4, 5, 6):
-        t = np.linspace(-3.0, 3.0, 241) if figure_id == 4 else np.linspace(-5.0, 5.0, 241)
-        cols, names = [], []
-        for w in _W_SET:
-            if figure_id == 4:
-                rs = np.array([rate_entangled(tt, 0.0, w, kind) for tt in t])
-            elif figure_id == 5:
-                rs = np.array([rate_fock(tt, w, kind) for tt in t])
-            else:
-                rs = np.array([rate_coherent(tt, w, kind) for tt in t])
-            cols.append(rs)
-            names.append(f"r_w={_w_label(w)}")
-        return "t", t, names, cols, notes
+    def name(theta, w, s=""):
+        return f"r_theta={_fmt(round(theta, 6))}{s}_w={_w_label(w)}"
 
     if figure_id == 7:
-        t = np.linspace(-3.0, 3.0, 241)
-        cols, names = [], []
-        for theta in (0.0, math.pi):
-            for w in (math.inf, 0.3):
-                rs = np.array([rate_theta(tt, 0.0, w, theta, kind) for tt in t])
-                cols.append(rs)
-                names.append(f"r_theta={_fmt(round(theta, 6))}_w={_w_label(w)}")
-        return "t", t, names, cols, notes
-
+        return "t", t, [(name(theta, w), lambda x, theta=theta, w=w: rate_theta(x, 0.0, w, theta, kind))
+                        for theta in (0.0, math.pi) for w in (math.inf, 0.3)]
     if figure_id == 8:
-        s = np.linspace(0.0, 8.0, 161)
-        cols, names = [], []
-        for theta in (0.0, math.pi / 2, math.pi):
-            for w in _W_SET:
-                rs = np.array([rate_theta(0.0, ss, w, theta, kind) for ss in s])
-                cols.append(rs)
-                names.append(f"r_theta={_fmt(round(theta, 6))}_w={_w_label(w)}")
-        return "s", s, names, cols, notes
-
-    if figure_id in (9, 10):
-        t = np.linspace(-3.0, 3.0, 241)
-        cols, names = [], []
-        pairs = [(0.0, 4.0), (math.pi / 2, 4.0)] if figure_id == 9 else [(0.0, 4.0), (math.pi / 2, 0.0)]
-        for theta, s in pairs:
-            for w in _W_SET:
-                rs = np.array([rate_theta(tt, s, w, theta, kind) for tt in t])
-                cols.append(rs)
-                names.append(f"r_theta={_fmt(round(theta, 6))}_s={_fmt(s)}_w={_w_label(w)}")
-        return "t", t, names, cols, notes
-
-    raise ConfigError(f"unknown figure id {figure_id} (valid: 2..10)")
+        return "s", np.linspace(0.0, 8.0, 161), [
+            (name(theta, w), lambda x, theta=theta, w=w: rate_theta(0.0, x, w, theta, kind))
+            for theta in (0.0, math.pi / 2, math.pi) for w in _W_SET
+        ]
+    pairs = [(0.0, 4.0), (math.pi / 2, 4.0)] if figure_id == 9 else [(0.0, 4.0), (math.pi / 2, 0.0)]
+    return "t", t, [(name(theta, w, f"_s={_fmt(s)}"), lambda x, theta=theta, s=s, w=w: rate_theta(x, s, w, theta, kind))
+                    for theta, s in pairs for w in _W_SET]
 
 
 def cmd_figure(args) -> int:
@@ -357,7 +352,7 @@ def cmd_sweep(args) -> int:
         if isinstance(taus, dict):
             taus = np.linspace(float(taus["min"]), float(taus["max"]), int(taus["n"])).tolist()
         tau_values = [_finite(tau) for tau in taus]
-        model = "cw-limit" if model_cfg == "cw" else model_from_config(model_cfg)
+        model = _parse_model(model_cfg)
         vary_keys = sorted(vary.keys())
         points = []
         for combo in itertools.product(*([_finite(v) for v in vary[k]] for k in vary_keys)):
@@ -365,7 +360,7 @@ def cmd_sweep(args) -> int:
             mdl = model
             for key, val in zip(vary_keys, combo):
                 if key == "scale":
-                    if isinstance(model, str):
+                    if model == CW_LIMIT:
                         raise ConfigError("cannot vary 'scale' of the cw model")
                     mdl = model_from_config({**model_to_config(model), "scale": val})
                 else:
@@ -482,7 +477,7 @@ def cmd_visibility(args) -> int:
         tau_idx = names.index("tau") if "tau" in names else 0
         r_idx = 1 if tau_idx == 0 else 0
         curve = RateCurve(
-            taus=data[:, tau_idx], rs=data[:, r_idx], state=None, model="cw-limit", method="closed-form"
+            taus=data[:, tau_idx], rs=data[:, r_idx], state=None, model=CW_LIMIT, method="closed-form"
         )
         v = visibility(curve)
     print(repr(v))

@@ -155,24 +155,8 @@ def correlation(delta_omega, model: CorrelationModel):
 
 def correlation_sq_magnitude(delta_omega, model: CorrelationModel):
     """|C(delta_omega)|^2, real, even, equal to 1 at zero detuning."""
-    dw = np.abs(np.asarray(delta_omega, dtype=float))
-    if isinstance(model, ModelI):
-        out = np.exp(-2.0 * dw / model.omega_corr)
-    else:
-        # |z/sinh z|^2 = v / (sinh^2 x + sin^2 x) with x = sqrt(v/2), v = |dw|/omega_th
-        v = dw / model.omega_th
-        x = np.sqrt(v / 2.0)
-        out = np.empty_like(v)
-        small = x < 1e-3
-        vs = v[small]
-        out[small] = 1.0 / (1.0 + vs * vs / 90.0)
-        big = x > 300.0
-        out[big] = 4.0 * v[big] * np.exp(-2.0 * x[big])
-        mid = ~(small | big)
-        out[mid] = v[mid] / (np.sinh(x[mid]) ** 2 + np.sin(x[mid]) ** 2)
-    if np.isscalar(delta_omega) or out.ndim == 0:
-        return float(out)
-    return out
+    out = np.abs(correlation(delta_omega, model)) ** 2
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float) -> CovarianceFactor:

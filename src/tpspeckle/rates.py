@@ -64,6 +64,7 @@ from .states import (
     StateSpec,
     SymmetrizedState,
     EDGE_MASS_BUDGET,
+    NORM_DEGENERACY_FLOOR,
     _edge_fraction,
     _theta_norm_denominator,
     biphoton_norm_closed_form,
@@ -91,6 +92,7 @@ __all__ = [
 ]
 
 ERF_RANGE = 30.0
+CW_LIMIT = "cw-limit"  # the model value of frequency-flat transmission, w = inf
 THETA_PI_LIMIT_S = 1e-6
 
 
@@ -113,21 +115,26 @@ class DimensionlessArgs:
     w: float
 
     @classmethod
-    def from_state(cls, state: StateSpec, model: Union[CorrelationModel, str, None], tau: float):
-        if isinstance(model, ModelI):
-            scale = model.omega_corr
-        elif isinstance(model, ModelII):
-            scale = model.omega_th
-        else:
-            scale = math.inf  # "cw-limit"
+    def from_state(cls, state: StateSpec, model: Union[CorrelationModel, str], tau: float):
+        scale = _model_scale(model)
         if isinstance(state, (EntangledState, SymmetrizedState)):
             eta_m = state.crystal.eta_minus
-            return cls(
-                t=tau / eta_m,
-                s=abs(state.pump.sigma * state.crystal.eta_plus),
-                w=abs(scale * eta_m) if math.isfinite(scale) else math.inf,
-            )
-        return cls(t=tau * state.delta, s=0.0, w=scale / state.delta if math.isfinite(scale) else math.inf)
+            return cls(t=tau / eta_m, s=abs(state.pump.sigma * state.crystal.eta_plus), w=abs(scale * eta_m))
+        return cls(t=tau * state.delta, s=0.0, w=scale / state.delta)
+
+
+def _model_scale(model: Union[CorrelationModel, str]) -> float:
+    """omega_corr or omega_th of a correlation model; inf for the flat-transmission ``CW_LIMIT``.
+
+    Anything else, a misspelt cw limit or ``None`` included, raises ``TypeError``.
+    """
+    if isinstance(model, ModelI):
+        return model.omega_corr
+    if isinstance(model, ModelII):
+        return model.omega_th
+    if isinstance(model, str) and model == CW_LIMIT:
+        return math.inf
+    raise TypeError(f"model must be ModelI, ModelII or {CW_LIMIT!r}, got {model!r}")
 
 
 @dataclass
@@ -333,7 +340,7 @@ def _gauss_kernel_avg(t: float, w: float, kind: str) -> float:
     into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.
     """
     t = abs(t)
-    if w == 0.0 or math.isinf(t):
+    if math.isinf(t):
         return 0.0
     if kind == "I":
         re = 0.0 if math.isinf(w) else math.sqrt(2.0) / w
@@ -368,9 +375,9 @@ def rate_coherent(t: float, w: float, kind: str = "I") -> float:
 # ---------------------------------------------------------------------------
 # Symmetrized states
 
-def _rate_theta_eval(t: float, s: float, w: float, theta: float, kind: str) -> float:
+def _rate_theta_eval(t: float, s: float, w: float, theta: float, kind: str, denom: float) -> float:
+    """The rate at a norm denominator ``denom = _theta_norm_denominator(theta, s)``."""
     cpl = 1.0 + math.cos(theta)
-    denom = _theta_norm_denominator(theta, s)
 
     def kernel(x):
         return _ij_diff(s, x) + cpl * _j_kernel(s, x)
@@ -395,17 +402,17 @@ def rate_theta(t: float, s: float, w: float, theta: float, kind: str = "I", allo
         raise ValueError("s must be >= 0")
     if not (w > 0 or math.isinf(w)):
         raise ValueError("w must be > 0")
-    degenerate = math.cos(theta) < 0 and _theta_norm_denominator(theta, s) < 2e-10
-    if degenerate:
+    denom = _theta_norm_denominator(theta, s)
+    if denom < 2.0 * NORM_DEGENERACY_FLOOR:
         if not allow_limit:
             raise DegenerateStateError(
                 f"degenerate antisymmetric state at theta={theta}, s={s}"
             )
         s0 = max(s, THETA_PI_LIMIT_S)
-        r_full = _rate_theta_eval(t, s0, w, theta, kind)
-        r_half = _rate_theta_eval(t, 0.5 * s0, w, theta, kind)
+        r_full = _rate_theta_eval(t, s0, w, theta, kind, _theta_norm_denominator(theta, s0))
+        r_half = _rate_theta_eval(t, 0.5 * s0, w, theta, kind, _theta_norm_denominator(theta, 0.5 * s0))
         return (4.0 * r_half - r_full) / 3.0
-    return _rate_theta_eval(t, s, w, theta, kind)
+    return _rate_theta_eval(t, s, w, theta, kind, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +672,9 @@ def rate_numeric(
 # ---------------------------------------------------------------------------
 # Curves
 
-def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str, None], tau: float) -> float:
-    """Single closed-form/reduced rate for a physical state; model may be "cw-limit"."""
-    cw = model is None or isinstance(model, str)
-    args = DimensionlessArgs.from_state(state, None if cw else model, tau)
+def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str], tau: float) -> float:
+    """Single closed-form/reduced rate for a physical state; model may be ``CW_LIMIT``."""
+    args = DimensionlessArgs.from_state(state, model, tau)
     kind = "II" if isinstance(model, ModelII) else "I"
     if isinstance(state, EntangledState):
         return rate_entangled(args.t, args.s, args.w, kind)
@@ -685,11 +691,11 @@ def compute_rate_curve(
     taus: Sequence[float],
     method: str = "closed-form",
 ) -> RateCurve:
-    """Evaluate R over a tau grid; ``model`` may be "cw-limit" for flat transmission."""
+    """Evaluate R over a tau grid; ``model`` may be ``CW_LIMIT`` for flat transmission."""
     taus = np.asarray(taus, dtype=float)
-    cw = isinstance(model, str)
+    cw = math.isinf(_model_scale(model))
     if method == "closed-form":
-        rs = np.array([rate_closed_form(state, None if cw else model, tau) for tau in taus])
+        rs = np.array([rate_closed_form(state, model, tau) for tau in taus])
     elif method == "quadrature":
         if cw:
             raise ValueError("quadrature needs a concrete correlation model; cw has closed forms")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,54 @@ def test_figure_4_model_choice_recorded(tmp_path):
     assert "correlation model: I" in text
 
 
+# figure id -> (abscissa name, rows, first and last abscissa, rate columns)
+_FIGURE_LAYOUT = {
+    2: ("sigma_over_dw_cw", 151, 0.0, 3.0, ["ratio_o", "ratio_e"]),
+    3: ("t", 241, -3.0, 3.0, ["r_s=0.0", "r_s=2.0", "r_s=8.0"]),
+    4: ("t", 241, -3.0, 3.0, ["r_w=inf", "r_w=1.0", "r_w=0.3"]),
+    5: ("t", 241, -5.0, 5.0, ["r_w=inf", "r_w=1.0", "r_w=0.3"]),
+    6: ("t", 241, -5.0, 5.0, ["r_w=inf", "r_w=1.0", "r_w=0.3"]),
+    7: ("t", 241, -3.0, 3.0, ["r_theta=0.0_w=inf", "r_theta=0.0_w=0.3",
+                              "r_theta=3.141593_w=inf", "r_theta=3.141593_w=0.3"]),
+    8: ("s", 161, 0.0, 8.0, [f"r_theta={theta}_w={w}"
+                             for theta in ("0.0", "1.570796", "3.141593") for w in ("inf", "1.0", "0.3")]),
+    9: ("t", 241, -3.0, 3.0, ["r_theta=0.0_s=4.0_w=inf", "r_theta=0.0_s=4.0_w=1.0", "r_theta=0.0_s=4.0_w=0.3",
+                              "r_theta=1.570796_s=4.0_w=inf", "r_theta=1.570796_s=4.0_w=1.0",
+                              "r_theta=1.570796_s=4.0_w=0.3"]),
+    10: ("t", 241, -3.0, 3.0, ["r_theta=0.0_s=4.0_w=inf", "r_theta=0.0_s=4.0_w=1.0", "r_theta=0.0_s=4.0_w=0.3",
+                               "r_theta=1.570796_s=0.0_w=inf", "r_theta=1.570796_s=0.0_w=1.0",
+                               "r_theta=1.570796_s=0.0_w=0.3"]),
+}
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+@pytest.mark.parametrize("figure_id", sorted(_FIGURE_LAYOUT))
+def test_figure_layout_pinned(tmp_path, figure_id, model):
+    xname, rows, first, last, columns = _FIGURE_LAYOUT[figure_id]
+    out = tmp_path / "fig.csv"
+    argv = ["figure", "--id", str(figure_id), "--model", model, "--out", str(out)]
+    if figure_id == 2:
+        argv += ["--nu-o", "-0.073", "--nu-e", "-0.264"]
+    assert main(argv) == 0
+    names, data = read_curve_csv(str(out))
+    assert names == [xname] + columns
+    assert data.shape == (rows, len(names))
+    assert (data[0, 0], data[-1, 0]) == (first, last)
+    assert np.all(np.isfinite(data))
+
+
+def test_figure_3_huge_s_is_warning_free(tmp_path):
+    # the flat-transmission peak 1 + (1-|t|) erf_ratio(s (1-|t|)) is 1 to
+    # double precision at s = 1e200, and no branch of erf_ratio overflows
+    out = tmp_path / "fig3.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["figure", "--id", "3", "--s-values", "1e200", "--out", str(out)]) == 0
+    names, data = read_curve_csv(str(out))
+    assert names == ["t", "r_s=1e+200"]
+    assert np.all(data[:, 1] == 1.0)
+
+
 # --- sweep
 
 def test_sweep_rows_are_cartesian_product(tmp_path):
@@ -171,6 +220,23 @@ def test_sweep_deterministic(tmp_path):
     assert main(["sweep", "--config", json.dumps(cfg), "--out", str(a)]) == 0
     assert main(["sweep", "--config", json.dumps(cfg), "--out", str(b)]) == 0
     assert _read_bytes(a) == _read_bytes(b)
+
+
+def test_cw_spellings_agree(tmp_path):
+    # `rate --model` and a sweep's "model" share one parser: "cw", "CW" and
+    # "cw-limit" all name the flat-transmission limit
+    taus = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    curves = []
+    for spelling in ("cw", "CW", "cw-limit"):
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--state", ENT_STATE, "--model", spelling, "--tau-min", "-1",
+                     "--tau-max", "1", "--tau-n", "5", "--out", str(out)]) == 0
+        curves.append(read_curve_csv(str(out))[1][:, 1])
+        cfg = {"state": json.loads(ENT_STATE), "model": spelling, "tau": taus}
+        assert main(["sweep", "--config", json.dumps(cfg), "--out", str(out)]) == 0
+        curves.append(read_curve_csv(str(out))[1][:, 1])
+    for curve in curves:
+        assert np.array_equal(curve, curves[0])
 
 
 # --- mc-validate
@@ -461,6 +527,8 @@ _BAD_CONFIGS = {
     "figure-nu-o-underflow": ["figure", "--id", "2", "--nu-o", "1e-200", "--nu-e", "-0.264"],
     "rate-tau-decreasing": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "1", "--tau-max", "-1",
                             "--tau-n", "3"],
+    "rate-quadrature-cw": ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "0", "--tau-max", "1",
+                           "--tau-n", "2", "--method", "quadrature"],
     **{f"ensemble-grid-{i}": _mc_rate(_ENSEMBLE % g) for i, g in enumerate(_BAD_GRIDS)},
     **{f"case-grid-{i}": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "grid": %s}]}'
                                       % (ENT_STATE, MODEL_I, g))

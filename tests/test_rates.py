@@ -23,6 +23,7 @@ from tpspeckle import (
     compute_rate_curve,
     erf_complex,
     mean_photocount,
+    rate_closed_form,
     rate_coherent,
     rate_cross_mode,
     rate_entangled,
@@ -424,6 +425,19 @@ def test_dimensionless_args(crystal, pump_s2, entangled_s2):
     assert args.w == pytest.approx(1.5)
     args = DimensionlessArgs.from_state(FockState(100.0, 2.0), "cw-limit", tau=0.5)
     assert math.isinf(args.w)
+
+
+@pytest.mark.parametrize("model", ["II", "cw", None])
+def test_model_must_be_a_model_or_cw_limit(entangled_s2, model):
+    # only ModelI, ModelII and "cw-limit" name a correlation model: any
+    # other value must not pass silently for the flat-transmission limit
+    with pytest.raises(TypeError):
+        DimensionlessArgs.from_state(entangled_s2, model, 0.0)
+    with pytest.raises(TypeError):
+        rate_closed_form(entangled_s2, model, 0.0)
+    for method in ("closed-form", "quadrature"):
+        with pytest.raises(TypeError):
+            compute_rate_curve(entangled_s2, model, [0.0, 0.5], method=method)
 
 
 # --- visibility
