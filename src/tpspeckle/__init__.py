@@ -42,7 +42,6 @@ from .montecarlo import (
     mc_correlator_batch,
     mc_correlator_cross_mode,
     mc_default_grid,
-    mc_estimate_rows,
     mc_mean_photocount,
     rate_correlation_relation,
     sample_transmission,

@@ -22,15 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .correlation import FrequencyGrid, ModelI, model_from_config, model_to_config
+from .correlation import model_from_config, model_to_config
 from .errors import NonFiniteValueError, TpspeckleError
-from .montecarlo import (
-    EnsembleConfig,
-    ensemble_config_from_json,
-    mc_correlator,
-    mc_default_grid,
-    mc_estimate_rows,
-)
+from .montecarlo import ensemble_config_from_json, mc_correlator, mc_correlator_batch
 from .rates import (
     CW_LIMIT,
     DimensionlessArgs,
@@ -224,12 +218,9 @@ def cmd_rate(args) -> int:
         if args.method != "closed-form" and model == CW_LIMIT:
             raise ConfigError(f"{args.method} needs a concrete correlation model")
         if args.method == "monte-carlo":
-            grid = mc_default_grid(state, model)
-            if args.ensemble is not None:
-                ens = ensemble_config_from_json(_load_json(args.ensemble), default_center=grid.center)
-            else:
-                ens = EnsembleConfig(grid=grid, model=model, t_bar=0.01, n_realizations=10_000, seed=args.seed)
-    taus = np.linspace(args.tau_min, args.tau_max, args.tau_n)
+            spec = {} if args.ensemble is None else _load_json(args.ensemble)
+            ens = ensemble_config_from_json(spec, state=state, model=model, seed=args.seed)
+    taus = np.linspace(args.tau_min, args.tau_max, args.tau_n).tolist()
     config = {
         "state": state_to_config(state),
         "model": "cw" if model == CW_LIMIT else model_to_config(model),
@@ -238,14 +229,10 @@ def cmd_rate(args) -> int:
     }
 
     if args.method == "monte-carlo":
-        config["ensemble"] = {
-            "grid": {"center": ens.grid.center, "half_width": ens.grid.half_width, "n": ens.grid.n},
-            "model": model_to_config(ens.model),
-            "t_bar": ens.t_bar,
-            "n_realizations": ens.n_realizations,
-            "seed": ens.seed,
-        }
-        columns, rows = ["tau", "mean", "std_error", "n", "seed"], mc_estimate_rows(state, ens, taus.tolist())
+        config["ensemble"] = ens.to_json()
+        estimates = mc_correlator_batch(state, ens, taus)
+        columns = ["tau", "mean", "std_error", "n", "seed"]
+        rows = [(tau, e.mean, e.std_error, e.n, ens.seed) for tau, e in zip(taus, estimates)]
     else:
         curve = compute_rate_curve(state, model, taus, method=args.method)
         columns, rows = ["tau", "r"], zip(curve.taus.tolist(), curve.rs.tolist())
@@ -413,31 +400,19 @@ def _default_mc_cases() -> List[dict]:
     return cases
 
 
-def _mc_case_grid(state: StateSpec, model, cfg: dict) -> FrequencyGrid:
-    if "grid" in cfg:
-        g = cfg["grid"]
-        center = g.get("center")
-        if center is None:
-            center = state.omega_bar if isinstance(state, (FockState, CoherentState)) else state.pump.omega_bar
-        return FrequencyGrid(float(center), float(g["half_width"]), g["n"])
-    return mc_default_grid(state, model, n=128)
-
-
 def cmd_mc_validate(args) -> int:
     with _config_boundary("mc-validate"):
         cfg = _load_json(args.config)
         seed = int(cfg.get("seed", args.seed))
-        t_bar = float(cfg.get("t_bar", 0.01))
-        n_real = int(cfg.get("n_realizations", 10_000))
+        shared = {key: cfg[key] for key in ("t_bar", "n_realizations") if key in cfg}
         cases = cfg.get("cases") or _default_mc_cases()
         runs = []
         for idx, case in enumerate(cases):
             state = state_from_config(case["state"])
-            model = model_from_config(case["model"])
-            if not isinstance(model, ModelI):
-                raise ConfigError("mc-validate compares against Model I closed forms only")
-            grid = _mc_case_grid(state, model, case)
-            ens = EnsembleConfig(grid=grid, model=model, t_bar=t_bar, n_realizations=n_real, seed=seed + idx)
+            spec = dict(shared, grid=case["grid"]) if "grid" in case else shared
+            ens = ensemble_config_from_json(
+                spec, state=state, model=model_from_config(case["model"]), seed=seed + idx
+            )
             runs.append((state, ens, _finite(case.get("tau", 0.0))))
 
     rows = []
@@ -452,7 +427,8 @@ def cmd_mc_validate(args) -> int:
             [state_to_config(state)["state"], idx, tau, dims.t, dims.s, dims.w,
              closed, est.mean, est.std_error, est.n, z]
         )
-    config = {"seed": seed, "t_bar": t_bar, "n_realizations": n_real, "cases": cases}
+    first = runs[0][1]  # every case shares t_bar and n_realizations
+    config = {"seed": seed, "t_bar": first.t_bar, "n_realizations": first.n_realizations, "cases": cases}
     write_csv(
         args.out,
         _header("mc-validate", config),
@@ -501,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, required=True)
     p.add_argument("--tau-n", type=int, required=True)
     p.add_argument("--method", choices=["closed-form", "quadrature", "monte-carlo"], default="closed-form")
-    p.add_argument("--ensemble", default=None, help="EnsembleConfig JSON (monte-carlo method)")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--ensemble", default=None, help="ensemble JSON (monte-carlo method), every key optional")
+    p.add_argument("--seed", type=int, default=default_seed, help='monte-carlo seed unless --ensemble gives "seed"')
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rate)
 

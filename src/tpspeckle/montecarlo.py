@@ -21,9 +21,11 @@ so no time grid exists; everything lives on the frequency grid.
 
 Every estimator runs through one chunked ensemble pass (``_ensemble``):
 per chunk of realizations it draws ``(t_o, t_e)`` for each output mode
-and hands them to a per-realization function.  The same-mode and
-cross-mode correlators share one pair estimator of two modes' draws (the
-same-mode call passes mode 0 twice); they differ only in the norm.
+(``_draws``) and hands them to a per-realization function, which reads
+the operators ``_operators`` builds once per state and grid.  The
+same-mode and cross-mode correlators share one pair estimator of two
+modes' draws (the same-mode call passes mode 0 twice); they differ only
+in the norm.
 
 The transmissions do not depend on the delay, so a rate curve takes one
 draw per curve: ``mc_correlator_batch`` draws each chunk once and
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,6 +60,7 @@ from .correlation import (
     ModelI,
     covariance_factor,
     model_from_config,
+    model_to_config,
 )
 from .errors import InsufficientRealizationsError
 from .states import (
@@ -66,11 +69,10 @@ from .states import (
     FockState,
     StateSpec,
     SymmetrizedState,
-    biphoton_norm_closed_form,
     grid_amplitude_matrix,
     grid_envelope,
 )
-from .states import _grid_mass, _theta_norm_denominator
+from .states import _continuum_norm, _grid_mass
 
 __all__ = [
     "EnsembleConfig",
@@ -79,7 +81,6 @@ __all__ = [
     "BeamSplitterReport",
     "mc_default_grid",
     "ensemble_config_from_json",
-    "mc_estimate_rows",
     "sample_transmission",
     "mc_correlator",
     "mc_correlator_batch",
@@ -103,7 +104,7 @@ class EnsembleConfig:
 
     grid: FrequencyGrid
     model: CorrelationModel
-    t_bar: float
+    t_bar: float = 0.01
     n_realizations: int = 10_000
     seed: int = 0
 
@@ -117,6 +118,10 @@ class EnsembleConfig:
         if self.grid.n < 8:
             raise ValueError("ensemble grids need n >= 8 points")
 
+    def to_json(self) -> dict:
+        """The wire format of this ensemble; ``ensemble_config_from_json`` reads it back."""
+        return {**asdict(self), "model": model_to_config(self.model)}
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -125,32 +130,41 @@ class McEstimate:
     n: int
 
 
-def ensemble_config_from_json(cfg, default_center: float = 0.0) -> EnsembleConfig:
-    """Parse the JSON wire format:
+def ensemble_config_from_json(
+    cfg, default_center: float = 0.0, *, state=None, model=None, seed: int = 0
+) -> EnsembleConfig:
+    """Parse ``{"grid": {"center", "half_width", "n"}, "model", "t_bar", "n_realizations", "seed"}``.
 
-    {"grid": {"center", "half_width", "n"}, "model": {"model", "scale"},
-     "t_bar", "n_realizations", "seed"}
+    Given the run's ``state`` and ``model`` every key is optional: grid
+    ``mc_default_grid(state, model)`` (a given grid is centered on the
+    state), the run's model (another raises ``ValueError``), seed
+    ``seed``, and ``EnsembleConfig``'s ``t_bar`` and ``n_realizations``.
+    Any other key raises ``ValueError``, so a misspelt one cannot fall back
+    to its default.
     """
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
-    g = cfg["grid"]
-    grid = FrequencyGrid(float(g.get("center", default_center)), float(g["half_width"]), g["n"])
+    if not set(cfg) <= {"grid", "model", "t_bar", "n_realizations", "seed"}:
+        raise ValueError(f"unknown ensemble key among {sorted(cfg)}")
+    if model is None or "model" in cfg:
+        given = model_from_config(cfg["model"])
+        if model is not None and given != model:
+            raise ValueError(f"ensemble model {given!r} differs from the run's model {model!r}")
+        model = given
+    grid = None if state is None else mc_default_grid(state, model)
+    if grid is None or "grid" in cfg:
+        g = cfg["grid"]
+        if not set(g) <= {"center", "half_width", "n"}:
+            raise ValueError(f"unknown ensemble grid key among {sorted(g)}")
+        center = g.get("center", default_center if grid is None else grid.center)
+        grid = FrequencyGrid(float(center), float(g["half_width"]), g["n"])
     return EnsembleConfig(
         grid=grid,
-        model=model_from_config(cfg["model"]),
-        t_bar=float(cfg["t_bar"]),
-        n_realizations=int(cfg.get("n_realizations", 10_000)),
-        seed=int(cfg.get("seed", 0)),
+        model=model,
+        t_bar=float(cfg.get("t_bar", EnsembleConfig.t_bar)),
+        n_realizations=int(cfg.get("n_realizations", EnsembleConfig.n_realizations)),
+        seed=int(cfg.get("seed", seed)),
     )
-
-
-def mc_estimate_rows(state: StateSpec, cfg: EnsembleConfig, taus) -> list:
-    """CSV-ready rows (tau, mean, std_error, n, seed) for a tau sweep."""
-    taus = [float(tau) for tau in taus]
-    return [
-        (tau, est.mean, est.std_error, est.n, cfg.seed)
-        for tau, est in zip(taus, mc_correlator_batch(state, cfg, taus))
-    ]
 
 
 class RateRelation(NamedTuple):
@@ -201,14 +215,17 @@ def sample_transmission(
     Deterministic in (seed, realization_index, mode index); every vector is
     an independent draw with covariance ``t_bar * C(w_m - w_n)``.
     """
+    draws = _draws(cfg, mode_count, range(realization_index, realization_index + 1))
+    return np.array([o[:, 0] for o, _ in draws]), np.array([e[:, 0] for _, e in draws])
+
+
+def _draws(cfg: EnsembleConfig, modes: int, block: range) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(t_o, t_e)`` of each output mode, each (grid.n, len(block))."""
     L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
-    block = range(realization_index, realization_index + 1)
-    t_o = np.empty((mode_count, cfg.grid.n), dtype=complex)
-    t_e = np.empty((mode_count, cfg.grid.n), dtype=complex)
-    for m in range(mode_count):
-        t_o[m] = _draw_block(L, cfg.seed, 2 * m, block)[:, 0]
-        t_e[m] = _draw_block(L, cfg.seed, 2 * m + 1, block)[:, 0]
-    return t_o, t_e
+    return [
+        (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
+        for m in range(modes)
+    ]
 
 
 def _ensemble(
@@ -217,15 +234,10 @@ def _ensemble(
     """``rows`` values per realization, shape (rows, n_realizations):
     ``per_block((t_o, t_e) of mode 0, ...)`` over chunks of ``_CHUNK``
     realizations, each array of shape (grid.n, chunk)."""
-    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
     values = np.empty((rows, cfg.n_realizations))
     for start in range(0, cfg.n_realizations, _CHUNK):
         block = range(start, min(start + _CHUNK, cfg.n_realizations))
-        draws = [
-            (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
-            for m in range(modes)
-        ]
-        values[:, block.start : block.stop] = per_block(*draws)
+        values[:, block.start : block.stop] = per_block(*_draws(cfg, modes, block))
     return values
 
 
@@ -245,22 +257,36 @@ def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
     return est
 
 
-def _pair_estimator(state: StateSpec, grid: FrequencyGrid, taus: Sequence[float]):
-    """Per-realization <:n_i n_j:> (before the t_bar norm) at every tau, shape
-    (len(taus), chunk), as a function of the draws ``(t_o, t_e)`` of modes i
-    and j; pass one mode twice for i = j.
+def _operators(state: StateSpec, grid: FrequencyGrid) -> dict:
+    """What every estimator of ``state`` on ``grid`` reads: ``a2w`` = a^2 w (coherent), or
+    ``m_direct`` = |B|^2 w_m w_n and ``g_t`` = B(w_n, w_m) B*(w_m, w_n) w_m w_n.
 
-    For the two-photon states the direct kernel uses the on-grid norm (its
-    disorder mean is then exactly 2 t_bar^2).  For the sinc-tailed states
-    the exchange kernel is rescaled by (grid norm)/(continuum norm): the
-    grid clips a 1/(pi Y) fraction of the |B|^2 mass that the exchange
-    integral, damped by |C|^2, does not lose, and without the rescaling the
-    estimator would carry a systematic +1/(pi Y) relative bias on R - 1.
+    The direct kernel uses the on-grid norm (its disorder mean is then
+    exactly 2 t_bar^2).  For the sinc-tailed states the exchange kernel is
+    rescaled by (grid norm)/(continuum norm): the grid clips a 1/(pi Y)
+    fraction of the |B|^2 mass that the exchange integral, damped by
+    |C|^2, does not lose, and without the rescaling the estimator would
+    carry a systematic +1/(pi Y) relative bias on R - 1.
     """
     wts = grid.trapezoid_weights()
     if isinstance(state, CoherentState):
         env = grid_envelope(state, grid)
-        a2w = env * env * wts
+        return {"a2w": env * env * wts}
+    b = grid_amplitude_matrix(state, grid, check="none")
+    ww = np.outer(wts, wts)
+    m_direct = (np.abs(b) ** 2) * ww
+    g_exch = (b * np.conj(b.T)) * ww
+    if isinstance(state, (EntangledState, SymmetrizedState)):
+        g_exch = g_exch * (_grid_mass(state, grid)[0] / _continuum_norm(state))
+    return {"m_direct": m_direct, "g_t": g_exch.T.copy()}
+
+
+def _pair_estimator(ops: dict, grid: FrequencyGrid, taus: Sequence[float]):
+    """Per-realization <:n_i n_j:> (before the t_bar norm) at every tau, shape
+    (len(taus), chunk), as a function of the draws ``(t_o, t_e)`` of modes i
+    and j; pass one mode twice for i = j."""
+    if "a2w" in ops:
+        a2w = ops["a2w"]
         phases = [np.exp(-1j * grid.axis() * tau)[:, None] for tau in taus]
 
         def intensity(mode, phase):
@@ -276,16 +302,7 @@ def _pair_estimator(state: StateSpec, grid: FrequencyGrid, taus: Sequence[float]
 
         return coherent_pair
 
-    b = grid_amplitude_matrix(state, grid, check="none")
-    ww = np.outer(wts, wts)
-    m_direct = (np.abs(b) ** 2) * ww
-    g_exch = (b * np.conj(b.T)) * ww
-    if isinstance(state, (EntangledState, SymmetrizedState)):
-        n_exact = biphoton_norm_closed_form(state.pump, state.crystal)
-        if isinstance(state, SymmetrizedState):
-            n_exact *= _theta_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
-        g_exch = g_exch * (_grid_mass(state, grid)[0] / n_exact)
-    g_t = g_exch.T.copy()
+    m_direct, g_t = ops["m_direct"], ops["g_t"]
     phases = [np.exp(1j * grid.axis() * tau)[:, None] for tau in taus]
 
     def pair(mode_i, mode_j):
@@ -325,10 +342,11 @@ def mc_correlator_batch(
     # delta_ij = 0 across modes: no indistinguishability factor
     norm = cfg.t_bar**2 if cross_mode else 2.0 * cfg.t_bar**2
     group_size = max(1, _VALUE_BUDGET // cfg.n_realizations)
+    ops = _operators(state, cfg.grid)
     estimates = []
     for lo in range(0, len(taus), group_size):
         group = taus[lo : lo + group_size]
-        pair = _pair_estimator(state, cfg.grid, group)
+        pair = _pair_estimator(ops, cfg.grid, group)
         if cross_mode:
             values = _ensemble(cfg, 2, lambda mode_i, mode_j: pair(mode_i, mode_j) / norm, len(group))
         else:
@@ -359,15 +377,11 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
 
     Converges to 2 for every supported state.
     """
-    wts = cfg.grid.trapezoid_weights()
-    if isinstance(state, CoherentState):
-        rho_o = rho_e = grid_envelope(state, cfg.grid) ** 2
-    else:
-        b2 = np.abs(grid_amplitude_matrix(state, cfg.grid, check="none")) ** 2
-        rho_o = b2 @ wts
-        rho_e = b2.T @ wts
-    wo = wts * rho_o
-    we = wts * rho_e
+    ops = _operators(state, cfg.grid)
+    if "a2w" in ops:
+        wo = we = ops["a2w"]
+    else:  # the weighted marginals of |B|^2
+        wo, we = ops["m_direct"].sum(axis=1), ops["m_direct"].sum(axis=0)
 
     def photocount(mode):
         t_o, t_e = mode

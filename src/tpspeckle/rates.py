@@ -65,9 +65,9 @@ from .states import (
     SymmetrizedState,
     EDGE_MASS_BUDGET,
     NORM_DEGENERACY_FLOOR,
+    _continuum_norm,
     _edge_fraction,
     _theta_norm_denominator,
-    biphoton_norm_closed_form,
 )
 
 __all__ = [
@@ -292,9 +292,13 @@ def _integrate_reduced(kernel, t: float, w: float, s: float, kind: str) -> float
     return float(fine.sum())
 
 
-def _check_w(w: float):
-    if not w > 0:
-        raise ValueError("w must be > 0")
+def _check_args(w: float, kind: str, zero_ok: bool = False) -> None:
+    """The one argument check of the reduced forms: w in (0, inf], or in
+    [0, inf] with ``zero_ok``, and ``kind`` "I" or "II"; else ``ValueError``."""
+    if not (w >= 0.0 if zero_ok else w > 0.0):
+        raise ValueError(f"w must lie in {'[' if zero_ok else '('}0, inf], got {w!r}")
+    if kind not in ("I", "II"):
+        raise ValueError(f'kind must be "I" or "II", got {kind!r}')
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +324,9 @@ def rate_entangled(t: float, s: float, w: float, kind: str = "I") -> float:
     """Entangled-state rate at dimensionless (t, s, w) for model ``kind``."""
     if s < 0:
         raise ValueError("s must be >= 0")
+    _check_args(w, kind)
     if math.isinf(w):
         return rate_entangled_cw_limit(t, s)
-    _check_w(w)
     return 1.0 + _integrate_reduced(lambda x: _i_kernel(s, x), t, w, s, kind)
 
 
@@ -358,15 +362,13 @@ def _gauss_kernel_avg(t: float, w: float, kind: str) -> float:
 
 def rate_fock(t: float, w: float, kind: str = "I") -> float:
     """Fock-state rate; bounded in [1, 2], Gaussian-smooth at t = 0."""
-    if not (w > 0 or math.isinf(w)):
-        raise ValueError("w must be > 0")
+    _check_args(w, kind)
     return 1.0 + _gauss_kernel_avg(t, w, kind)
 
 
 def rate_coherent(t: float, w: float, kind: str = "I") -> float:
     """Coherent-state rate; bounded in [2, 4], tail value 2 + erfcx(sqrt2/w)."""
-    if w < 0:
-        raise ValueError("w must be >= 0")
+    _check_args(w, kind, zero_ok=True)
     if w == 0.0:
         return 2.0
     return 2.0 + _gauss_kernel_avg(0.0, w, kind) + _gauss_kernel_avg(t, w, kind)
@@ -400,8 +402,7 @@ def rate_theta(t: float, s: float, w: float, theta: float, kind: str = "I", allo
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if not (w > 0 or math.isinf(w)):
-        raise ValueError("w must be > 0")
+    _check_args(w, kind)
     denom = _theta_norm_denominator(theta, s)
     if denom < 2.0 * NORM_DEGENERACY_FLOOR:
         if not allow_limit:
@@ -490,15 +491,24 @@ def _cos_tail_integral(f, a: float, freq: float) -> QuadratureResult:
     return QuadratureResult(*quad(f, a, np.inf, weight="cos", wvar=freq, limit=200))
 
 
-def _entangled_exchange_tail(pump, crystal, model, tau: float, d_half: float) -> QuadratureResult:
-    """|d| > d_half remainder of Int dp dd alpha^2 sinc(y+) sinc(y-) |C|^2 cos(d tau).
+def _entangled_exchange_tail(
+    pump, crystal, model, tau: float, d_half: float, theta: Optional[float] = None
+) -> QuadratureResult:
+    """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau).
 
-    The sinc product at large |d| is -2[cos(eta_- d) - cos(eta_+ p)] /
-    (eta_- d)^2 to leading order; the pump integral is then analytic and
-    the remainder collapses to one-dimensional cosine integrals.  Without
-    this term, an undamped kernel (|C| ~ 1) loses a 1/(pi Y) fraction of
-    the exchange mass, Y = |eta_-| d_half / 2.  The error is the
-    propagated sum of the QUADPACK estimates.
+    X is the entangled sinc product s_+ s_-, s_pm = sinc(y_pm), or, given
+    ``theta``, the symmetrized exchange 2 s_+ s_- + e^{i theta} s_+^2 +
+    e^{-i theta} s_-^2.  To leading order at large |d|,
+    s_+ s_- = -2[cos(eta_- d) - cos(eta_+ p)] / (eta_- d)^2 and
+    s_pm^2 = 2[1 - cos(eta_+ p +- eta_- d)] / (eta_- d)^2; the pump
+    integral is then analytic and the remainder collapses to the cosine
+    integrals F (at tau) and O_pm (at eta_- +- tau) of |C|^2 / d^2:
+    S [D F - (O_+ + O_-)/2] for the entangled pair and
+    2 S [(D + cos theta) F - (1 + D cos theta)(O_+ + O_-)/2] for the
+    symmetrized one, D = exp(-s^2/4).  Without this term, an undamped
+    kernel (|C| ~ 1) loses a 1/(pi Y) fraction of the exchange mass,
+    Y = |eta_-| d_half / 2.  The error is the sum of the QUADPACK
+    estimates weighted by the absolute coefficients.
     """
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
@@ -511,9 +521,13 @@ def _entangled_exchange_tail(pump, crystal, model, tau: float, d_half: float) ->
     osc_minus = _cos_tail_integral(csq_over_d2, d_half, eta_m - tau)
     scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
     damp = math.exp(-0.25 * s * s)
+    if theta is None:
+        a, b = damp, 1.0
+    else:
+        a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
     return QuadratureResult(
-        value=scale * (damp * flat.value - 0.5 * (osc_plus.value + osc_minus.value)),
-        error=scale * (damp * flat.error + 0.5 * (osc_plus.error + osc_minus.error)),
+        value=scale * (a * flat.value - b * 0.5 * (osc_plus.value + osc_minus.value)),
+        error=scale * (abs(a) * flat.error + abs(b) * 0.5 * (osc_plus.error + osc_minus.error)),
     )
 
 
@@ -553,13 +567,19 @@ def rate_numeric_batch(
     The delay enters only through a phase of d, so the field G(p, d) (the
     integrand without that phase) is built and edge-checked once, and
     reduced over p once per Richardson stride; each tau then costs O(n)
-    plus, for the entangled state, its exchange tail.
+    plus, for the entangled and symmetrized states, the analytic exchange
+    tail beyond the d axis.  Their d axis resolves both the delay phase
+    tau d and the sinc arguments eta_- d / 2: one cell spans at most
+    0.7 rad of ``max(|eta_-|, max |tau|) d``, so the axis follows the
+    batch's largest |tau|, and a one-tau call past |tau| = |eta_-| runs on
+    its own axis.
 
     Returns one ``QuadratureResult(value, error)`` per tau and raises
     ``QuadratureNotConvergedError`` when a tau's Richardson error estimate
     exceeds ``tolerance``, or ``GridTooNarrowError`` when the outermost
     cells carry more than 1e-6 of the integrand mass.
     """
+    taus = [float(tau) for tau in taus]
     two_photon = not isinstance(state, CoherentState)
     if isinstance(state, (FockState, CoherentState)):
         if points is None:
@@ -574,11 +594,11 @@ def rate_numeric_batch(
             points = 1537
         if state.pump.sigma <= 0:
             raise ValueError("rate_numeric needs sigma > 0; use the cw closed forms")
-        eta_m = abs(state.crystal.eta_minus)
+        phase_rate = max([abs(state.crystal.eta_minus)] + [abs(tau) for tau in taus])
         omega_bar = state.pump.omega_bar
         p_half = 8.0 * state.pump.sigma
         n_probe = _round_to_4k1(points if grid is None else grid.n)
-        resolution_cap = 0.35 * (n_probe - 1) / eta_m
+        resolution_cap = 0.35 * (n_probe - 1) / phase_rate
         d_half = min(_model_d_support(model), resolution_cap)
 
     if grid is not None:
@@ -608,14 +628,11 @@ def rate_numeric_batch(
         alpha2 = np.exp(-((p / pump.sigma) ** 2))
         s_plus = sinc(0.5 * (crystal.eta_plus * p[:, None] + crystal.eta_minus * d[None, :]))
         s_minus = sinc(0.5 * (crystal.eta_plus * p[:, None] - crystal.eta_minus * d[None, :]))
-        n_raw = biphoton_norm_closed_form(pump, crystal)
+        denom = _continuum_norm(state)
         if isinstance(state, EntangledState):
             exchange = s_plus * s_minus  # real: G stays a real array
-            denom = n_raw
         else:
             theta = state.theta
-            s_dimless = abs(pump.sigma * crystal.eta_plus)
-            denom = n_raw * _theta_norm_denominator(theta, s_dimless)
             exchange = (
                 2.0 * s_plus * s_minus
                 + np.exp(1j * theta) * s_plus**2
@@ -636,9 +653,11 @@ def rate_numeric_batch(
         s1, s2, s4 = (complex((h * phase[::k]) @ wd) for k, h, wd in reductions)
         r1 = (4.0 * s1 - s2) / 3.0
         err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0
-        # analytic |d| > d_half remainder (entangled exchange only)
+        # analytic |d| > d_half remainder of the sinc-tailed exchange term
         if isinstance(state, EntangledState):
             tail = _entangled_exchange_tail(state.pump, state.crystal, model, tau, d_half)
+        elif isinstance(state, SymmetrizedState):
+            tail = _entangled_exchange_tail(state.pump, state.crystal, model, tau, d_half, state.theta)
         else:
             tail = QuadratureResult(0.0, 0.0)
         numerator = numerator_scale * (r1.real + tail.value)

@@ -223,6 +223,14 @@ def _theta_norm_denominator(theta: float, s: float) -> float:
     return 2.0 * (one_minus_erf_ratio(s) + (1.0 + math.cos(theta)) * erf_ratio(s))
 
 
+def _continuum_norm(state: Union[EntangledState, SymmetrizedState]) -> float:
+    """Infinite-plane norm of a sinc-tailed state's unnormalized amplitude."""
+    norm = biphoton_norm_closed_form(state.pump, state.crystal)
+    if isinstance(state, SymmetrizedState):
+        norm *= _theta_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
+    return norm
+
+
 def symmetrized_norm_sq(theta: float, s: float) -> float:
     """|K_theta|^2 = 1/2 / [1 + cos(theta) * Erf(s/2) * sqrt(pi)/s], s = sigma*eta_plus.
 
@@ -334,8 +342,11 @@ def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "s
 
     ``check="none"`` skips the outermost-cell mass guard; callers whose own
     kernels damp the grid edges (the Monte Carlo oracle) use it and own the
-    resulting truncation error.  Normalization is always on-grid.
+    resulting truncation error.  Any other value than ``"strict"`` or
+    ``"none"`` raises ``ValueError``.  Normalization is always on-grid.
     """
+    if check not in ("strict", "none"):
+        raise ValueError(f'check must be "strict" or "none", got {check!r}')
     if isinstance(state, CoherentState):
         raise TypeError("coherent state has no two-photon amplitude; use grid_envelope")
     if isinstance(state, FockState):

@@ -34,6 +34,7 @@ from tpspeckle import (
     rate_entangled_cw_limit,
     rate_fock,
     rate_numeric,
+    rate_numeric_batch,
     rate_theta,
     sample_transmission,
     visibility,
@@ -170,6 +171,38 @@ def test_criterion_4_closed_form_vs_quadrature():
     assert runs == 108
     assert worst < tol
     _report("4 (closed form vs quadrature)", f"max |diff| = {worst:.2e} over 108 runs < 1e-6")
+
+
+def test_criterion_4_model_ii_closed_form_vs_quadrature():
+    # the 108 points of criterion 4 under Model II, one quadrature batch per (state, s, w)
+    tol = 1e-6
+    worst = 0.0
+    runs = 0
+    ts = (0.0, 0.7, 1.6)
+    for s in (0.5, 2.0, 4.0):
+        for w in (0.3, 1.0, 3.0):
+            got = rate_numeric_batch(_entangled(s), ModelII(omega_th=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate_entangled(t, s, w, "II")))
+                runs += 1
+    for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
+        for w in (0.3, 1.0, 3.0):
+            got = rate_numeric_batch(_symmetrized(s, theta), ModelII(omega_th=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate_theta(t, s, w, theta, "II")))
+                runs += 1
+
+    ts = (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0)
+    for state, rate in ((FockState(OMEGA_BAR, 1.0), rate_fock), (CoherentState(OMEGA_BAR, 1.0), rate_coherent)):
+        for w in (0.3, 1.0, 3.0):
+            got = rate_numeric_batch(state, ModelII(omega_th=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate(t, w, "II")))
+                runs += 1
+
+    assert runs == 108
+    assert worst < tol
+    _report("4 (Model II closed form vs quadrature)", f"max |diff| = {worst:.2e} over 108 runs < 1e-6")
 
 
 def _mc_sweep_cases():

@@ -66,6 +66,16 @@ def test_rate_command_cw_model(tmp_path):
     assert data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rate_quadrature_model_ii_past_eta_minus(tmp_path):
+    # the d axis follows the curve's largest |tau|, here 3 against |eta_-| = 1
+    args = ["rate", "--state", ENT_STATE, "--model", '{"model": "II", "scale": 1.0}',
+            "--tau-min", "-3", "--tau-max", "3", "--tau-n", "13"]
+    quad, closed = tmp_path / "q.csv", tmp_path / "c.csv"
+    assert main(args + ["--method", "quadrature", "--out", str(quad)]) == 0
+    assert main(args + ["--out", str(closed)]) == 0
+    np.testing.assert_allclose(read_curve_csv(str(quad))[1], read_curve_csv(str(closed))[1], rtol=0, atol=1e-6)
+
+
 def test_rate_command_bad_state_exits_2(tmp_path):
     rc = main(
         ["rate", "--state", '{"state": "nope"}', "--model", MODEL_I,
@@ -275,20 +285,18 @@ def test_mc_validate_detects_corruption(tmp_path, monkeypatch):
     assert main(["mc-validate", "--config", json.dumps(MC_CONFIG), "--out", str(out)]) == 4
 
 
-def test_mc_validate_rejects_model_ii(tmp_path, monkeypatch):
-    # the case is rejected while the config is parsed, before any ensemble is drawn
-    def no_draws(*args, **kwargs):
-        raise AssertionError("Monte Carlo ran before the config check")
-
-    monkeypatch.setattr(cli, "mc_correlator", no_draws)
+def test_mc_validate_model_ii_reports_z(tmp_path):
+    # Model II cases run like Model I ones and are compared with the Model II closed forms
     cfg = dict(MC_CONFIG)
-    cfg["cases"] = [
-        {
-            "state": {"state": "fock", "omega_bar": 100.0, "delta": 1.0},
-            "model": {"model": "II", "scale": 1.0},
-        }
-    ]
-    assert main(["mc-validate", "--config", json.dumps(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    cfg["cases"] = [{**case, "model": {"model": "II", "scale": 1.0}} for case in MC_CONFIG["cases"]]
+    out = tmp_path / "mc2.csv"
+    assert main(["mc-validate", "--config", json.dumps(cfg), "--out", str(out)]) == 0
+    names, data = read_curve_csv(str(out))
+    assert data.shape[0] == 2
+    closed = [cli.rate_fock(0.0, 1.0, "II"), cli.rate_coherent(0.5, 1.0, "II")]
+    np.testing.assert_allclose(data[:, names.index("closed_form")], closed, rtol=1e-15)
+    z = data[:, names.index("z_score")]
+    assert np.all(np.isfinite(z)) and np.all(np.abs(z) <= 4.0)
 
 
 def test_mc_validate_std_error_scaling(tmp_path):
@@ -364,6 +372,41 @@ def test_rate_monte_carlo_csv_columns(tmp_path):
     assert data.shape == (3, 5)
     assert np.all(data[:, 3] == 400)
     assert np.all(data[:, 4] == 7)
+
+
+def test_rate_ensemble_without_seed_uses_seed_option(tmp_path):
+    from tpspeckle import EnsembleConfig, ModelI, mc_default_grid
+
+    out = tmp_path / "mc.csv"
+    rc = main(["rate", "--state", FOCK_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+               "--tau-n", "2", "--method", "monte-carlo", "--ensemble", '{"n_realizations": 40}',
+               "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    names, data = read_curve_csv(str(out))
+    assert np.all(data[:, names.index("seed")] == 5)
+    header = next(line for line in _read_bytes(out).decode().splitlines() if line.startswith("# config: "))
+    state = cli.state_from_config(FOCK_STATE)
+    model = ModelI(1.0)
+    expect = EnsembleConfig(grid=mc_default_grid(state, model), model=model, n_realizations=40, seed=5)
+    assert json.loads(header[len("# config: "):])["ensemble"] == expect.to_json()
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [{"t_bar": 0.01}, {"model": {"model": "I", "scale": 1.0}}, {"n_realizations": 10_000, "seed": 3},
+     {"grid": {"half_width": 8.0, "n": 128}}],
+    ids=["t_bar", "model", "realizations-seed", "grid"],
+)
+def test_partial_ensemble_equals_default(partial):
+    from tpspeckle import EnsembleConfig, ModelI, ensemble_config_from_json, mc_default_grid
+
+    state = cli.state_from_config(FOCK_STATE)
+    model = ModelI(1.0)
+    default = ensemble_config_from_json({}, state=state, model=model, seed=3)
+    assert default == EnsembleConfig(grid=mc_default_grid(state, model), model=model, seed=3)
+    assert default.grid.half_width == 8.0  # the "grid" case spells the default grid out
+    assert ensemble_config_from_json(partial, state=state, model=model, seed=3) == default
+    assert ensemble_config_from_json(default.to_json(), state=state, model=model, seed=0) == default
 
 
 def test_ensemble_config_json_roundtrip():
@@ -529,6 +572,12 @@ _BAD_CONFIGS = {
                             "--tau-n", "3"],
     "rate-quadrature-cw": ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "0", "--tau-max", "1",
                            "--tau-n", "2", "--method", "quadrature"],
+    "ensemble-key-misspelt": _mc_rate('{"grid": {"half_width": 8, "n": 64}, "model": {"model": "I", "scale": 1.0}, '
+                                      '"t_bar": 0.01, "n_realizations": 10, "seeds": 3}'),
+    "ensemble-grid-key-misspelt": _mc_rate(_ENSEMBLE % '{"centre": 99.0, "half_width": 8, "n": 64}'),
+    "ensemble-model-differs": ["rate", "--state", ENT_STATE, "--model", '{"model": "II", "scale": 1.0}',
+                               "--tau-min", "0", "--tau-max", "1", "--tau-n", "2", "--method", "monte-carlo",
+                               "--ensemble", _ENSEMBLE % '{"half_width": 8, "n": 64}'],
     **{f"ensemble-grid-{i}": _mc_rate(_ENSEMBLE % g) for i, g in enumerate(_BAD_GRIDS)},
     **{f"case-grid-{i}": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "grid": %s}]}'
                                       % (ENT_STATE, MODEL_I, g))

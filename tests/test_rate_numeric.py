@@ -78,6 +78,15 @@ def test_symmetrized_quadrature_matches_closed_form(theta):
         assert res.value == pytest.approx(closed, abs=1e-6)
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
+def test_symmetrized_exchange_tail(theta):
+    # omega_corr = 1e3 leaves |C|^2 ~ 1 past the d axis, so the analytic
+    # exchange tail carries about 1e-4 of the rate
+    state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
+    res = rate_numeric(state, ModelI(omega_corr=1e3), tau=0.0)
+    assert abs(res.value - rate_theta(0.0, 2.0, 1e3, theta)) < 1e-6
+
+
 def test_model_ii_quadrature_matches_reduced():
     state = _ent(2.0)
     for (t, w) in ((0.5, 0.5), (0.0, 1.0)):

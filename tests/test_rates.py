@@ -415,6 +415,32 @@ def test_classify_semiclassical():
 
 # --- dimensionless mapping
 
+_REDUCED_FORMS = {
+    "entangled": lambda w, kind: rate_entangled(0.5, 2.0, w, kind),
+    "fock": lambda w, kind: rate_fock(0.5, w, kind),
+    "coherent": lambda w, kind: rate_coherent(0.5, w, kind),
+    "theta": lambda w, kind: rate_theta(0.5, 2.0, w, 1.0, kind),
+}
+
+
+@pytest.mark.parametrize("name", list(_REDUCED_FORMS))
+def test_reduced_forms_check_w_and_kind(name):
+    rate = _REDUCED_FORMS[name]
+    for w in (-INF, math.nan, -1.0):
+        with pytest.raises(ValueError, match="w must lie in"):
+            rate(w, "I")
+    if name == "coherent":
+        assert rate(0.0, "I") == 2.0
+    else:
+        with pytest.raises(ValueError, match="w must lie in"):
+            rate(0.0, "I")
+    for kind in ("i", "ii", "cw", None):
+        for w in (1.0, INF):
+            with pytest.raises(ValueError, match="kind must be"):
+                rate(w, kind)
+    assert rate(INF, "II") == pytest.approx(rate(INF, "I"), abs=1e-12)
+
+
 def test_dimensionless_args(crystal, pump_s2, entangled_s2):
     args = DimensionlessArgs.from_state(entangled_s2, ModelI(omega_corr=2.0), tau=0.7)
     assert args.t == pytest.approx(0.7 / crystal.eta_minus)

@@ -208,6 +208,12 @@ def test_grid_amplitude_matrix_builds_once_per_call(monkeypatch, pump_s2, crysta
     assert np.array_equal(b, raw.astype(complex) / math.sqrt(total))
 
 
+@pytest.mark.parametrize("check", ["strict-ish", "None", "", None], ids=["misspelt", "None-string", "empty", "None"])
+def test_grid_amplitude_matrix_check_is_strict_or_none(entangled_s2, check):
+    with pytest.raises(ValueError, match="check must be"):
+        grid_amplitude_matrix(entangled_s2, FrequencyGrid(100.0, 8.0, 33), check=check)
+
+
 def test_biphoton_not_exchange_symmetric(pump_s2, crystal):
     grid = default_grid(EntangledState(pump_s2, crystal))
     a = biphoton_amplitude(100.8, 99.5, pump_s2, crystal, grid)
