@@ -20,12 +20,10 @@ Sampling-time integrals are already the infinite-window delta functions,
 so no time grid exists; everything lives on the frequency grid.
 
 Every estimator runs through one chunked ensemble pass (``_ensemble``):
-per chunk of realizations it draws ``(t_o, t_e)`` for each output mode
-(``_draws``) and hands them to a per-realization function, which reads
-the operators ``_operators`` builds once per state and grid.  The
+per chunk it draws ``(t_o, t_e)`` for each output mode (``_draws``) and
+hands them to a per-realization function reading ``_operators``.  The
 same-mode and cross-mode correlators share one pair estimator of two
-modes' draws (the same-mode call passes mode 0 twice); they differ only
-in the norm.
+modes' draws (mode 0 twice for same-mode); they differ only in the norm.
 
 The transmissions do not depend on the delay, so a rate curve takes one
 draw per curve: ``mc_correlator_batch`` draws each chunk once and
@@ -130,34 +128,29 @@ class McEstimate:
     n: int
 
 
-def ensemble_config_from_json(
-    cfg, default_center: float = 0.0, *, state=None, model=None, seed: int = 0
-) -> EnsembleConfig:
+def ensemble_config_from_json(cfg, *, state: StateSpec, model: CorrelationModel, seed: int) -> EnsembleConfig:
     """Parse ``{"grid": {"center", "half_width", "n"}, "model", "t_bar", "n_realizations", "seed"}``.
 
-    Given the run's ``state`` and ``model`` every key is optional: grid
-    ``mc_default_grid(state, model)`` (a given grid is centered on the
-    state), the run's model (another raises ``ValueError``), seed
-    ``seed``, and ``EnsembleConfig``'s ``t_bar`` and ``n_realizations``.
-    Any other key raises ``ValueError``, so a misspelt one cannot fall back
-    to its default.
+    Every key is optional: grid ``mc_default_grid(state, model)`` (a given
+    grid without ``center`` is centered on the state), the run's ``model``
+    (another raises ``ValueError``), seed ``seed``, and ``EnsembleConfig``'s
+    ``t_bar`` and ``n_realizations``.  Any other key raises ``ValueError``,
+    so a misspelt one cannot fall back to its default.
     """
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
     if not set(cfg) <= {"grid", "model", "t_bar", "n_realizations", "seed"}:
         raise ValueError(f"unknown ensemble key among {sorted(cfg)}")
-    if model is None or "model" in cfg:
+    if "model" in cfg:
         given = model_from_config(cfg["model"])
-        if model is not None and given != model:
+        if given != model:
             raise ValueError(f"ensemble model {given!r} differs from the run's model {model!r}")
-        model = given
-    grid = None if state is None else mc_default_grid(state, model)
-    if grid is None or "grid" in cfg:
+    grid = mc_default_grid(state, model)
+    if "grid" in cfg:
         g = cfg["grid"]
         if not set(g) <= {"center", "half_width", "n"}:
             raise ValueError(f"unknown ensemble grid key among {sorted(g)}")
-        center = g.get("center", default_center if grid is None else grid.center)
-        grid = FrequencyGrid(float(center), float(g["half_width"]), g["n"])
+        grid = FrequencyGrid(float(g.get("center", grid.center)), float(g["half_width"]), g["n"])
     return EnsembleConfig(
         grid=grid,
         model=model,
@@ -257,9 +250,15 @@ def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
     return est
 
 
-def _operators(state: StateSpec, grid: FrequencyGrid) -> dict:
-    """What every estimator of ``state`` on ``grid`` reads: ``a2w`` = a^2 w (coherent), or
-    ``m_direct`` = |B|^2 w_m w_n and ``g_t`` = B(w_n, w_m) B*(w_m, w_n) w_m w_n.
+class _Operators(NamedTuple):  # what the estimators read; None where it does not apply
+    a2w: Optional[np.ndarray] = None
+    m_direct: Optional[np.ndarray] = None
+    g_t: Optional[np.ndarray] = None
+
+
+def _operators(state: StateSpec, grid: FrequencyGrid) -> _Operators:
+    """``a2w`` = a^2 w, or ``m_direct`` = |B|^2 w_m w_n and ``g_t`` =
+    B(w_n, w_m) B*(w_m, w_n) w_m w_n.
 
     The direct kernel uses the on-grid norm (its disorder mean is then
     exactly 2 t_bar^2).  For the sinc-tailed states the exchange kernel is
@@ -271,22 +270,22 @@ def _operators(state: StateSpec, grid: FrequencyGrid) -> dict:
     wts = grid.trapezoid_weights()
     if isinstance(state, CoherentState):
         env = grid_envelope(state, grid)
-        return {"a2w": env * env * wts}
+        return _Operators(a2w=env * env * wts)
     b = grid_amplitude_matrix(state, grid, check="none")
     ww = np.outer(wts, wts)
     m_direct = (np.abs(b) ** 2) * ww
     g_exch = (b * np.conj(b.T)) * ww
     if isinstance(state, (EntangledState, SymmetrizedState)):
         g_exch = g_exch * (_grid_mass(state, grid)[0] / _continuum_norm(state))
-    return {"m_direct": m_direct, "g_t": g_exch.T.copy()}
+    return _Operators(m_direct=m_direct, g_t=g_exch.T.copy())
 
 
-def _pair_estimator(ops: dict, grid: FrequencyGrid, taus: Sequence[float]):
+def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float]):
     """Per-realization <:n_i n_j:> (before the t_bar norm) at every tau, shape
     (len(taus), chunk), as a function of the draws ``(t_o, t_e)`` of modes i
     and j; pass one mode twice for i = j."""
-    if "a2w" in ops:
-        a2w = ops["a2w"]
+    if ops.a2w is not None:
+        a2w = ops.a2w
         phases = [np.exp(-1j * grid.axis() * tau)[:, None] for tau in taus]
 
         def intensity(mode, phase):
@@ -302,7 +301,7 @@ def _pair_estimator(ops: dict, grid: FrequencyGrid, taus: Sequence[float]):
 
         return coherent_pair
 
-    m_direct, g_t = ops["m_direct"], ops["g_t"]
+    m_direct, g_t = ops.m_direct, ops.g_t
     phases = [np.exp(1j * grid.axis() * tau)[:, None] for tau in taus]
 
     def pair(mode_i, mode_j):
@@ -377,11 +376,12 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
 
     Converges to 2 for every supported state.
     """
+    # g_t goes unread: 0.3 ms of a 550 ms run at n = 128, 10^4 realizations
     ops = _operators(state, cfg.grid)
-    if "a2w" in ops:
-        wo = we = ops["a2w"]
+    if ops.a2w is not None:
+        wo = we = ops.a2w
     else:  # the weighted marginals of |B|^2
-        wo, we = ops["m_direct"].sum(axis=1), ops["m_direct"].sum(axis=0)
+        wo, we = ops.m_direct.sum(axis=1), ops.m_direct.sum(axis=0)
 
     def photocount(mode):
         t_o, t_e = mode

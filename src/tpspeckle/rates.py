@@ -483,32 +483,41 @@ def _model_d_support(model: CorrelationModel) -> float:
     return 600.0 * model.omega_th
 
 
-def _cos_tail_integral(f, a: float, freq: float) -> QuadratureResult:
-    """Int_a^inf f(d) cos(freq d) dd for decaying f (QUADPACK Fourier rule), with its error estimate."""
-    freq = abs(freq)
-    if freq < 1e-12:
-        return QuadratureResult(*quad(f, a, np.inf, limit=200))
-    return QuadratureResult(*quad(f, a, np.inf, weight="cos", wvar=freq, limit=200))
+def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
+    """Int_a^inf f(d) w(freq d) dd, w = cos or sin, for decaying f (QUADPACK
+    Fourier rule), with its error estimate."""
+    if abs(freq) < 1e-12:
+        return QuadratureResult(*quad(f, a, np.inf, limit=200)) if weight == "cos" else QuadratureResult(0.0, 0.0)
+    value, error = quad(f, a, np.inf, weight=weight, wvar=abs(freq), limit=200)
+    return QuadratureResult(-value if weight == "sin" and freq < 0 else value, error)
 
 
-def _entangled_exchange_tail(
+def _exchange_tail(
     pump, crystal, model, tau: float, d_half: float, theta: Optional[float] = None
 ) -> QuadratureResult:
     """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau).
 
     X is the entangled sinc product s_+ s_-, s_pm = sinc(y_pm), or, given
     ``theta``, the symmetrized exchange 2 s_+ s_- + e^{i theta} s_+^2 +
-    e^{-i theta} s_-^2.  To leading order at large |d|,
-    s_+ s_- = -2[cos(eta_- d) - cos(eta_+ p)] / (eta_- d)^2 and
-    s_pm^2 = 2[1 - cos(eta_+ p +- eta_- d)] / (eta_- d)^2; the pump
-    integral is then analytic and the remainder collapses to the cosine
-    integrals F (at tau) and O_pm (at eta_- +- tau) of |C|^2 / d^2:
+    e^{-i theta} s_-^2.  At large |d| with b = eta_- d and a = eta_+ p,
+    s_+ s_- = -2[cos b - cos a] / b^2 and
+    s_pm^2 = 2[1 - cos(a +- b)] / b^2 (1 -+ 2a/b); the pump integral is
+    then analytic.  The leading terms collapse to the cosine integrals F
+    (at tau) and O_pm (at eta_- +- tau) of |C|^2 / d^2:
     S [D F - (O_+ + O_-)/2] for the entangled pair and
     2 S [(D + cos theta) F - (1 + D cos theta)(O_+ + O_-)/2] for the
-    symmetrized one, D = exp(-s^2/4).  Without this term, an undamped
-    kernel (|C| ~ 1) loses a 1/(pi Y) fraction of the exchange mass,
-    Y = |eta_-| d_half / 2.  The error is the sum of the QUADPACK
-    estimates weighted by the absolute coefficients.
+    symmetrized one, D = exp(-s^2/4).  The 2a/b term of s_pm^2 is odd in
+    p but survives against sin a sin b: the symmetrized tail adds
+    -S cos(theta) s^2 D / eta_- (Q_+ + Q_-), Q_pm the sine integrals of
+    |C|^2 / d^3 at eta_- +- tau.  The entangled product has no such term
+    (its expansion is even in a).  The first term both tails leave out
+    is (a/b)^2 smaller than the leading one; with |cos| <= 1 it is at
+    most k S M H / eta_-^2, M = s^2/2 + |s^2/2 - s^4/4| D, H the integral
+    of |C|^2 / d^4, k = 1 (entangled) or 2 + 6 |cos theta| (symmetrized).
+    Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
+    fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
+    that bound plus the QUADPACK estimates weighted by the absolute
+    coefficients.
     """
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
@@ -516,18 +525,32 @@ def _entangled_exchange_tail(
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
 
-    flat = _cos_tail_integral(csq_over_d2, d_half, tau)
-    osc_plus = _cos_tail_integral(csq_over_d2, d_half, eta_m + tau)
-    osc_minus = _cos_tail_integral(csq_over_d2, d_half, eta_m - tau)
+    flat = _tail_integral(csq_over_d2, d_half, tau)
+    osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
+    sines = [QuadratureResult(0.0, 0.0)] * 2
     scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
     damp = math.exp(-0.25 * s * s)
-    if theta is None:
-        a, b = damp, 1.0
-    else:
+    a, b, c, k = damp, 1.0, 0.0, 1.0
+    if theta is not None:
+        sines = [
+            _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
+            for sign in (1, -1)
+        ]
         a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
+        c = -math.cos(theta) * s * s * damp / eta_m
+        k = 2.0 + 6.0 * abs(math.cos(theta))
+    h = QuadratureResult(*quad(lambda d: csq_over_d2(d) / (d * d), d_half, np.inf, limit=200))
+    omitted = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) * (h.value + h.error) / (eta_m * eta_m)
     return QuadratureResult(
-        value=scale * (a * flat.value - b * 0.5 * (osc_plus.value + osc_minus.value)),
-        error=scale * (abs(a) * flat.error + abs(b) * 0.5 * (osc_plus.error + osc_minus.error)),
+        value=scale
+        * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
+        error=scale
+        * (
+            abs(a) * flat.error
+            + abs(b) * 0.5 * (osc[0].error + osc[1].error)
+            + abs(c) * (sines[0].error + sines[1].error)
+            + omitted
+        ),
     )
 
 
@@ -654,10 +677,9 @@ def rate_numeric_batch(
         r1 = (4.0 * s1 - s2) / 3.0
         err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0
         # analytic |d| > d_half remainder of the sinc-tailed exchange term
-        if isinstance(state, EntangledState):
-            tail = _entangled_exchange_tail(state.pump, state.crystal, model, tau, d_half)
-        elif isinstance(state, SymmetrizedState):
-            tail = _entangled_exchange_tail(state.pump, state.crystal, model, tau, d_half, state.theta)
+        if isinstance(state, (EntangledState, SymmetrizedState)):
+            theta = getattr(state, "theta", None)
+            tail = _exchange_tail(state.pump, state.crystal, model, tau, d_half, theta)
         else:
             tail = QuadratureResult(0.0, 0.0)
         numerator = numerator_scale * (r1.real + tail.value)

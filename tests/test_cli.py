@@ -410,17 +410,21 @@ def test_partial_ensemble_equals_default(partial):
 
 
 def test_ensemble_config_json_roundtrip():
-    from tpspeckle import ensemble_config_from_json
+    from tpspeckle import ModelII, ensemble_config_from_json
 
+    state = cli.state_from_config({"state": "fock", "omega_bar": 10.0, "delta": 1.0})
     cfg = ensemble_config_from_json(
         '{"grid": {"half_width": 4.0, "n": 16}, "model": {"model": "II", "scale": 0.5},'
         ' "t_bar": 0.02, "n_realizations": 50, "seed": 3}',
-        default_center=10.0,
+        state=state,
+        model=ModelII(0.5),
+        seed=0,
     )
-    assert cfg.grid.center == 10.0
+    assert cfg.grid.center == 10.0  # a grid without "center" sits on the state
     assert cfg.grid.n == 16
     assert cfg.t_bar == 0.02
     assert cfg.seed == 3
+    assert ensemble_config_from_json(cfg.to_json(), state=state, model=ModelII(0.5), seed=0) == cfg
 
 
 def test_figure_refinement_invariance(tmp_path):

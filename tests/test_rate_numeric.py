@@ -16,6 +16,7 @@ from tpspeckle import (
     QuadratureNotConvergedError,
     SymmetrizedState,
     compute_rate_curve,
+    rate_closed_form,
     rate_coherent,
     rate_entangled,
     rate_fock,
@@ -85,6 +86,17 @@ def test_symmetrized_exchange_tail(theta):
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
     res = rate_numeric(state, ModelI(omega_corr=1e3), tau=0.0)
     assert abs(res.value - rate_theta(0.0, 2.0, 1e3, theta)) < 1e-6
+
+
+def test_symmetrized_tail_error_covers_large_tau_batch():
+    # a batch reaching |tau| = 10 |eta_-| shrinks the d axis to 54, where a
+    # slowly decaying Model II kernel leaves a tail whose left-out
+    # (s / (eta_- d))^2 term is a few 1e-6: the reported error must cover it
+    state = SymmetrizedState(PumpParams(100.0, 2.0), CRYSTAL, math.pi)
+    model = ModelII(omega_th=3.0)
+    taus = [0.0, 1.0, 3.0, 10.0]
+    for tau, res in zip(taus, rate_numeric_batch(state, model, taus)):
+        assert abs(res.value - rate_closed_form(state, model, tau)) <= res.error
 
 
 def test_model_ii_quadrature_matches_reduced():
@@ -183,13 +195,13 @@ def test_batch_matches_per_tau_quadrature(name):
 def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
     import tpspeckle.rates as rates
 
-    tail = rates._entangled_exchange_tail
+    tail = rates._exchange_tail
 
-    def sloppy_at_half(pump, crystal, model, tau, d_half):
-        res = tail(pump, crystal, model, tau, d_half)
+    def sloppy_at_half(pump, crystal, model, tau, d_half, theta=None):
+        res = tail(pump, crystal, model, tau, d_half, theta)
         return res._replace(error=1e-3) if tau == 0.5 else res
 
-    monkeypatch.setattr(rates, "_entangled_exchange_tail", sloppy_at_half)
+    monkeypatch.setattr(rates, "_exchange_tail", sloppy_at_half)
     state = _ent(2.0)
     assert len(rate_numeric_batch(state, M_I, [0.0, 1.0])) == 2
     with pytest.raises(QuadratureNotConvergedError, match="quadrature not converged: estimate"):
