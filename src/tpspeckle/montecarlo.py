@@ -37,7 +37,17 @@ Randomness is counter-based (Philox): stream (realization r, mode m,
 polarization p) uses counter ``[0, 0, 2 m + p, r]`` under the master seed,
 so results are bit-identical regardless of batching or worker count.  One
 Philox bit generator per stream and chunk is reset to each realization's
-counter, rather than constructing a new generator per realization.
+counter, rather than constructing a new generator per realization, and
+fills that realization's row of a real (chunk, 2n) buffer with a single
+call of 2n normals: the real parts, then the imaginary parts.
+
+Real matrices take real products, chosen by dtype.  Model I's covariance
+factor is real (``_factor`` keeps a real copy), so ``L u`` is two real
+products, one per half of the buffer; the exchange operator ``g_t`` is
+real for the entangled and Fock states, so ``g_t u`` is one real product
+over the interleaved real and imaginary parts.  Both give the bits of
+the complex products they replace; Model II's complex factor and the
+complex ``g_t`` of other symmetrized states keep the complex products.
 """
 
 from __future__ import annotations
@@ -53,7 +63,6 @@ from numpy.random import Generator, Philox
 
 from .correlation import (
     CorrelationModel,
-    CovarianceFactor,
     FrequencyGrid,
     ModelI,
     covariance_factor,
@@ -166,8 +175,12 @@ class RateRelation(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float) -> CovarianceFactor:
-    return covariance_factor(grid, model, t_bar)
+def _factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float) -> np.ndarray:
+    """The lower covariance factor the draws multiply by, real when its
+    imaginary part is exactly 0 (Model I) so that ``_draw_block`` can use
+    real products."""
+    L = covariance_factor(grid, model, t_bar).lower_factor
+    return L if L.imag.any() else np.ascontiguousarray(L.real)
 
 
 def mc_default_grid(state: StateSpec, model: CorrelationModel, n: int = 128) -> FrequencyGrid:
@@ -187,17 +200,30 @@ def mc_default_grid(state: StateSpec, model: CorrelationModel, n: int = 128) -> 
 
 
 def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range) -> np.ndarray:
-    """Correlated complex Gaussian draws, one column per realization."""
+    """Correlated complex Gaussian draws ``L u``, one column per realization.
+
+    Realization r takes one call of 2n normals (sqrt 2 times the real
+    parts of ``u``, then its imaginary parts) from the Philox stream reset
+    to counter ``[0, 0, stream_id, r]``.  A real ``L`` multiplies the two
+    halves in two real products, which give the same bits as the complex
+    product of ``L + 0j``.
+    """
     n = L.shape[0]
     bitgen = Philox(key=seed)
     state = bitgen.state
     g = Generator(bitgen)
-    u = np.empty((n, len(realizations)), dtype=complex)
-    for j, r in enumerate(realizations):
+    z = np.empty((len(realizations), 2 * n))
+    for row, r in zip(z, realizations):
         state["state"]["counter"] = [0, 0, stream_id, r]
         bitgen.state = state
-        u[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
-    return L @ u
+        g.standard_normal(out=row)
+    if L.dtype.kind == "c":
+        return L @ ((z[:, :n] + 1j * z[:, n:]) / math.sqrt(2.0)).T
+    z *= 1.0 / math.sqrt(2.0)  # what dividing (a + ib) by sqrt 2 does to a and to b
+    t = np.empty((n, len(realizations)), dtype=complex)
+    t.real = L @ z[:, :n].T
+    t.imag = L @ z[:, n:].T
+    return t
 
 
 def sample_transmission(
@@ -214,7 +240,7 @@ def sample_transmission(
 
 def _draws(cfg: EnsembleConfig, modes: int, block: range) -> List[Tuple[np.ndarray, np.ndarray]]:
     """``(t_o, t_e)`` of each output mode, each (grid.n, len(block))."""
-    L = _factor(cfg.grid, cfg.model, cfg.t_bar).lower_factor
+    L = _factor(cfg.grid, cfg.model, cfg.t_bar)
     return [
         (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
         for m in range(modes)
@@ -258,7 +284,8 @@ class _Operators(NamedTuple):  # what the estimators read; None where it does no
 
 def _operators(state: StateSpec, grid: FrequencyGrid) -> _Operators:
     """``a2w`` = a^2 w, or ``m_direct`` = |B|^2 w_m w_n and ``g_t`` =
-    B(w_n, w_m) B*(w_m, w_n) w_m w_n.
+    B(w_n, w_m) B*(w_m, w_n) w_m w_n, real when its imaginary part is
+    exactly 0 (the entangled and Fock states).
 
     The direct kernel uses the on-grid norm (its disorder mean is then
     exactly 2 t_bar^2).  For the sinc-tailed states the exchange kernel is
@@ -277,7 +304,8 @@ def _operators(state: StateSpec, grid: FrequencyGrid) -> _Operators:
     g_exch = (b * np.conj(b.T)) * ww
     if isinstance(state, (EntangledState, SymmetrizedState)):
         g_exch = g_exch * (_grid_mass(state, grid)[0] / _continuum_norm(state))
-    return _Operators(m_direct=m_direct, g_t=g_exch.T.copy())
+    g_t = g_exch.T.copy()
+    return _Operators(m_direct=m_direct, g_t=g_t if g_t.imag.any() else g_t.real.copy())
 
 
 def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float]):
@@ -304,18 +332,23 @@ def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float])
     m_direct, g_t = ops.m_direct, ops.g_t
     phases = [np.exp(1j * grid.axis() * tau)[:, None] for tau in taus]
 
+    def exchange(u):  # g_t @ u; a real g_t gives the bits of the complex product with g_t + 0j
+        return g_t @ u if g_t.dtype.kind == "c" else (g_t @ u.view(float)).view(complex)
+
     def pair(mode_i, mode_j):
-        (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
-        direct = np.einsum("mc,mc->c", np.abs(t_oi) ** 2, m_direct @ (np.abs(t_ej) ** 2))
-        direct += np.einsum("mc,mc->c", np.abs(t_ei) ** 2, m_direct @ (np.abs(t_oj) ** 2))
         same = mode_j is mode_i
+        (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
+        p_oi, p_ei = np.abs(t_oi) ** 2, np.abs(t_ei) ** 2
+        p_oj, p_ej = (p_oi, p_ei) if same else (np.abs(t_oj) ** 2, np.abs(t_ej) ** 2)
+        direct = np.einsum("mc,mc->c", p_oi, m_direct @ p_ej)
+        direct += np.einsum("mc,mc->c", p_ei, m_direct @ p_oj)
         conj_ei = np.conj(t_ei)
         conj_ej = conj_ei if same else np.conj(t_ej)
         out = np.empty((len(phases), direct.size))
         for row, phase in zip(out, phases):
             u_i = phase * conj_ei * t_oi
             u_j = u_i if same else phase * conj_ej * t_oj
-            row[:] = direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), g_t @ u_i))
+            row[:] = direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), exchange(u_i)))
         return out
 
     return pair

@@ -33,7 +33,6 @@ from tpspeckle import (
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
-    rate_numeric,
     rate_numeric_batch,
     rate_theta,
     sample_transmission,
@@ -137,36 +136,36 @@ def test_criterion_3_theta_half_pi_equivalence():
 
 
 def test_criterion_4_closed_form_vs_quadrature():
+    # 108 points, one quadrature batch per (state, s, w) or (state, w)
     tol = 1e-6
     worst = 0.0
     runs = 0
 
     # entangled: 3 x 3 x 3
-    for t in (0.0, 0.7, 1.6):
-        for s in (0.5, 2.0, 4.0):
-            for w in (0.3, 1.0, 3.0):
-                got = rate_numeric(_entangled(s), ModelI(omega_corr=w), tau=t).value
-                worst = max(worst, abs(got - rate_entangled(t, s, w)))
+    ts = (0.0, 0.7, 1.6)
+    for s in (0.5, 2.0, 4.0):
+        for w in (0.3, 1.0, 3.0):
+            got = rate_numeric_batch(_entangled(s), ModelI(omega_corr=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate_entangled(t, s, w)))
                 runs += 1
 
     # symmetrized: 3 x 3 x 3 with theta cycling over the s-axis
-    for t in (0.0, 0.7, 1.6):
-        for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
-            for w in (0.3, 1.0, 3.0):
-                got = rate_numeric(_symmetrized(s, theta), ModelI(omega_corr=w), tau=t).value
-                worst = max(worst, abs(got - rate_theta(t, s, w, theta)))
+    for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
+        for w in (0.3, 1.0, 3.0):
+            got = rate_numeric_batch(_symmetrized(s, theta), ModelI(omega_corr=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate_theta(t, s, w, theta)))
                 runs += 1
 
     # Fock and coherent: 9 x 3 each
-    fock = FockState(OMEGA_BAR, 1.0)
-    coh = CoherentState(OMEGA_BAR, 1.0)
-    for t in (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0):
+    ts = (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0)
+    for state, rate in ((FockState(OMEGA_BAR, 1.0), rate_fock), (CoherentState(OMEGA_BAR, 1.0), rate_coherent)):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric(fock, ModelI(omega_corr=w), tau=t).value
-            worst = max(worst, abs(got - rate_fock(t, w)))
-            got = rate_numeric(coh, ModelI(omega_corr=w), tau=t).value
-            worst = max(worst, abs(got - rate_coherent(t, w)))
-            runs += 2
+            got = rate_numeric_batch(state, ModelI(omega_corr=w), ts)
+            for t, res in zip(ts, got):
+                worst = max(worst, abs(res.value - rate(t, w)))
+                runs += 1
 
     assert runs == 108
     assert worst < tol

@@ -340,18 +340,48 @@ def test_sample_transmission_matches_pinned_vector():
 
 @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
 def test_reused_philox_matches_fresh_generators(stream_id):
-    # reference: one fresh counter-based generator per realization
+    # reference: one fresh counter-based generator per realization, two
+    # n-normal calls, the complex build and the complex product with L
     from numpy.random import Generator, Philox
 
-    from tpspeckle.montecarlo import _CHUNK, _draw_block
+    from tpspeckle.correlation import covariance_factor
+    from tpspeckle.montecarlo import _CHUNK, _draw_block, _factor
 
-    n, seed = 16, 2024
-    block = range(_CHUNK - 3, _CHUNK + 3)  # crosses a chunk edge
-    ref = np.empty((n, len(block)), dtype=complex)
-    for j, r in enumerate(block):
-        g = Generator(Philox(key=seed, counter=[0, 0, stream_id, r]))
-        ref[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
-    assert np.array_equal(_draw_block(np.eye(n), seed, stream_id, block), np.eye(n) @ ref)
+    seed = 2024
+    block = range(_CHUNK - 20, _CHUNK + 20)  # crosses a chunk edge
+
+    def reference(L):
+        n = L.shape[0]
+        u = np.empty((n, len(block)), dtype=complex)
+        for j, r in enumerate(block):
+            g = Generator(Philox(key=seed, counter=[0, 0, stream_id, r]))
+            u[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
+        return L @ u
+
+    assert np.array_equal(_draw_block(np.eye(16), seed, stream_id, block), reference(np.eye(16, dtype=complex)))
+    # Model I's factor is real and takes the real products; Model II's is complex
+    grid = FrequencyGrid(100.0, 10.0, 128)
+    for model, kind in ((ModelI(omega_corr=1.0), "f"), (ModelII(omega_th=0.5), "c")):
+        L = covariance_factor(grid, model, 0.01).lower_factor
+        assert L.dtype == complex
+        draw_factor = _factor(grid, model, 0.01)
+        assert draw_factor.dtype.kind == kind
+        assert np.array_equal(_draw_block(draw_factor, seed, stream_id, block), reference(L))
+
+
+@pytest.mark.parametrize("name", ["entangled", "fock"])
+def test_real_exchange_operator_matches_complex(name):
+    from tpspeckle.montecarlo import _draws, _operators, _pair_estimator
+
+    state = _PIN_STATES[name]
+    ops = _operators(state, _PIN_CFG.grid)
+    assert ops.g_t.dtype == float
+    complex_ops = ops._replace(g_t=ops.g_t.astype(complex))
+    mode_i, mode_j = _draws(_PIN_CFG, 2, range(500, 600))
+    for i, j in ((mode_i, mode_i), (mode_i, mode_j)):
+        real_pair = _pair_estimator(ops, _PIN_CFG.grid, _BATCH_TAUS)(i, j)
+        complex_pair = _pair_estimator(complex_ops, _PIN_CFG.grid, _BATCH_TAUS)(i, j)
+        assert np.array_equal(real_pair, complex_pair)
 
 
 # --- tau batches: one draw per curve
