@@ -53,9 +53,16 @@ def erf_ratio(z):
     return _over_x(z, numerator)
 
 
-def one_minus_erf_ratio(s: float) -> float:
-    """1 - erf_ratio(s), computed without cancellation for small s."""
-    if abs(s) < 3e-2:
-        s2 = s * s
-        return s2 / 12.0 - s2 * s2 / 160.0 + s2 * s2 * s2 / 2688.0
-    return 1.0 - erf_ratio(s)
+def one_minus_erf_ratio(s):
+    """1 - erf_ratio(s), computed without cancellation for small s.
+
+    Elementwise over an array; returns a float for 0-d input.
+    """
+    s = np.asarray(s, dtype=float)
+    out = 1.0 - erf_ratio(s)
+    small = np.abs(s) < 3e-2
+    if small.any():
+        s2 = np.where(small, s, 0.0)
+        s2 = s2 * s2
+        out = np.where(small, s2 / 12.0 - s2 * s2 / 160.0 + s2 * s2 * s2 / 2688.0, out)
+    return float(out) if np.ndim(out) == 0 else out

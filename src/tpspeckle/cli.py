@@ -89,10 +89,23 @@ def _load_json(blob: str):
         raise ConfigError(f"not a file and not valid JSON: {blob!r} ({exc})") from exc
 
 
+_STATE_KEYS = {
+    "entangled": {"omega_bar", "sigma", "nu_o", "nu_e"},
+    "symmetrized": {"omega_bar", "sigma", "nu_o", "nu_e", "theta"},
+    "fock": {"omega_bar", "delta"},
+    "coherent": {"omega_bar", "delta"},
+}
+
+
 def state_from_config(cfg) -> StateSpec:
+    """Parse a state ``{"state": kind, ...}``; a key its kind does not read raises ``ValueError``."""
     if isinstance(cfg, str):
         cfg = _load_json(cfg)
     kind = cfg["state"]
+    if kind not in _STATE_KEYS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    if not set(cfg) <= _STATE_KEYS[kind] | {"state"}:
+        raise ValueError(f"unknown {kind} state key among {sorted(cfg)}")
     if kind in ("entangled", "symmetrized"):
         pump = PumpParams(float(cfg["omega_bar"]), float(cfg["sigma"]))
         crystal = CrystalParams(float(cfg["nu_o"]), float(cfg["nu_e"]))
@@ -101,9 +114,7 @@ def state_from_config(cfg) -> StateSpec:
         return SymmetrizedState(pump=pump, crystal=crystal, theta=float(cfg["theta"]))
     if kind == "fock":
         return FockState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
-    if kind == "coherent":
-        return CoherentState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
-    raise ConfigError(f"unknown state kind {kind!r}")
+    return CoherentState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
 
 
 def state_to_config(state: StateSpec) -> dict:
@@ -228,6 +239,7 @@ def cmd_rate(args) -> int:
         "method": args.method,
     }
 
+    notes = []
     if args.method == "monte-carlo":
         config["ensemble"] = ens.to_json()
         estimates = mc_correlator_batch(state, ens, taus)
@@ -236,7 +248,9 @@ def cmd_rate(args) -> int:
     else:
         curve = compute_rate_curve(state, model, taus, method=args.method)
         columns, rows = ["tau", "r"], zip(curve.taus.tolist(), curve.rs.tolist())
-    write_csv(args.out, _header("rate", config), columns, rows)
+        if curve.errors is not None:
+            notes.append(f"quadrature error estimate, worst over the curve: {float(curve.errors.max())!r}")
+    write_csv(args.out, _header("rate", config, notes), columns, rows)
     return EXIT_OK
 
 
@@ -266,16 +280,18 @@ def _figure_dataset(figure_id, kind, args):
         return "sigma_over_dw_cw", sig, ["ratio_o", "ratio_e"], [ratios[:, 0], ratios[:, 1]], notes
 
     xname, x, columns = _figure_columns(figure_id, kind, args, notes)
-    cols = [np.array([rate(v) for v in x]) for _, rate in columns]
+    # a replaced rate function may return one number for the whole column
+    cols = [np.broadcast_to(rate(x), x.shape) for _, rate in columns]
     return xname, x, [name for name, _ in columns], cols, notes
 
 
 def _figure_columns(figure_id, kind, args, notes):
-    """(abscissa name, abscissa, [(column name, rate at one abscissa value)]) of figures 3..10.
+    """(abscissa name, abscissa, [(column name, rate over the abscissa array)]) of figures 3..10.
 
     The rate functions are looked up in this module's namespace during the
     call, so a replaced ``cli.rate_*`` attribute (a test double or a
-    profiling wrapper) is the one evaluated, once per point.
+    profiling wrapper) is the one evaluated, once per column, with the
+    whole abscissa array.
     """
     t = np.linspace(-3.0, 3.0, 241)
     if figure_id == 3:
@@ -355,9 +371,9 @@ def cmd_sweep(args) -> int:
             points.append((list(combo), state_from_config(scfg), mdl))
 
     rows = [
-        combo + [tau, float(rate_closed_form(state, mdl, tau))]
+        combo + [tau, float(r)]
         for combo, state, mdl in points
-        for tau in tau_values
+        for tau, r in zip(tau_values, np.broadcast_to(rate_closed_form(state, mdl, tau_values), len(tau_values)))
     ]
     config = {"state": base_state, "model": model_cfg, "vary": vary, "tau": taus}
     write_csv(
@@ -403,11 +419,17 @@ def _default_mc_cases() -> List[dict]:
 def cmd_mc_validate(args) -> int:
     with _config_boundary("mc-validate"):
         cfg = _load_json(args.config)
+        if not set(cfg) <= {"seed", "t_bar", "n_realizations", "cases"}:
+            raise ValueError(f"unknown mc-validate key among {sorted(cfg)}")
         seed = int(cfg.get("seed", args.seed))
         shared = {key: cfg[key] for key in ("t_bar", "n_realizations") if key in cfg}
-        cases = cfg.get("cases") or _default_mc_cases()
+        cases = cfg.get("cases", _default_mc_cases())
+        if not (isinstance(cases, list) and cases):
+            raise ValueError(f"cases must be a non-empty list, got {cases!r}")
         runs = []
         for idx, case in enumerate(cases):
+            if not set(case) <= {"state", "model", "grid", "tau"}:
+                raise ValueError(f"unknown mc-validate case key among {sorted(case)}")
             state = state_from_config(case["state"])
             spec = dict(shared, grid=case["grid"]) if "grid" in case else shared
             ens = ensemble_config_from_json(

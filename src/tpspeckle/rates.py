@@ -19,6 +19,11 @@ Gaussian x Lorentzian closed form.  The x-integrals of both models use one
 composite Gauss-Legendre rule, evaluated as numpy arrays, whose embedded
 lower-order rule checks every value.
 
+The reduced forms take numbers or arrays of t (and s), so a figure column
+or a closed-form curve is one call over its abscissa, once per column
+rather than once per point; a call with numbers is the size-1 case of the
+same code and returns a float.
+
 The Fock/coherent closed forms are evaluated through the scaled
 complementary error function: the textbook grouping multiplies
 ``exp(-t^2/2)`` by an Erf term growing like ``exp(+t^2/2)`` and loses all
@@ -38,6 +43,7 @@ call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Union
@@ -107,7 +113,7 @@ class DimensionlessArgs:
 
     Entangled/symmetrized states: t = tau/eta_minus, s = |sigma*eta_plus|,
     w = |Omega*eta_minus|.  Fock/coherent: t = tau*delta, w = Omega/delta
-    (s unused, stored as 0).
+    (s unused, stored as 0).  An array of tau gives an array of t.
     """
 
     t: float
@@ -139,13 +145,15 @@ def _model_scale(model: Union[CorrelationModel, str]) -> float:
 
 @dataclass
 class RateCurve:
-    """Sampled R(tau) with provenance: state, correlation model, method."""
+    """Sampled R(tau) with provenance: state, correlation model, method,
+    and, for the quadrature method, each rate's error estimate."""
 
     taus: np.ndarray
     rs: np.ndarray
     state: StateSpec
     model: Union[CorrelationModel, str]
     method: str
+    errors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -181,35 +189,43 @@ def erf_complex(z):
 
 
 # ---------------------------------------------------------------------------
-# Reduced one-dimensional kernels (dimensionless, vectorised over x)
+# Reduced one-dimensional kernels (dimensionless, vectorised over s and x)
 
-def _i_kernel(s: float, x):
+def _i_kernel(s, x):
     """I(s,x) = Erf[(s/2)(1-|x|)] / (s sqrt(pi)); continuous s -> 0 limit (1-|x|)/pi."""
     u = 1.0 - np.abs(x)
     return u / math.pi * erf_ratio(s * u)
 
 
-def _j_kernel(s: float, x):
+def _j_kernel(s, x):
     """J(s,x) = (1-|x|) exp(-s^2 x^2 / 4) / pi."""
     u = 1.0 - np.abs(x)
     return u / math.pi * np.exp(-0.25 * s * s * x * x)
 
 
-def _ij_diff(s: float, x):
-    """I - J without cancellation; O(s^2) uniformly on [-1, 1]."""
+def _ij_diff(s, x):
+    """I - J without cancellation; O(s^2) uniformly on [-1, 1].
+
+    ``s`` broadcasts against ``x``; where s is below 3e-2 the value is the series.
+    """
+    small = np.abs(s) < 3e-2
+    if not small.any():
+        return _i_kernel(s, x) - _j_kernel(s, x)
     u = 1.0 - np.abs(x)
-    if abs(s) < 3e-2:
-        s2 = s * s
-        u2 = u * u
-        x2 = x * x
-        return (
-            u
-            / math.pi
-            * s2
-            * ((x2 / 4.0 - u2 / 12.0) + s2 * (u2 * u2 / 160.0 - x2 * x2 / 32.0)
-               + s2 * s2 * (x2 ** 3 / 384.0 - u2 ** 3 / 2688.0))
-        )
-    return _i_kernel(s, x) - _j_kernel(s, x)
+    s2 = np.where(small, s, 0.0)
+    s2 = s2 * s2
+    u2 = u * u
+    x2 = x * x
+    series = (
+        u
+        / math.pi
+        * s2
+        * ((x2 / 4.0 - u2 / 12.0) + s2 * (u2 * u2 / 160.0 - x2 * x2 / 32.0)
+           + s2 * s2 * (x2 ** 3 / 384.0 - u2 ** 3 / 2688.0))
+    )
+    if small.all():
+        return series
+    return np.where(small, series, _i_kernel(s, x) - _j_kernel(s, x))
 
 
 # Model II pole expansion.  With v = |dw|/omega_th, |C_II|^2 = psi(v) =
@@ -224,6 +240,11 @@ _POLE_K = np.arange(1.0, 21.0)
 _POLE_B = math.pi**2 * _POLE_K**2
 _POLE_C = (-1.0) ** (_POLE_K + 1.0) * 4.0 * math.pi**5 * _POLE_K**5 / np.sinh(math.pi * _POLE_K)
 _POLE_A = 0.5 * math.pi * _POLE_C / _POLE_B
+# exp at or below this argument is subnormal or 0.  Such a term of G lies
+# below half an ulp of G's k = 1 term, or, where that term is subnormal
+# too, G is under 1e-305: setting them to 0 changes no rate (1 plus an
+# integral of G) and skips numpy's slow subnormal path of exp.
+_EXP_FLOOR = -708.0
 
 # Composite Gauss-Legendre rule of the reduced integrals: 20 nodes per
 # panel, with the embedded 10-node rule as the error estimate.
@@ -231,19 +252,39 @@ _GL_FINE = np.polynomial.legendre.leggauss(20)
 _GL_COARSE = np.polynomial.legendre.leggauss(10)
 _GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
 REDUCED_ERROR_GATE = 1e-7
+# float64 values (512 kB) of the pole terms of one block of points, the
+# largest temporary of ``_integrate_reduced``; unblocked, a Model II figure
+# column peaks at 5 to 8 MB of temporaries
+_BLOCK_VALUES = 2**16
 
 
-def _graded(center: float, smallest: float) -> list:
-    """Points center +- smallest * 4^j for widths below 2, the length of [-1, 1]."""
-    points = []
-    while smallest < 2.0:
-        points += [center - smallest, center + smallest]
-        smallest *= 4.0
-    return points
+def _graded(smallest) -> np.ndarray:
+    """Offsets smallest * 4^j below 2, the length of [-1, 1], one row per smallest.
+
+    All rows are as long as the one of the least ``smallest``; a row's
+    entries past its own last offset below 2 are inf.
+    """
+    smallest = np.asarray(smallest, dtype=float)[..., None]
+    least = smallest.min()
+    levels = 0
+    while least * 4.0**levels < 2.0:
+        levels += 1
+    steps = smallest * 4.0 ** np.arange(levels)
+    steps[steps >= 2.0] = np.inf
+    return steps
 
 
-def _panel_edges(t: float, w: float, s: float) -> np.ndarray:
-    """Panel edges on [-1, 1] as offsets d = x - t from the kernel peak.
+@functools.lru_cache(maxsize=64)
+def _peak_offsets(w: float) -> np.ndarray:
+    """0 and +-0.25 / (pi^2 w) * 4^j below 2: the edges around the kernel peak, relative to it."""
+    steps = _graded(0.25 / (math.pi**2 * w))
+    offsets = np.concatenate([[0.0], -steps, steps])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _panel_edges(t: np.ndarray, w: float, s: np.ndarray) -> np.ndarray:
+    """Panel edges on [-1, 1] as offsets d = x - t from the kernel peak, one sorted row per point (t, s).
 
     Edges sit at x = -1, 0, t, 1 (the kinks of the state kernels and of
     Model II's G).  Toward x = t, clipped to [-1, 1], the panels shrink
@@ -251,90 +292,167 @@ def _panel_edges(t: float, w: float, s: float) -> np.ndarray:
     G_II's slowest term (Model I's Lorentzian is wider still, 2 / w).  For
     s > 4 they also shrink toward x = -1, 0, 1 to 1 / s, because the erf
     and Gaussian factors of the state kernels vary on the scale 2 / s
-    there.  Offsets keep w * d exact near the peak.
+    there.  Offsets keep w * d exact near the peak.  A point's edges
+    outside its [-1, 1] move onto the ends, so every row has one length
+    and may repeat an edge.
     """
-    lo, hi = -1.0 - t, 1.0 - t
-    peak = min(max(0.0, lo), hi)
-    edges = [lo, -t, hi, peak] + _graded(peak, 0.25 / (math.pi**2 * w))
-    if s > 4.0:
-        for center in (lo, -t, hi):
-            edges += _graded(center, 1.0 / s)
-    edges = np.unique(edges)
-    return edges[(edges >= lo) & (edges <= hi)]
+    t = t[:, None]
+    lo, x0, hi = -1.0 - t, -t, 1.0 - t
+    peak = np.minimum(np.maximum(0.0, lo), hi)
+    parts = [lo, x0, hi, peak + _peak_offsets(w)]
+    wide = s > 4.0
+    if wide.any():
+        steps = _graded(np.divide(1.0, s, out=np.full_like(s, 2.0), where=wide))
+        for center in (lo, x0, hi):
+            parts += [center - steps, center + steps]
+    edges = np.concatenate(parts, axis=1)
+    np.maximum(edges, lo, out=edges)
+    np.minimum(edges, hi, out=edges)
+    edges.sort(axis=1)
+    return edges
 
 
-def _integrate_reduced(kernel, t: float, w: float, s: float, kind: str) -> float:
-    """Int_{-1}^{1} kernel(x) * w * G(w (x - t)) dx by the composite Gauss-Legendre rule.
+def _pole_sum(xi: np.ndarray) -> np.ndarray:
+    """G_II(xi) = sum_k a_k exp(-b_k xi) for xi >= 0."""
+    terms = np.multiply(xi[..., None], -_POLE_B)
+    dead = terms <= _EXP_FLOOR
+    np.exp(terms, out=terms, where=~dead)
+    terms[dead] = 0.0
+    return terms @ _POLE_A
 
-    G is the Lorentzian 2 / (4 + xi^2) for model I and the exponential sum
-    of the Model II pole expansion.  ``kernel`` takes an array of x.  The
-    sum over panels of |20-node - 10-node| bounds the error and must stay
-    under ``REDUCED_ERROR_GATE``.
+
+def _reduced_block(kernel, t, w: float, s, kind: str, lower, upper):
+    """(values, error estimates) of ``_integrate_reduced`` on one block of
+    points, whose panels run from ``lower`` to ``upper`` (one row each)."""
+    mid = 0.5 * (upper + lower)
+    half = 0.5 * (upper - lower)
+    d = mid[..., None] + half[..., None] * _GL_NODES
+    xi = np.abs(w * d)
+    g = 2.0 / (4.0 + xi * xi) if kind == "I" else _pole_sum(xi)
+    y = kernel(s[:, None, None], t[:, None, None] + d) * (w * g) * half[..., None]
+    n = _GL_FINE[0].size
+    fine = y[..., :n] @ _GL_FINE[1]
+    coarse = y[..., n:] @ _GL_COARSE[1]
+    return fine.sum(axis=1), np.abs(fine - coarse).sum(axis=1)
+
+
+def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str) -> np.ndarray:
+    """Int_{-1}^{1} kernel(s, x) * w * G(w (x - t)) dx at every point (t, s) by the composite Gauss-Legendre rule.
+
+    ``t`` and ``s`` are 1-D arrays of one length and ``w`` is a number.  G
+    is the Lorentzian 2 / (4 + xi^2) for model I and the exponential sum
+    of the Model II pole expansion.  ``kernel`` takes broadcasting arrays
+    of s and x.  A repeated edge of ``_panel_edges`` drops out, and the
+    points with equal panel counts run together, in blocks whose pole
+    terms hold at most ``_BLOCK_VALUES`` values: each point's value is
+    the one it has on its own.  For each point the sum over panels of
+    |20-node - 10-node| bounds the error and must stay under
+    ``REDUCED_ERROR_GATE``; otherwise ``QuadratureNotConvergedError``
+    names the worst point.
     """
     edges = _panel_edges(t, w, s)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    d = mid[:, None] + half[:, None] * _GL_NODES
-    xi = np.abs(w * d)
-    if kind == "I":
-        g = 2.0 / (4.0 + xi * xi)
-    else:
-        g = np.exp(-xi[..., None] * _POLE_B) @ _POLE_A
-    y = kernel(t + d) * (w * g) * half[:, None]
-    n = _GL_FINE[0].size
-    fine = y[:, :n] @ _GL_FINE[1]
-    coarse = y[:, n:] @ _GL_COARSE[1]
-    err = float(np.abs(fine - coarse).sum())
-    if not err <= REDUCED_ERROR_GATE:
+    lower, upper = edges[:, :-1], edges[:, 1:]
+    real = upper > lower
+    count = real.sum(axis=1)
+    value = np.empty(t.size)
+    error = np.empty(t.size)
+    for panels in sorted(set(count.tolist())):
+        rows = np.flatnonzero(count == panels)
+        size = max(1, _BLOCK_VALUES // (max(panels, 1) * _GL_NODES.size * _POLE_B.size))
+        for start in range(0, rows.size, size):
+            block = rows[start : start + size]
+            keep = real[block]
+            value[block], error[block] = _reduced_block(
+                kernel, t[block], w, s[block], kind,
+                lower[block][keep].reshape(block.size, panels), upper[block][keep].reshape(block.size, panels),
+            )
+    if not (error <= REDUCED_ERROR_GATE).all():
+        worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
         raise QuadratureNotConvergedError(
-            f"reduced rate integral did not converge: estimate {err:.2e}"
+            f"reduced rate integral did not converge: estimate {error[worst]:.2e} "
+            f"at t={t[worst]:.6g}, s={s[worst]:.6g}, w={w:.6g}"
         )
-    return float(fine.sum())
+    return value
 
 
-def _check_args(w: float, kind: str, zero_ok: bool = False) -> None:
-    """The one argument check of the reduced forms: w in (0, inf], or in
-    [0, inf] with ``zero_ok``, and ``kind`` "I" or "II"; else ``ValueError``."""
+def _points(*coords):
+    """The coordinates of the points broadcast to one shape: (flat float arrays, shape)."""
+    arrays = [np.asarray(c, dtype=float) for c in coords]
+    shape = np.broadcast(*arrays).shape
+    flat = []
+    for a in arrays:
+        out = np.empty(shape)
+        out[...] = a
+        flat.append(out.reshape(-1))
+    return flat, shape
+
+
+def _shaped(values, shape):
+    """Values of the flattened points in the points' shape; a float for one 0-d point."""
+    values = values.reshape(shape)
+    return float(values) if values.ndim == 0 else values
+
+
+def _check_args(w: float, kind: str, s=None, zero_ok: bool = False) -> None:
+    """The one argument check of the reduced forms: every s >= 0, and finite
+    unless w = inf; w in (0, inf], or in [0, inf] with ``zero_ok``; and
+    ``kind`` "I" or "II"; else ``ValueError``."""
+    if s is not None and (s < 0).any():
+        raise ValueError("s must be >= 0")
     if not (w >= 0.0 if zero_ok else w > 0.0):
         raise ValueError(f"w must lie in {'[' if zero_ok else '('}0, inf], got {w!r}")
     if kind not in ("I", "II"):
         raise ValueError(f'kind must be "I" or "II", got {kind!r}')
+    if s is not None and not math.isinf(w) and np.isinf(s).any():
+        raise ValueError("s must be finite for finite w")
 
 
 # ---------------------------------------------------------------------------
 # Entangled state
+#
+# Every rate below takes numbers or arrays of t (and s), which broadcast
+# against each other; w, theta and kind are numbers.  An array call
+# returns an array of the broadcast shape, a call with numbers a float.
 
-def rate_entangled_cw_limit(t: float, s: float) -> float:
+def rate_entangled_cw_limit(t, s):
     """R for frequency-flat transmission (Hong-Ou-Mandel peak), Eq. of the
     interferometer up to the sign of the interference term.
 
     1 + (sqrt(pi)/s) Erf[(s/2)(1-|t|)] for |t| < 1, else 1; the s -> 0
     limit is the triangle 1 + (1-|t|).
     """
-    if s < 0:
+    (t, s), shape = _points(t, s)
+    if (s < 0).any():
         raise ValueError("s must be >= 0")
-    t = abs(t)
-    if t >= 1.0:
-        return 1.0
-    u = 1.0 - t
-    return 1.0 + u * erf_ratio(s * u)
+    outside = np.abs(t) >= 1.0
+    u = np.where(outside, 1.0, 1.0 - np.abs(t))
+    return _shaped(np.where(outside, 1.0, 1.0 + u * erf_ratio(s * u)), shape)
 
 
-def rate_entangled(t: float, s: float, w: float, kind: str = "I") -> float:
+def rate_entangled(t, s, w: float, kind: str = "I"):
     """Entangled-state rate at dimensionless (t, s, w) for model ``kind``."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    _check_args(w, kind)
+    (t, s), shape = _points(t, s)
+    _check_args(w, kind, s)
     if math.isinf(w):
-        return rate_entangled_cw_limit(t, s)
-    return 1.0 + _integrate_reduced(lambda x: _i_kernel(s, x), t, w, s, kind)
+        return rate_entangled_cw_limit(t.reshape(shape), s.reshape(shape))
+    return _shaped(1.0 + _integrate_reduced(_i_kernel, t, w, s, kind), shape)
 
 
 # ---------------------------------------------------------------------------
 # Fock and coherent states
 
-def _gauss_kernel_avg(t: float, w: float, kind: str) -> float:
-    """Int_R N(y) |C(y/w)|^2 cos(t y) dy, N the unit normal density.
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """The C library's exp at every element of a 1-D array.
+
+    For the per-delay Gaussian factor of the Fock and coherent forms: numpy's
+    vector exp differs from it in the last bit at a few percent of
+    arguments, and these rates have always used it.
+    """
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
+    """Int_R N(y) |C(y/w)|^2 cos(t y) dy, N the unit normal density, at every t of a 1-D array.
 
     Model I: Re erfcx(sqrt2/w + i|t|/sqrt2).  Model II: the pole expansion
     makes it sum_k c_k w^2 Int N(y) cos(t y) / (y^2 + q_k^2) dy, q_k = w b_k,
@@ -343,77 +461,88 @@ def _gauss_kernel_avg(t: float, w: float, kind: str) -> float:
     For q < t, erfcx(-a) = 2 e^{a^2} - erfcx(a) folds the growing factor
     into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.
     """
-    t = abs(t)
-    if math.isinf(t):
-        return 0.0
+    t = np.abs(t)
+    gone = np.isinf(t)
+    t = np.where(gone, 0.0, t)
     if kind == "I":
         re = 0.0 if math.isinf(w) else math.sqrt(2.0) / w
-        return float(_scipy_erfcx(re + 1j * t / math.sqrt(2.0)).real)
-    if math.isinf(w):
-        return math.exp(-0.5 * t * t)
-    q = w * _POLE_B
-    a = (q - t) / math.sqrt(2.0)
-    below = a < 0.0
-    near = _scipy_erfcx((q + t) / math.sqrt(2.0)) + np.where(below, -1.0, 1.0) * _scipy_erfcx(np.abs(a))
-    far = np.where(below, 2.0 * np.exp(np.minimum(q * (0.5 * q - t), 0.0)), 0.0)
-    voigt = math.exp(-0.5 * t * t) * near + far
-    return math.sqrt(math.pi / 8.0) * w * float(np.dot(_POLE_C / _POLE_B, voigt))
+        avg = _scipy_erfcx(re + 1j * (t / math.sqrt(2.0))).real
+    elif math.isinf(w):
+        avg = _libm_exp(-0.5 * t * t)
+    else:
+        gauss = _libm_exp(-0.5 * t * t)[:, None]
+        t = t[:, None]
+        q = w * _POLE_B
+        a = (q - t) / math.sqrt(2.0)
+        below = a < 0.0
+        near = _scipy_erfcx((q + t) / math.sqrt(2.0)) + np.where(below, -1.0, 1.0) * _scipy_erfcx(np.abs(a))
+        far = np.where(below, 2.0 * np.exp(np.minimum(q * (0.5 * q - t), 0.0)), 0.0)
+        voigt = gauss * near + far
+        avg = math.sqrt(math.pi / 8.0) * w * (voigt @ (_POLE_C / _POLE_B))
+    return np.where(gone, 0.0, avg)
 
 
-def rate_fock(t: float, w: float, kind: str = "I") -> float:
+def rate_fock(t, w: float, kind: str = "I"):
     """Fock-state rate; bounded in [1, 2], Gaussian-smooth at t = 0."""
+    (t,), shape = _points(t)
     _check_args(w, kind)
-    return 1.0 + _gauss_kernel_avg(t, w, kind)
+    return _shaped(1.0 + _gauss_kernel_avg(t, w, kind), shape)
 
 
-def rate_coherent(t: float, w: float, kind: str = "I") -> float:
+def rate_coherent(t, w: float, kind: str = "I"):
     """Coherent-state rate; bounded in [2, 4], tail value 2 + erfcx(sqrt2/w)."""
+    (t,), shape = _points(t)
     _check_args(w, kind, zero_ok=True)
     if w == 0.0:
-        return 2.0
-    return 2.0 + _gauss_kernel_avg(0.0, w, kind) + _gauss_kernel_avg(t, w, kind)
+        return _shaped(np.full(t.size, 2.0), shape)
+    return _shaped(2.0 + _gauss_kernel_avg(np.zeros(1), w, kind) + _gauss_kernel_avg(t, w, kind), shape)
 
 
 # ---------------------------------------------------------------------------
 # Symmetrized states
 
-def _rate_theta_eval(t: float, s: float, w: float, theta: float, kind: str, denom: float) -> float:
-    """The rate at a norm denominator ``denom = _theta_norm_denominator(theta, s)``."""
+def _rate_theta_eval(t, s, w: float, theta: float, kind: str, denom):
+    """The rate at every point (t, s) of 1-D arrays, at norm denominators
+    ``denom = _theta_norm_denominator(theta, s)``."""
     cpl = 1.0 + math.cos(theta)
 
-    def kernel(x):
+    def kernel(s, x):
         return _ij_diff(s, x) + cpl * _j_kernel(s, x)
 
     if math.isinf(w):
-        t_ = abs(t)
-        num = math.pi * kernel(t_) if t_ < 1.0 else 0.0
+        t_ = np.abs(t)
+        inside = t_ < 1.0
+        num = np.where(inside, math.pi * kernel(s, np.where(inside, t_, 0.0)), 0.0)
     else:
         num = _integrate_reduced(kernel, t, w, s, kind)
     return 1.0 + 2.0 * num / denom
 
 
-def rate_theta(t: float, s: float, w: float, theta: float, kind: str = "I", allow_limit: bool = True) -> float:
+def rate_theta(t, s, w: float, theta: float, kind: str = "I", allow_limit: bool = True):
     """Rate for the symmetrized state B_theta (same-mode case).
 
-    theta = pi with s = 0 is a 0/0 limit of the norm; it is evaluated at
-    s = 1e-6 with one Richardson step toward 0 (exact to O(s^4) because
-    the kernels are cancellation-free).  Pass ``allow_limit=False`` to get
-    the degenerate-state error instead.
+    theta = pi with s = 0 is a 0/0 limit of the norm; such a point is
+    evaluated at s = 1e-6 with one Richardson step toward 0 (exact to
+    O(s^4) because the kernels are cancellation-free).  Pass
+    ``allow_limit=False`` to get the degenerate-state error instead.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    _check_args(w, kind)
+    (t, s), shape = _points(t, s)
+    _check_args(w, kind, s)
     denom = _theta_norm_denominator(theta, s)
-    if denom < 2.0 * NORM_DEGENERACY_FLOOR:
+    limit = denom < 2.0 * NORM_DEGENERACY_FLOOR
+    r = np.empty(t.size)
+    if limit.any():
         if not allow_limit:
             raise DegenerateStateError(
-                f"degenerate antisymmetric state at theta={theta}, s={s}"
+                f"degenerate antisymmetric state at theta={theta}, s={s[limit][0]}"
             )
-        s0 = max(s, THETA_PI_LIMIT_S)
-        r_full = _rate_theta_eval(t, s0, w, theta, kind, _theta_norm_denominator(theta, s0))
-        r_half = _rate_theta_eval(t, 0.5 * s0, w, theta, kind, _theta_norm_denominator(theta, 0.5 * s0))
-        return (4.0 * r_half - r_full) / 3.0
-    return _rate_theta_eval(t, s, w, theta, kind, denom)
+        s0 = np.maximum(s[limit], THETA_PI_LIMIT_S)
+        r_full = _rate_theta_eval(t[limit], s0, w, theta, kind, _theta_norm_denominator(theta, s0))
+        r_half = _rate_theta_eval(t[limit], 0.5 * s0, w, theta, kind, _theta_norm_denominator(theta, 0.5 * s0))
+        r[limit] = (4.0 * r_half - r_full) / 3.0
+    rest = ~limit
+    r[rest] = _rate_theta_eval(t[rest], s[rest], w, theta, kind, denom[rest])
+    return _shaped(r, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +842,10 @@ def rate_numeric(
 # ---------------------------------------------------------------------------
 # Curves
 
-def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str], tau: float) -> float:
-    """Single closed-form/reduced rate for a physical state; model may be ``CW_LIMIT``."""
-    args = DimensionlessArgs.from_state(state, model, tau)
+def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str], tau):
+    """Closed-form/reduced rate for a physical state at a delay or an array
+    of delays (one call for a whole curve); model may be ``CW_LIMIT``."""
+    args = DimensionlessArgs.from_state(state, model, np.asarray(tau, dtype=float))
     kind = "II" if isinstance(model, ModelII) else "I"
     if isinstance(state, EntangledState):
         return rate_entangled(args.t, args.s, args.w, kind)
@@ -735,14 +865,18 @@ def compute_rate_curve(
     """Evaluate R over a tau grid; ``model`` may be ``CW_LIMIT`` for flat transmission."""
     taus = np.asarray(taus, dtype=float)
     cw = math.isinf(_model_scale(model))
+    errors = None
     if method == "closed-form":
-        rs = np.array([rate_closed_form(state, model, tau) for tau in taus])
+        # a stand-in rate_closed_form may return one number for the curve
+        rs = np.array(np.broadcast_to(rate_closed_form(state, model, taus), taus.shape), dtype=float)
     elif method == "quadrature":
         if cw:
             raise ValueError("quadrature needs a concrete correlation model; cw has closed forms")
-        rs = np.array([res.value for res in rate_numeric_batch(state, model, taus)])
+        results = rate_numeric_batch(state, model, taus)
+        rs = np.array([res.value for res in results])
+        errors = np.array([res.error for res in results])
     else:
         raise ValueError(f"unknown method {method!r}")
     # suppressed antisymmetric rates can round to -1e-13; clamp roundoff only
     rs[(rs < 0.0) & (rs > -1e-9)] = 0.0
-    return RateCurve(taus=taus, rs=rs, state=state, model=model, method=method)
+    return RateCurve(taus=taus, rs=rs, state=state, model=model, method=method, errors=errors)

@@ -213,9 +213,10 @@ def biphoton_norm_closed_form(pump: PumpParams, crystal: CrystalParams) -> float
     return math.pi ** 1.5 * pump.sigma / abs(crystal.eta_minus)
 
 
-def _theta_norm_denominator(theta: float, s: float) -> float:
+def _theta_norm_denominator(theta: float, s):
     """2 [1 + cos(theta) m(s)], m(s) = Erf(s/2) sqrt(pi)/s, written as
     2 [(1 - m) + (1 + cos theta) m] so it does not cancel at theta = pi.
+    Elementwise over an array of s.
 
     The continuum norm of B(w1,w2) + e^{i theta} B(w2,w1) is this times
     ``biphoton_norm_closed_form``.

@@ -76,6 +76,20 @@ def test_rate_quadrature_model_ii_past_eta_minus(tmp_path):
     np.testing.assert_allclose(read_curve_csv(str(quad))[1], read_curve_csv(str(closed))[1], rtol=0, atol=1e-6)
 
 
+def test_rate_quadrature_reports_its_worst_error_estimate(tmp_path):
+    args = ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "-1", "--tau-max", "1",
+            "--tau-n", "3", "--method", "quadrature"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert _read_bytes(a) == _read_bytes(b)
+    lines = _read_bytes(a).decode().splitlines()
+    assert lines[2].startswith("# config: ")
+    prefix = "# quadrature error estimate, worst over the curve: "
+    (note,) = [line for line in lines if line.startswith(prefix)]
+    assert 0.0 < float(note[len(prefix):]) <= 1e-5
+
+
 def test_rate_command_bad_state_exits_2(tmp_path):
     rc = main(
         ["rate", "--state", '{"state": "nope"}', "--model", MODEL_I,
@@ -565,6 +579,16 @@ _BAD_CONFIGS = {
     "vary-nested-list": _sweep(vary={"sigma": [[1.0]]}),
     "vary-list": _sweep(vary=[1.0]),
     "tau-dict-incomplete": _sweep(tau={"min": 0}),
+    # a key the state kind does not read, or a misspelt one, would be ignored
+    "state-key-foreign": ["rate", "--state", json.dumps({**json.loads(FOCK_STATE), "sigma": 9}), "--model", MODEL_I,
+                          "--tau-min", "0", "--tau-max", "1", "--tau-n", "2"],
+    "vary-key-misspelt": _sweep(vary={"deltaa": [0.5, 2.0]}),
+    "vary-key-foreign": _sweep(vary={"theta": [0.0, 1.0]}),
+    # a misspelt key or an empty case list would fall back to the defaults
+    "mc-validate-key-misspelt": _mc_validate('{"n_realisations": 2}'),
+    "case-key-misspelt": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "taus": 0.7}]}'
+                                      % (FOCK_STATE, MODEL_I)),
+    "cases-empty": _mc_validate('{"cases": []}'),
     "figure-crystal-degenerate": ["figure", "--id", "2", "--nu-o", "1", "--nu-e", "1"],
     "figure-s-negative": ["figure", "--id", "3", "--s-values", "0", "-1"],
     "figure-s-nan": ["figure", "--id", "3", "--s-values", "nan"],
