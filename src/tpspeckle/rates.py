@@ -19,6 +19,12 @@ Gaussian x Lorentzian closed form.  The x-integrals of both models use one
 composite Gauss-Legendre rule, evaluated as numpy arrays, whose embedded
 lower-order rule checks every value.
 
+Frequency-flat transmission (the cw limit) is w = inf of the same forms,
+for either model: ``f`` integrates to pi, so it becomes pi times a delta
+at x = -t, and the Fock/coherent average becomes exp(-t^2/2).  The
+symmetrized kernel is written so that no term cancels at theta = pi,
+where I - J is O(s^2).
+
 The reduced forms take numbers or arrays of t (and s), so a figure column
 or a closed-form curve is one call over its abscissa, once per column
 rather than once per point; a call with numbers is the size-1 case of the
@@ -53,7 +59,7 @@ from scipy.integrate import quad
 from scipy.special import erf as _scipy_erf
 from scipy.special import erfcx as _scipy_erfcx
 
-from ._special import SQRT_PI, erf_ratio, sinc
+from ._special import SQRT_PI, erf_ratio, one_minus_erf_ratio, sinc
 from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII, correlation_sq_magnitude
 from .errors import (
     DegenerateStateError,
@@ -197,37 +203,6 @@ def _i_kernel(s, x):
     return u / math.pi * erf_ratio(s * u)
 
 
-def _j_kernel(s, x):
-    """J(s,x) = (1-|x|) exp(-s^2 x^2 / 4) / pi."""
-    u = 1.0 - np.abs(x)
-    return u / math.pi * np.exp(-0.25 * s * s * x * x)
-
-
-def _ij_diff(s, x):
-    """I - J without cancellation; O(s^2) uniformly on [-1, 1].
-
-    ``s`` broadcasts against ``x``; where s is below 3e-2 the value is the series.
-    """
-    small = np.abs(s) < 3e-2
-    if not small.any():
-        return _i_kernel(s, x) - _j_kernel(s, x)
-    u = 1.0 - np.abs(x)
-    s2 = np.where(small, s, 0.0)
-    s2 = s2 * s2
-    u2 = u * u
-    x2 = x * x
-    series = (
-        u
-        / math.pi
-        * s2
-        * ((x2 / 4.0 - u2 / 12.0) + s2 * (u2 * u2 / 160.0 - x2 * x2 / 32.0)
-           + s2 * s2 * (x2 ** 3 / 384.0 - u2 ** 3 / 2688.0))
-    )
-    if small.all():
-        return series
-    return np.where(small, series, _i_kernel(s, x) - _j_kernel(s, x))
-
-
 # Model II pole expansion.  With v = |dw|/omega_th, |C_II|^2 = psi(v) =
 # 2v / (cosh sqrt(2v) - cos sqrt(2v)) is even and meromorphic in v with
 # simple poles at v = +-i b_k, b_k = pi^2 k^2, hence
@@ -342,7 +317,10 @@ def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str
     ``t`` and ``s`` are 1-D arrays of one length and ``w`` is a number.  G
     is the Lorentzian 2 / (4 + xi^2) for model I and the exponential sum
     of the Model II pole expansion.  ``kernel`` takes broadcasting arrays
-    of s and x.  A repeated edge of ``_panel_edges`` drops out, and the
+    of s and x.  Both G integrate to pi over the real line, so at w = inf
+    (flat transmission) w G(w d) is pi times the delta at d = 0 and the
+    value is pi * kernel(s, t) on |t| < 1, 0 elsewhere, for either
+    ``kind``.  A repeated edge of ``_panel_edges`` drops out, and the
     points with equal panel counts run together, in blocks whose pole
     terms hold at most ``_BLOCK_VALUES`` values: each point's value is
     the one it has on its own.  For each point the sum over panels of
@@ -350,6 +328,9 @@ def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str
     ``REDUCED_ERROR_GATE``; otherwise ``QuadratureNotConvergedError``
     names the worst point.
     """
+    if math.isinf(w):
+        inside = np.abs(t) < 1.0
+        return np.where(inside, math.pi * kernel(s, np.where(inside, t, 0.0)), 0.0)
     edges = _panel_edges(t, w, s)
     lower, upper = edges[:, :-1], edges[:, 1:]
     real = upper > lower
@@ -393,18 +374,19 @@ def _shaped(values, shape):
     return float(values) if values.ndim == 0 else values
 
 
-def _check_args(w: float, kind: str, s=None, zero_ok: bool = False) -> None:
-    """The one argument check of the reduced forms: every s >= 0, and finite
-    unless w = inf; w in (0, inf], or in [0, inf] with ``zero_ok``; and
-    ``kind`` "I" or "II"; else ``ValueError``."""
-    if s is not None and (s < 0).any():
-        raise ValueError("s must be >= 0")
+def _check_args(t, w: float, kind: str, s=None, zero_ok: bool = False) -> None:
+    """The one argument check of the reduced forms, at every w, the flat
+    limit w = inf included: no t is NaN; every s is finite and >= 0; w in
+    (0, inf], or in [0, inf] with ``zero_ok``; and ``kind`` "I" or "II";
+    else ``ValueError``."""
+    if np.isnan(t).any():
+        raise ValueError("t must not be NaN")
+    if s is not None and not (np.isfinite(s) & (s >= 0.0)).all():
+        raise ValueError("s must be finite and >= 0")
     if not (w >= 0.0 if zero_ok else w > 0.0):
         raise ValueError(f"w must lie in {'[' if zero_ok else '('}0, inf], got {w!r}")
     if kind not in ("I", "II"):
         raise ValueError(f'kind must be "I" or "II", got {kind!r}')
-    if s is not None and not math.isinf(w) and np.isinf(s).any():
-        raise ValueError("s must be finite for finite w")
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +400,21 @@ def rate_entangled_cw_limit(t, s):
     """R for frequency-flat transmission (Hong-Ou-Mandel peak), Eq. of the
     interferometer up to the sign of the interference term.
 
-    1 + (sqrt(pi)/s) Erf[(s/2)(1-|t|)] for |t| < 1, else 1; the s -> 0
-    limit is the triangle 1 + (1-|t|).
+    ``rate_entangled`` at w = inf: 1 + (sqrt(pi)/s) Erf[(s/2)(1-|t|)] for
+    |t| < 1, else 1; the s -> 0 limit is the triangle 1 + (1-|t|).
     """
-    (t, s), shape = _points(t, s)
-    if (s < 0).any():
-        raise ValueError("s must be >= 0")
-    outside = np.abs(t) >= 1.0
-    u = np.where(outside, 1.0, 1.0 - np.abs(t))
-    return _shaped(np.where(outside, 1.0, 1.0 + u * erf_ratio(s * u)), shape)
+    return rate_entangled(t, s, math.inf)
 
 
 def rate_entangled(t, s, w: float, kind: str = "I"):
-    """Entangled-state rate at dimensionless (t, s, w) for model ``kind``."""
+    """Entangled-state rate at dimensionless (t, s, w) for model ``kind``; w = inf is flat transmission."""
     (t, s), shape = _points(t, s)
-    _check_args(w, kind, s)
-    if math.isinf(w):
-        return rate_entangled_cw_limit(t.reshape(shape), s.reshape(shape))
+    _check_args(t, w, kind, s)
     return _shaped(1.0 + _integrate_reduced(_i_kernel, t, w, s, kind), shape)
 
 
 # ---------------------------------------------------------------------------
 # Fock and coherent states
-
-def _libm_exp(x: np.ndarray) -> np.ndarray:
-    """The C library's exp at every element of a 1-D array.
-
-    For the per-delay Gaussian factor of the Fock and coherent forms: numpy's
-    vector exp differs from it in the last bit at a few percent of
-    arguments, and these rates have always used it.
-    """
-    return np.array([math.exp(v) for v in x.tolist()])
-
 
 def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
     """Int_R N(y) |C(y/w)|^2 cos(t y) dy, N the unit normal density, at every t of a 1-D array.
@@ -459,18 +424,18 @@ def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
     and each Gaussian x Lorentzian integral is
     sqrt(pi/8) / q e^{-t^2/2} [erfcx((q - t)/sqrt2) + erfcx((q + t)/sqrt2)].
     For q < t, erfcx(-a) = 2 e^{a^2} - erfcx(a) folds the growing factor
-    into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.
+    into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.  At w = inf
+    |C|^2 = 1 for either model and the average is e^{-t^2/2}.
     """
     t = np.abs(t)
     gone = np.isinf(t)
     t = np.where(gone, 0.0, t)
-    if kind == "I":
-        re = 0.0 if math.isinf(w) else math.sqrt(2.0) / w
-        avg = _scipy_erfcx(re + 1j * (t / math.sqrt(2.0))).real
-    elif math.isinf(w):
-        avg = _libm_exp(-0.5 * t * t)
+    if math.isinf(w):
+        avg = np.exp(-0.5 * t * t)
+    elif kind == "I":
+        avg = _scipy_erfcx(math.sqrt(2.0) / w + 1j * (t / math.sqrt(2.0))).real
     else:
-        gauss = _libm_exp(-0.5 * t * t)[:, None]
+        gauss = np.exp(-0.5 * t * t)[:, None]
         t = t[:, None]
         q = w * _POLE_B
         a = (q - t) / math.sqrt(2.0)
@@ -485,14 +450,14 @@ def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
 def rate_fock(t, w: float, kind: str = "I"):
     """Fock-state rate; bounded in [1, 2], Gaussian-smooth at t = 0."""
     (t,), shape = _points(t)
-    _check_args(w, kind)
+    _check_args(t, w, kind)
     return _shaped(1.0 + _gauss_kernel_avg(t, w, kind), shape)
 
 
 def rate_coherent(t, w: float, kind: str = "I"):
     """Coherent-state rate; bounded in [2, 4], tail value 2 + erfcx(sqrt2/w)."""
     (t,), shape = _points(t)
-    _check_args(w, kind, zero_ok=True)
+    _check_args(t, w, kind, zero_ok=True)
     if w == 0.0:
         return _shaped(np.full(t.size, 2.0), shape)
     return _shaped(2.0 + _gauss_kernel_avg(np.zeros(1), w, kind) + _gauss_kernel_avg(t, w, kind), shape)
@@ -503,19 +468,21 @@ def rate_coherent(t, w: float, kind: str = "I"):
 
 def _rate_theta_eval(t, s, w: float, theta: float, kind: str, denom):
     """The rate at every point (t, s) of 1-D arrays, at norm denominators
-    ``denom = _theta_norm_denominator(theta, s)``."""
+    ``denom = _theta_norm_denominator(theta, s)``.
+
+    The kernel I(s,x) + cos(theta) J(s,x), J(s,x) = (1-|x|) exp(-s^2 x^2/4) / pi,
+    is evaluated as (1-|x|)/pi [cpl - (1 - erf_ratio(s (1-|x|))) + (cpl - 1)
+    expm1(-s^2 x^2/4)], cpl = 1 + cos(theta).  No term of the bracket
+    cancels, so at theta = pi, where the kernel is I - J = O(s^2), it
+    keeps its last bits at small s.
+    """
     cpl = 1.0 + math.cos(theta)
 
     def kernel(s, x):
-        return _ij_diff(s, x) + cpl * _j_kernel(s, x)
+        u = 1.0 - np.abs(x)
+        return u / math.pi * (cpl - one_minus_erf_ratio(s * u) + (cpl - 1.0) * np.expm1(-0.25 * s * s * x * x))
 
-    if math.isinf(w):
-        t_ = np.abs(t)
-        inside = t_ < 1.0
-        num = np.where(inside, math.pi * kernel(s, np.where(inside, t_, 0.0)), 0.0)
-    else:
-        num = _integrate_reduced(kernel, t, w, s, kind)
-    return 1.0 + 2.0 * num / denom
+    return 1.0 + 2.0 * _integrate_reduced(kernel, t, w, s, kind) / denom
 
 
 def rate_theta(t, s, w: float, theta: float, kind: str = "I", allow_limit: bool = True):
@@ -527,7 +494,7 @@ def rate_theta(t, s, w: float, theta: float, kind: str = "I", allow_limit: bool 
     ``allow_limit=False`` to get the degenerate-state error instead.
     """
     (t, s), shape = _points(t, s)
-    _check_args(w, kind, s)
+    _check_args(t, w, kind, s)
     denom = _theta_norm_denominator(theta, s)
     limit = denom < 2.0 * NORM_DEGENERACY_FLOOR
     r = np.empty(t.size)

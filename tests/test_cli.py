@@ -52,6 +52,12 @@ def test_rate_command_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert _read_bytes(a) == _read_bytes(b)
+    # `--state` also takes the path of a JSON file
+    state = tmp_path / "state.json"
+    state.write_text(FOCK_STATE)
+    c = tmp_path / "c.csv"
+    assert main([str(state) if word == FOCK_STATE else word for word in args] + ["--out", str(c)]) == 0
+    assert _read_bytes(c) == _read_bytes(a)
 
 
 def test_rate_command_cw_model(tmp_path):
@@ -231,6 +237,24 @@ def test_sweep_single_point_matches_rate(tmp_path):
     from tpspeckle import rate_fock
 
     assert data[0, -1] == pytest.approx(rate_fock(1.0, 1.0), rel=1e-12)
+
+
+def test_sweep_varies_model_scale(tmp_path):
+    from tpspeckle import ModelII, rate_closed_form
+
+    taus = [-1.5, 0.0, 0.4]
+    cfg = {"state": json.loads(ENT_STATE), "model": {"model": "II", "scale": 1.0}, "tau": taus,
+           "vary": {"scale": [0.3, 1.0, 3.0]}}
+    out = tmp_path / "scale.csv"
+    assert main(["sweep", "--config", json.dumps(cfg), "--out", str(out)]) == 0
+    names, data = read_curve_csv(str(out))
+    assert names == ["scale", "tau", "r"]
+    assert data[:, 0].tolist() == [0.3] * 3 + [1.0] * 3 + [3.0] * 3
+    state = cli.state_from_config(cfg["state"])
+    for scale in (0.3, 1.0, 3.0):
+        rows = data[data[:, 0] == scale]
+        assert np.array_equal(rows[:, 1], taus)
+        assert np.array_equal(rows[:, 2], rate_closed_form(state, ModelII(omega_th=scale), taus))
 
 
 def test_sweep_deterministic(tmp_path):
@@ -562,6 +586,10 @@ def _sweep(**cfg):
     return ["sweep", "--config", json.dumps({"state": _ENT, **cfg})]
 
 
+def _rate_from(state):
+    return ["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1", "--tau-n", "2"]
+
+
 def _mc_rate(ensemble):
     return ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
             "--tau-n", "2", "--method", "monte-carlo", "--ensemble", ensemble]
@@ -584,6 +612,7 @@ _BAD_CONFIGS = {
                           "--tau-min", "0", "--tau-max", "1", "--tau-n", "2"],
     "vary-key-misspelt": _sweep(vary={"deltaa": [0.5, 2.0]}),
     "vary-key-foreign": _sweep(vary={"theta": [0.0, 1.0]}),
+    "vary-scale-cw": _sweep(model="cw", vary={"scale": [1.0, 2.0]}),
     # a misspelt key or an empty case list would fall back to the defaults
     "mc-validate-key-misspelt": _mc_validate('{"n_realisations": 2}'),
     "case-key-misspelt": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "taus": 0.7}]}'
@@ -598,6 +627,10 @@ _BAD_CONFIGS = {
     "figure-nu-o-underflow": ["figure", "--id", "2", "--nu-o", "1e-200", "--nu-e", "-0.264"],
     "rate-tau-decreasing": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "1", "--tau-max", "-1",
                             "--tau-n", "3"],
+    "rate-tau-n-1": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                     "--tau-n", "1"],
+    "state-file-key-foreign": _rate_from("<state file: key-foreign>"),
+    "state-file-not-json": _rate_from("<state file: not-json>"),
     "rate-quadrature-cw": ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "0", "--tau-max", "1",
                            "--tau-n", "2", "--method", "quadrature"],
     "ensemble-key-misspelt": _mc_rate('{"grid": {"half_width": 8, "n": 64}, "model": {"model": "I", "scale": 1.0}, '
@@ -613,8 +646,20 @@ _BAD_CONFIGS = {
 }
 
 
+# `--state` takes a path as well as a JSON blob: each of these words stands
+# for a file holding the text
+_STATE_FILES = {
+    "<state file: key-foreign>": json.dumps({**json.loads(FOCK_STATE), "sigma": 9}),
+    "<state file: not-json>": '{"state": "fock", "omega_bar": 100.0, "delta": 1.0',
+}
+
+
 @pytest.mark.parametrize("argv", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
-def test_malformed_config_exits_2(tmp_path, capsys, argv):
+def test_malformed_config_exits_2(tmp_path, tmp_path_factory, capsys, argv):
+    state = tmp_path_factory.mktemp("inputs") / "state.json"
+    for word in set(argv) & set(_STATE_FILES):
+        state.write_text(_STATE_FILES[word])
+    argv = [str(state) if word in _STATE_FILES else word for word in argv]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -667,7 +712,7 @@ _FIGURE_OPTIONS = [
 ]
 _CURVE = [["tau", "r"], ["-1", "1.5"], ["0", "2"], ["1", "1.5"], ["2", "1.0"]]
 _BAD_LEAVES = [NAN, INF, -INF, -1, 0, "a", None, [], {}, True]
-_BAD_WORDS = ["nan", "inf", "-inf", "-1", "0", "a", "", "1e999", "2.5"]
+_BAD_WORDS = ["nan", "inf", "-inf", "-1", "0", "1", "a", "", "1e999", "2.5"]
 
 
 def _leaf_paths(node, path=()):
@@ -707,6 +752,12 @@ def _mutated_argv(kind, where, value, tmp_path):
         return _rate_argv(_replaced(_VALID_RATE, where, value), _RATE_OPTIONS)
     if kind == "rate-option":
         return _rate_argv(_VALID_RATE, _replaced(_RATE_OPTIONS, (where,), value))
+    if kind == "rate-state-file":
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(_replaced(_VALID_RATE["state"], where, value)))
+        argv = _rate_argv(_VALID_RATE, _RATE_OPTIONS)
+        argv[argv.index("--state") + 1] = str(state)
+        return argv
     if kind == "figure":
         figure, slot = where
         return ["figure", *_replaced(_FIGURE_OPTIONS[figure], (slot,), value)]
@@ -720,6 +771,8 @@ _MUTATIONS = st.one_of(
     st.tuples(st.just("mc-validate"), st.sampled_from(list(_leaf_paths(_VALID_MC))), st.sampled_from(_BAD_LEAVES)),
     st.tuples(st.just("rate"), st.sampled_from(list(_leaf_paths(_VALID_RATE))), st.sampled_from(_BAD_LEAVES)),
     st.tuples(st.just("rate-option"), st.sampled_from(_value_slots(_RATE_OPTIONS)), st.sampled_from(_BAD_WORDS)),
+    st.tuples(st.just("rate-state-file"), st.sampled_from(list(_leaf_paths(_VALID_RATE["state"]))),
+              st.sampled_from(_BAD_LEAVES)),
     st.tuples(st.just("figure"),
               st.sampled_from([(k, i) for k, options in enumerate(_FIGURE_OPTIONS) for i in _value_slots(options)]),
               st.sampled_from(_BAD_WORDS)),

@@ -34,6 +34,7 @@ from tpspeckle import (
 )
 
 INF = math.inf
+NAN = math.nan
 
 
 # --- complex error function
@@ -193,10 +194,30 @@ def test_theta_pi_over_2_equals_entangled():
 
 
 def test_theta_pi_complete_suppression():
-    assert abs(rate_theta(0.0, 0.0, INF, math.pi)) < 1e-9
-    # flat in s at weak disorder
-    for s in (0.5, 2.0, 6.0):
-        assert abs(rate_theta(0.0, s, INF, math.pi)) < 1e-12
+    # R(0) = 0 for every s at weak disorder, to the last bit: the kernel
+    # I - J = O(s^2) must not come from a difference of two numbers near 1
+    s = np.linspace(0.0, 8.0, 161)
+    assert np.abs(rate_theta(0.0, s, INF, math.pi)).max() <= 1e-15
+
+
+# theta = pi, t = 0, Model I: 1 + 2 Int_0^1 (I - J)(s, x) w 2 / (4 + w^2 x^2) dx
+# over 1 - sqrt(pi) Erf(s/2) / s, by mpmath tanh-sinh quadrature at 50
+# digits (split at x = 1/4, 1/2), made without tpspeckle.  At these s,
+# I - J is 1e-2 or less of I, so a direct difference of the two cancels.
+THETA_PI_ORACLE = {
+    1.0: {0.029: 0.99422678067205854912105972621182, 0.031: 0.99422678002109891721321596054355,
+          0.05: 0.99422677167941320248435800938282, 0.1: 0.994226731210342932975428849588,
+          0.35: 0.99422616041077979205658291895546},
+    0.3: {0.029: 0.99982333341312712345720818521007, 0.031: 0.99982333341112566593469965157015,
+          0.05: 0.99982333338565927189421230809173, 0.1: 0.99982333326692438128199964879266,
+          0.35: 0.99982333255246433432252273132876},
+}
+
+
+@pytest.mark.parametrize("w", sorted(THETA_PI_ORACLE))
+def test_theta_pi_small_s_mpmath_oracle(w):
+    for s, v in THETA_PI_ORACLE[w].items():
+        assert rate_theta(0.0, s, w, math.pi) == pytest.approx(v, abs=1e-12)
 
 
 def test_theta_zero_weak_disorder_is_two_for_any_s():
@@ -439,6 +460,54 @@ def test_reduced_forms_check_w_and_kind(name):
             with pytest.raises(ValueError, match="kind must be"):
                 rate(w, kind)
     assert rate(INF, "II") == pytest.approx(rate(INF, "I"), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["entangled", "theta", "fock", "coherent"])
+def test_flat_limit_does_not_depend_on_kind(name):
+    # w = inf is one evaluation for both correlation models
+    t = np.linspace(-5.0, 5.0, 241)
+    rate = {
+        "entangled": lambda kind: rate_entangled(t, 2.0, INF, kind),
+        "theta": lambda kind: rate_theta(t, 2.0, INF, 1.0, kind),
+        "fock": lambda kind: rate_fock(t, INF, kind),
+        "coherent": lambda kind: rate_coherent(t, INF, kind),
+    }[name]
+    assert np.array_equal(rate("I"), rate("II"))
+
+
+# every reduced form at (t, s); those with a w at finite w and at w = inf
+_T_S_FORMS = {
+    "entangled_cw_limit": lambda t, s: rate_entangled_cw_limit(t, s),
+    "entangled": lambda t, s: rate_entangled(t, s, 1.0),
+    "entangled_flat": lambda t, s: rate_entangled(t, s, INF, "II"),
+    "theta": lambda t, s: rate_theta(t, s, 1.0, 0.5),
+    "theta_flat": lambda t, s: rate_theta(t, s, INF, 0.0),
+    "fock": lambda t, s: rate_fock(t, 1.0),
+    "fock_flat": lambda t, s: rate_fock(t, INF),
+    "coherent": lambda t, s: rate_coherent(t, 1.0, "II"),
+    "coherent_flat": lambda t, s: rate_coherent(t, INF),
+}
+
+
+@pytest.mark.parametrize("name", list(_T_S_FORMS))
+def test_reduced_forms_check_t_and_s(name):
+    rate = _T_S_FORMS[name]
+    for t in (NAN, np.array([0.0, NAN])):
+        with pytest.raises(ValueError, match="t must not be NaN"):
+            rate(t, 1.0)
+    if name.startswith(("fock", "coherent")):
+        return
+    # one rule for s at every w, the flat limit included
+    for s in (INF, NAN, -1.0, np.array([1.0, INF])):
+        with pytest.raises(ValueError, match="s must be finite and >= 0"):
+            rate(0.0, s)
+
+
+def test_closed_form_rejects_nan_delay(entangled_s2, antisymmetric_s2):
+    for state in (entangled_s2, antisymmetric_s2, FockState(100.0, 1.0), CoherentState(100.0, 1.0)):
+        for model in (ModelI(omega_corr=1.0), ModelII(omega_th=1.0), "cw-limit"):
+            with pytest.raises(ValueError, match="t must not be NaN"):
+                rate_closed_form(state, model, [0.0, NAN])
 
 
 def test_dimensionless_args(crystal, pump_s2, entangled_s2):

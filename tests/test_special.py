@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tpspeckle._special import erf_ratio, sinc
+from tpspeckle._special import erf_ratio, one_minus_erf_ratio, sinc
 
 # 0, +-1e-12..1e-1, both sides of the 1e-8 guard, and the subnormal end,
 # where erf(x/2) itself underflows
@@ -27,3 +27,18 @@ def test_matches_mpmath_near_zero(fn, ref):
             assert abs(value - ref(float(x))) <= 1e-15 * abs(ref(float(x)))
             assert fn(float(x)) == value  # scalar and array calls agree
     assert isinstance(fn(0.0), float)
+
+
+def test_one_minus_erf_ratio_keeps_relative_accuracy():
+    # 1 - erf_ratio(s) = s^2/12 + O(s^4) must not come from a difference of
+    # two numbers near 1, on either side of the series' range |s| < 2
+    s = np.concatenate([[1e-150, 1e-8, 1e-4, 1.99999999, 2.00000001], np.linspace(-8.0, 8.0, 1601)])
+    s = s[s != 0.0]
+    got = one_minus_erf_ratio(s)
+    with mpmath.workdps(400):
+        for x, value in zip(s, got):
+            xm = mpmath.mpf(x)
+            ref = 1 - mpmath.sqrt(mpmath.pi) * mpmath.erf(xm / 2) / xm
+            assert abs(value - ref) <= 1e-15 * ref
+            assert one_minus_erf_ratio(float(x)) == value
+    assert one_minus_erf_ratio(0.0) == 0.0
