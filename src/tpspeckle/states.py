@@ -225,10 +225,13 @@ def _theta_norm_denominator(theta: float, s):
 
 
 def _continuum_norm(state: Union[EntangledState, SymmetrizedState]) -> float:
-    """Infinite-plane norm of a sinc-tailed state's unnormalized amplitude."""
+    """Infinite-plane norm of a sinc-tailed state's unnormalized amplitude;
+    ``DegenerateStateError`` for a symmetrized state whose norm vanishes."""
     norm = biphoton_norm_closed_form(state.pump, state.crystal)
     if isinstance(state, SymmetrizedState):
-        norm *= _theta_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
+        s = abs(state.pump.sigma * state.crystal.eta_plus)
+        symmetrized_norm_sq(state.theta, s)
+        norm *= _theta_norm_denominator(state.theta, s)
     return norm
 
 

@@ -96,6 +96,16 @@ def test_rate_quadrature_reports_its_worst_error_estimate(tmp_path):
     assert 0.0 < float(note[len(prefix):]) <= 1e-5
 
 
+def test_rate_quadrature_refuses_a_degenerate_state(tmp_path):
+    state = json.dumps({"state": "symmetrized", "omega_bar": 100.0, "sigma": 1e-6, "nu_o": 1.5,
+                        "nu_e": 0.5, "theta": math.pi})
+    out = tmp_path / "q.csv"
+    args = ["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+            "--tau-n", "3", "--method", "quadrature", "--out", str(out)]
+    assert main(args) == 3
+    assert not out.exists()
+
+
 def test_rate_command_bad_state_exits_2(tmp_path):
     rc = main(
         ["rate", "--state", '{"state": "nope"}', "--model", MODEL_I,

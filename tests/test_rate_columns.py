@@ -132,3 +132,36 @@ def test_pole_sum_skips_only_terms_that_change_no_bit():
     terms = -xi[..., None] * rates._POLE_B
     assert np.mean(terms <= rates._EXP_FLOOR) > 0.2
     assert np.array_equal(rates._pole_sum(xi), np.exp(terms) @ rates._POLE_A)
+
+
+def test_model_i_column_blocks_by_its_own_terms(monkeypatch):
+    # Model I has no pole terms: its blocks count 8 kernel values per node
+    # against the budget (not 20 pole terms), so this column runs in 9
+    # blocks rather than 17
+    blocks = []
+    block = rates._reduced_block
+
+    def counted(kernel, t, w, s, kind, lower, upper):
+        blocks.append(lower.shape)
+        return block(kernel, t, w, s, kind, lower, upper)
+
+    monkeypatch.setattr(rates, "_reduced_block", counted)
+    t = np.linspace(-3.0, 3.0, 241)
+    column = rate_entangled(t, 2.0, 1.0, "I")
+    assert len(blocks) == 9
+    assert sum(rows for rows, _ in blocks) == t.size
+    assert all(rows * panels * rates._GL_NODES.size * 8 <= rates._BLOCK_VALUES for rows, panels in blocks)
+    monkeypatch.setattr(rates, "_reduced_block", block)
+    assert np.array_equal(column, [rate_entangled(float(v), 2.0, 1.0, "I") for v in t])
+
+
+def test_model_i_figure_8_column_stays_memory_bounded():
+    s = np.linspace(0.0, 8.0, 161)
+    rate_theta(0.0, s, 1.0, math.pi, "I")  # fills the per-w cache
+    tracemalloc.start()
+    try:
+        rate_theta(0.0, s, 1.0, math.pi, "I")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

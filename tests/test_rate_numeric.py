@@ -7,8 +7,8 @@ from tpspeckle import (
     CoherentState,
     CrystalParams,
     EntangledState,
+    DegenerateStateError,
     FockState,
-    FrequencyGrid,
     GridTooNarrowError,
     ModelI,
     ModelII,
@@ -66,8 +66,20 @@ def test_entangled_flat_correlation_doubles():
     # |C|^2 ~ 1 over the whole grid, sigma small: R(0) -> 2.  The sinc
     # exchange tail beyond the grid is supplied analytically.
     state = _ent(0.05)
-    res = rate_numeric(state, ModelI(omega_corr=1e9), tau=0.0, points=2049)
+    model = ModelI(omega_corr=1e9)
+    res = rate_numeric(state, model, tau=0.0)
     assert res.value == pytest.approx(2.0, abs=1e-3)
+    assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_symmetrized_flat_correlation(theta):
+    # under a nearly flat kernel the d axis cuts the sinc exchange term,
+    # whose remainder is the analytic tail: only the pump-axis edges count
+    state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
+    model = ModelI(omega_corr=1e9)
+    res = rate_numeric(state, model, tau=0.0)
+    assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2, math.pi])
@@ -99,12 +111,45 @@ def test_symmetrized_tail_error_covers_large_tau_batch():
         assert abs(res.value - rate_closed_form(state, model, tau)) <= res.error
 
 
+def test_symmetrized_curve_reaching_large_tau():
+    # |tau| = 10 shrinks the d axis to 54, inside the slowly decaying
+    # Model II kernel: the exchange tail carries the rest of the curve
+    state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.0)
+    model = ModelII(omega_th=3.0)
+    taus = [0.0, 2.5, 5.0, 10.0]
+    for tau, res in zip(taus, rate_numeric_batch(state, model, taus)):
+        assert abs(res.value - rate_closed_form(state, model, tau)) <= res.error
+
+
 def test_model_ii_quadrature_matches_reduced():
     state = _ent(2.0)
     for (t, w) in ((0.5, 0.5), (0.0, 1.0)):
-        res = rate_numeric(state, ModelII(omega_th=w), tau=t, points=2049, tolerance=1e-4)
+        res = rate_numeric(state, ModelII(omega_th=w), tau=t)
         reduced = rate_entangled(t, 2.0, w, kind="II")
-        assert res.value == pytest.approx(reduced, abs=1e-5)
+        assert res.value == pytest.approx(reduced, abs=1e-6)
+        assert abs(res.value - reduced) <= max(1e-12, res.error)
+
+
+@pytest.mark.parametrize("model", [M_I, ModelII(omega_th=0.5)])
+def test_coherent_is_fock_at_zero_plus_fock_at_tau(model):
+    # R_coh(tau) = R_F(0) + R_F(tau) for the same envelope, errors summed
+    taus = [-1.0, 0.0, 0.5, 2.0]
+    fock = rate_numeric_batch(FockState(100.0, 1.0), model, [0.0] + taus)
+    coherent = rate_numeric_batch(CoherentState(100.0, 1.0), model, taus)
+    for res, f in zip(coherent, fock[1:]):
+        assert res.value == fock[0].value + f.value
+        assert res.error == fock[0].error + f.error
+
+
+def test_degenerate_antisymmetric_state_is_refused():
+    # below the norm floor the quadrature's own error estimate no longer
+    # covers its error: refuse the state as the Monte Carlo route does
+    for sigma in (1e-5, 1e-6, 3e-7):
+        with pytest.raises(DegenerateStateError):
+            rate_numeric(SymmetrizedState(PumpParams(100.0, sigma), CRYSTAL, math.pi), M_I, tau=0.0)
+    state = SymmetrizedState(PumpParams(100.0, 3e-5), CRYSTAL, math.pi)
+    res = rate_numeric(state, M_I, tau=0.0)
+    assert abs(res.value - rate_closed_form(state, M_I, 0.0)) <= res.error
 
 
 def test_parity_in_tau():
@@ -120,24 +165,26 @@ def test_error_estimate_reported():
     assert res.value == pytest.approx(rate_fock(0.5, 1.0), abs=max(1e-6, res.error))
 
 
-def test_quadrature_not_converged_error():
+def test_quadrature_not_converged_error(monkeypatch):
+    import tpspeckle.rates as rates
+
+    monkeypatch.setattr(rates, "QUADRATURE_POINTS_GAUSS", 33)
+    monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1e-9)
     with pytest.raises(QuadratureNotConvergedError):
-        rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5, points=33, tolerance=1e-9)
+        rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5)
 
 
-def test_grid_too_narrow_error():
-    # explicit grid far narrower than the state support
+def test_grid_too_narrow_error(monkeypatch):
+    # a kernel support far narrower than the Fock envelope cuts the d
+    # axis at half a width, where the Gaussian ring carries real mass
+    import tpspeckle.rates as rates
+
+    monkeypatch.setattr(rates, "_model_d_support", lambda model: 0.0)
     state = FockState(100.0, 1.0)
     with pytest.raises(GridTooNarrowError):
-        rate_numeric(state, M_I, tau=0.0, grid=FrequencyGrid(100.0, 1.0, 257))
+        rate_numeric(state, M_I, tau=0.0)
     with pytest.raises(GridTooNarrowError):
-        rate_numeric_batch(state, M_I, [0.0, 1.0], grid=FrequencyGrid(100.0, 1.0, 257))
-
-
-def test_explicit_grid_path():
-    state = FockState(100.0, 1.0)
-    res = rate_numeric(state, M_I, tau=1.0, grid=FrequencyGrid(100.0, 10.0, 1025))
-    assert res.value == pytest.approx(rate_fock(1.0, 1.0), abs=1e-6)
+        rate_numeric_batch(state, M_I, [0.0, 1.0])
 
 
 def test_quadrature_curve(entangled_s2):
@@ -158,7 +205,8 @@ def test_tail_integral_error_estimate_is_checked(monkeypatch):
     monkeypatch.setattr(rates, "quad", lambda *a, **k: (quad(*a, **k)[0], 1e-3))
     with pytest.raises(QuadratureNotConvergedError):
         rate_numeric(state, M_I, tau=0.5)
-    sloppy = rate_numeric(state, M_I, tau=0.5, tolerance=1.0)
+    monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1.0)
+    sloppy = rate_numeric(state, M_I, tau=0.5)
     assert sloppy.value == healthy.value
     assert sloppy.error > healthy.error + 1e-4
 
