@@ -280,8 +280,7 @@ def _figure_dataset(figure_id, kind, args):
         return "sigma_over_dw_cw", sig, ["ratio_o", "ratio_e"], [ratios[:, 0], ratios[:, 1]], notes
 
     xname, x, columns = _figure_columns(figure_id, kind, args, notes)
-    # a replaced rate function may return one number for the whole column
-    cols = [np.broadcast_to(rate(x), x.shape) for _, rate in columns]
+    cols = [rate(x) for _, rate in columns]
     return xname, x, [name for name, _ in columns], cols, notes
 
 
@@ -289,9 +288,9 @@ def _figure_columns(figure_id, kind, args, notes):
     """(abscissa name, abscissa, [(column name, rate over the abscissa array)]) of figures 3..10.
 
     The rate functions are looked up in this module's namespace during the
-    call, so a replaced ``cli.rate_*`` attribute (a test double or a
-    profiling wrapper) is the one evaluated, once per column, with the
-    whole abscissa array.
+    call, not bound at import, because the benchmark's tracer
+    (``perfbench/tracer.py``) wraps the ``cli.rate_*`` attributes to time
+    them; each is evaluated once per column, with the whole abscissa array.
     """
     t = np.linspace(-3.0, 3.0, 241)
     if figure_id == 3:
@@ -373,7 +372,7 @@ def cmd_sweep(args) -> int:
     rows = [
         combo + [tau, float(r)]
         for combo, state, mdl in points
-        for tau, r in zip(tau_values, np.broadcast_to(rate_closed_form(state, mdl, tau_values), len(tau_values)))
+        for tau, r in zip(tau_values, rate_closed_form(state, mdl, tau_values))
     ]
     config = {"state": base_state, "model": model_cfg, "vary": vary, "tau": taus}
     write_csv(

@@ -99,6 +99,7 @@ __all__ = [
 
 _CHUNK = 512
 _VALUE_BUDGET = 8 * 2**20  # float64 values (64 MB) of one ensemble pass over a tau group
+MC_GRID_POINTS = 128  # frequency points of ``mc_default_grid``
 
 
 @dataclass(frozen=True)
@@ -183,20 +184,21 @@ def _factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float) -> np.nd
     return L if L.imag.any() else np.ascontiguousarray(L.real)
 
 
-def mc_default_grid(state: StateSpec, model: CorrelationModel, n: int = 128) -> FrequencyGrid:
-    """Grid sized for the estimator, not the amplitude: it must cover the
-    state's spectrum, resolve the kernel width (spacing <= Omega/3 where
-    affordable) and keep the sinc oscillations sampled."""
+def mc_default_grid(state: StateSpec, model: CorrelationModel) -> FrequencyGrid:
+    """Grid of ``MC_GRID_POINTS`` points sized for the estimator, not the
+    amplitude: it must cover the state's spectrum, resolve the kernel width
+    (spacing <= Omega/3 where affordable) and keep the sinc oscillations
+    sampled."""
     scale = model.omega_corr if isinstance(model, ModelI) else model.omega_th
     if isinstance(state, (FockState, CoherentState)):
         delta = state.delta
         cover = 8.0 * delta
-        half = max(cover, min(8.0 * scale, (n - 1) * scale / 6.0, 25.0 * delta))
-        return FrequencyGrid(state.omega_bar, half, n)
+        half = max(cover, min(8.0 * scale, (MC_GRID_POINTS - 1) * scale / 6.0, 25.0 * delta))
+        return FrequencyGrid(state.omega_bar, half, MC_GRID_POINTS)
     eta_m = abs(state.crystal.eta_minus)
     cover = 6.0 * state.pump.sigma + 1.0 / eta_m
-    half = max(cover, min(8.0 * scale, (n - 1) * scale / 6.0, 32.0 / eta_m))
-    return FrequencyGrid(state.pump.omega_bar, half, n)
+    half = max(cover, min(8.0 * scale, (MC_GRID_POINTS - 1) * scale / 6.0, 32.0 / eta_m))
+    return FrequencyGrid(state.pump.omega_bar, half, MC_GRID_POINTS)
 
 
 def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range) -> np.ndarray:

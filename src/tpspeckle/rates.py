@@ -22,8 +22,11 @@ lower-order rule checks every value.
 Frequency-flat transmission (the cw limit) is w = inf of the same forms,
 for either model: ``f`` integrates to pi, so it becomes pi times a delta
 at x = -t, and the Fock/coherent average becomes exp(-t^2/2).  The
-symmetrized kernel is written so that no term cancels at theta = pi,
-where I - J is O(s^2).
+symmetrized rate is one ratio of the x-integral to the norm denominator
+at every point, both written so that no term cancels at theta = pi, where
+each is O(s^2).  Where 1 + cos(theta) rounds to 0, s = 0 is a 0/0 limit,
+and s is raised to 1e-8, below which the ratio no longer moves in double
+precision; the closed form raises no degenerate-state error.
 
 The reduced forms take numbers or arrays of t (and s), so a figure column
 or a closed-form curve is one call over its abscissa, once per column
@@ -62,10 +65,9 @@ from scipy.integrate import quad
 from scipy.special import erf as _scipy_erf
 from scipy.special import erfcx as _scipy_erfcx
 
-from ._special import SQRT_PI, erf_ratio, one_minus_erf_ratio, sinc
+from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
 from .correlation import CorrelationModel, ModelI, ModelII, correlation_sq_magnitude
 from .errors import (
-    DegenerateStateError,
     GridTooNarrowError,
     NonFiniteValueError,
     QuadratureNotConvergedError,
@@ -79,7 +81,6 @@ from .states import (
     StateSpec,
     SymmetrizedState,
     EDGE_MASS_BUDGET,
-    NORM_DEGENERACY_FLOOR,
     _continuum_norm,
     _edge_fraction,
     _theta_norm_denominator,
@@ -108,7 +109,6 @@ __all__ = [
 
 ERF_RANGE = 30.0
 CW_LIMIT = "cw-limit"  # the model value of frequency-flat transmission, w = inf
-THETA_PI_LIMIT_S = 1e-6
 
 
 class QuadratureResult(NamedTuple):
@@ -474,49 +474,30 @@ def rate_coherent(t, w: float, kind: str = "I"):
 # ---------------------------------------------------------------------------
 # Symmetrized states
 
-def _rate_theta_eval(t, s, w: float, theta: float, kind: str, denom):
-    """The rate at every point (t, s) of 1-D arrays, at norm denominators
-    ``denom = _theta_norm_denominator(theta, s)``.
+def rate_theta(t, s, w: float, theta: float, kind: str = "I"):
+    """Rate for the symmetrized state B_theta (same-mode case).
 
-    The kernel I(s,x) + cos(theta) J(s,x), J(s,x) = (1-|x|) exp(-s^2 x^2/4) / pi,
-    is evaluated as (1-|x|)/pi [cpl - (1 - erf_ratio(s (1-|x|))) + (cpl - 1)
-    expm1(-s^2 x^2/4)], cpl = 1 + cos(theta).  No term of the bracket
-    cancels, so at theta = pi, where the kernel is I - J = O(s^2), it
-    keeps its last bits at small s.
+    R = 1 + 2 Int kernel * w G dx / _theta_norm_denominator(theta, s), one
+    ratio at every point.  The kernel I(s,x) + cos(theta) J(s,x),
+    J(s,x) = (1-|x|) exp(-s^2 x^2/4) / pi, is evaluated as
+    (1-|x|)/pi [cpl - (1 - erf_ratio(s (1-|x|))) + (cpl - 1) expm1(-s^2 x^2/4)],
+    cpl = 1 + cos(theta).  No term of the bracket or of the denominator
+    cancels, so where theta = pi makes both O(s^2) the ratio keeps its last
+    bits.  Where cpl rounds to 0 (theta = pi to double precision), s = 0 is
+    a 0/0 limit: s is raised to ``UNIT_BELOW``, under which the ratio's
+    O(s^2) departure from that limit is below half an ulp.
     """
+    (t, s), shape = _points(t, s)
+    _check_args(t, w, kind, s)
     cpl = 1.0 + math.cos(theta)
+    if cpl == 0.0:
+        s = np.maximum(s, UNIT_BELOW)
 
     def kernel(s, x):
         u = 1.0 - np.abs(x)
         return u / math.pi * (cpl - one_minus_erf_ratio(s * u) + (cpl - 1.0) * np.expm1(-0.25 * s * s * x * x))
 
-    return 1.0 + 2.0 * _integrate_reduced(kernel, t, w, s, kind) / denom
-
-
-def rate_theta(t, s, w: float, theta: float, kind: str = "I", allow_limit: bool = True):
-    """Rate for the symmetrized state B_theta (same-mode case).
-
-    theta = pi with s = 0 is a 0/0 limit of the norm; such a point is
-    evaluated at s = 1e-6 with one Richardson step toward 0 (exact to
-    O(s^4) because the kernels are cancellation-free).  Pass
-    ``allow_limit=False`` to get the degenerate-state error instead.
-    """
-    (t, s), shape = _points(t, s)
-    _check_args(t, w, kind, s)
-    denom = _theta_norm_denominator(theta, s)
-    limit = denom < 2.0 * NORM_DEGENERACY_FLOOR
-    r = np.empty(t.size)
-    if limit.any():
-        if not allow_limit:
-            raise DegenerateStateError(
-                f"degenerate antisymmetric state at theta={theta}, s={s[limit][0]}"
-            )
-        s0 = np.maximum(s[limit], THETA_PI_LIMIT_S)
-        r_full = _rate_theta_eval(t[limit], s0, w, theta, kind, _theta_norm_denominator(theta, s0))
-        r_half = _rate_theta_eval(t[limit], 0.5 * s0, w, theta, kind, _theta_norm_denominator(theta, 0.5 * s0))
-        r[limit] = (4.0 * r_half - r_full) / 3.0
-    rest = ~limit
-    r[rest] = _rate_theta_eval(t[rest], s[rest], w, theta, kind, denom[rest])
+    r = 1.0 + 2.0 * _integrate_reduced(kernel, t, w, s, kind) / _theta_norm_denominator(theta, s)
     return _shaped(r, shape)
 
 
@@ -601,7 +582,7 @@ def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureR
 
 
 def _exchange_tail(
-    pump, crystal, model, tau: float, d_half: float, theta: Optional[float] = None
+    pump, crystal, model, tau: float, d_half: float, h: QuadratureResult, theta: Optional[float] = None
 ) -> QuadratureResult:
     """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau).
 
@@ -621,7 +602,8 @@ def _exchange_tail(
     (its expansion is even in a).  The first term both tails leave out
     is (a/b)^2 smaller than the leading one; with |cos| <= 1 it is at
     most k S M H / eta_-^2, M = s^2/2 + |s^2/2 - s^4/4| D, H the integral
-    of |C|^2 / d^4, k = 1 (entangled) or 2 + 6 |cos theta| (symmetrized).
+    of |C|^2 / d^4 past d_half (``h``, with its QUADPACK error: it does
+    not depend on tau, so a batch computes it once), k = 1 (entangled) or 2 + 6 |cos theta| (symmetrized).
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
@@ -647,7 +629,6 @@ def _exchange_tail(
         a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
         c = -math.cos(theta) * s * s * damp / eta_m
         k = 2.0 + 6.0 * abs(math.cos(theta))
-    h = QuadratureResult(*quad(lambda d: csq_over_d2(d) / (d * d), d_half, np.inf, limit=200))
     omitted = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) * (h.value + h.error) / (eta_m * eta_m)
     return QuadratureResult(
         value=scale
@@ -767,6 +748,10 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
         )
     del mass
     reductions = _strided_reductions(G, hp, hd)
+    # H of the exchange tail's omitted-term bound, the same at every tau
+    h = None if gauss else QuadratureResult(
+        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
+    )
 
     results = []
     for tau in taus:
@@ -778,7 +763,7 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
         if gauss:
             tail = QuadratureResult(0.0, 0.0)
         else:
-            tail = _exchange_tail(state.pump, state.crystal, model, tau, d_half, getattr(state, "theta", None))
+            tail = _exchange_tail(state.pump, state.crystal, model, tau, d_half, h, getattr(state, "theta", None))
         numerator = numerator_scale * (r1.real + tail.value)
         results.append(QuadratureResult(1.0 + numerator / denom, numerator_scale * (err + tail.error) / denom))
     if coherent:
@@ -825,8 +810,7 @@ def compute_rate_curve(
     cw = math.isinf(_model_scale(model))
     errors = None
     if method == "closed-form":
-        # a stand-in rate_closed_form may return one number for the curve
-        rs = np.array(np.broadcast_to(rate_closed_form(state, model, taus), taus.shape), dtype=float)
+        rs = np.array(rate_closed_form(state, model, taus), dtype=float)
     elif method == "quadrature":
         if cw:
             raise ValueError("quadrature needs a concrete correlation model; cw has closed forms")

@@ -562,18 +562,18 @@ def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
     # and no command may write it
     import tpspeckle.rates as rates
 
-    monkeypatch.setattr(rates, "rate_closed_form", lambda state, model, tau: NAN)
+    monkeypatch.setattr(rates, "rate_closed_form", lambda state, model, tau: np.full(np.shape(tau), NAN))
     out = tmp_path / "r.csv"
     assert main(_rate_args(json.loads(FOCK_STATE), out)) == 3
     assert not out.exists()
 
-    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: INF)
+    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: np.full(np.shape(tau), INF))
     sweep = {"state": json.loads(FOCK_STATE), "model": {"model": "I", "scale": 1.0}}
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", json.dumps(sweep), "--out", str(out)]) == 3
     assert not out.exists()
 
-    monkeypatch.setattr(cli, "rate_fock", lambda t, w, kind="I": NAN)
+    monkeypatch.setattr(cli, "rate_fock", lambda t, w, kind="I": np.full(np.shape(t), NAN))
     out = tmp_path / "f5.csv"
     assert main(["figure", "--id", "5", "--model", "I", "--out", str(out)]) == 3
     assert not out.exists()

@@ -13,7 +13,6 @@ import pytest
 
 from tpspeckle import (
     CrystalParams,
-    DegenerateStateError,
     ModelII,
     PumpParams,
     QuadratureNotConvergedError,
@@ -106,12 +105,6 @@ def test_a_failing_point_inside_a_column_raises():
     s[13] = 2.0
     with pytest.raises(QuadratureNotConvergedError, match="s=2,"):
         rates._integrate_reduced(kernel, t, 1.0, s, "I")
-
-
-def test_degenerate_point_inside_a_column_raises_without_the_limit():
-    rate_theta(0.0, np.array([0.5, 0.0]), 1.0, math.pi)
-    with pytest.raises(DegenerateStateError):
-        rate_theta(0.0, np.array([0.5, 0.0]), 1.0, math.pi, allow_limit=False)
 
 
 def test_model_ii_figure_8_column_stays_memory_bounded():

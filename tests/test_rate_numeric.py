@@ -245,8 +245,8 @@ def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
 
     tail = rates._exchange_tail
 
-    def sloppy_at_half(pump, crystal, model, tau, d_half, theta=None):
-        res = tail(pump, crystal, model, tau, d_half, theta)
+    def sloppy_at_half(pump, crystal, model, tau, d_half, h, theta=None):
+        res = tail(pump, crystal, model, tau, d_half, h, theta)
         return res._replace(error=1e-3) if tau == 0.5 else res
 
     monkeypatch.setattr(rates, "_exchange_tail", sloppy_at_half)

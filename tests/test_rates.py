@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from scipy.integrate import quad
 
 from tpspeckle import (
     CoherentState,
-    DegenerateStateError,
     DimensionlessArgs,
     EntangledState,
     FockState,
@@ -248,9 +248,40 @@ def test_theta_pi_limit_frozen_value():
     )
 
 
-def test_theta_degenerate_error_when_limit_disabled():
-    with pytest.raises(DegenerateStateError):
-        rate_theta(0.0, 0.0, 1.0, math.pi, allow_limit=False)
+def _theta_cw_mpmath(t, s, cpl):
+    # 1 + u [m(s u) + c exp(-s^2 t^2/4)] / [1 + c m(s)] at 50 digits,
+    # u = 1 - |t|, m(y) = sqrt(pi) erf(y/2)/y, c + 1 the double cpl
+    with mpmath.workdps(50):
+        t, s, c = mpmath.mpf(t), mpmath.mpf(s), mpmath.mpf(cpl) - 1
+
+        def m(y):
+            return mpmath.mpf(1) if y == 0 else mpmath.sqrt(mpmath.pi) * mpmath.erf(y / 2) / y
+
+        u = 1 - abs(t)
+        return float(1 + u * (m(s * u) + c * mpmath.exp(-s * s * t * t / 4)) / (1 + c * m(s)))
+
+
+@pytest.mark.parametrize("theta", [math.pi + 1e-6, math.pi - 1e-6, math.pi - 2e-7, 3.141593])
+def test_theta_near_pi_is_the_exact_ratio_at_small_s(theta):
+    # 1 + cos(theta) from 2e-14 to 5e-13 against s^2/12: the rate is the ratio
+    # of two O(s^2) quantities at every s, with no limit taken
+    cpl = 1.0 + math.cos(theta)
+    for s in (0.0, 1e-7, 1e-6, 3e-6, 1e-5, 3e-5):
+        for t in (0.0, 0.3, -0.7):
+            assert abs(rate_theta(t, s, INF, theta) - _theta_cw_mpmath(t, s, cpl)) <= 2e-15
+
+
+def test_theta_pi_below_the_unit_floor_is_the_value_there():
+    # figure 7's abscissa; the s -> 0 limit at w = inf is 1 + u (3t^2 - u^2)
+    t = np.linspace(-3.0, 3.0, 241)
+    at_floor = rate_theta(t, 1e-8, INF, math.pi)
+    for s in (0.0, 1e-12, 1e-9):
+        assert np.array_equal(rate_theta(t, s, INF, math.pi), at_floor)
+    with mpmath.workdps(50):
+        for ti, r in zip(t.tolist(), at_floor):
+            ti = mpmath.mpf(ti)
+            u = max(1 - abs(ti), 0)
+            assert abs(r - (1 + u * (3 * ti * ti - u * u))) <= 3e-16
 
 
 def test_theta_small_s_continuity():
