@@ -271,7 +271,7 @@ def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
         std_error=float(values.std(ddof=1) / math.sqrt(n)),
         n=n,
     )
-    if tol is not None and est.std_error > tol:
+    if tol is not None and not est.std_error <= tol:
         raise InsufficientRealizationsError(
             f"insufficient realizations: std_error {est.std_error:.3e} > tolerance {tol:.3e}"
         )
@@ -370,9 +370,12 @@ def mc_correlator_batch(
     from a two-mode run (parameter-free targets: 2 for the two-photon
     states, 4 for coherent).  Each estimate equals the one-tau call at
     the same seed.  ``tol`` (if given) is the acceptable standard error;
-    exceeding it raises ``InsufficientRealizationsError``.
+    exceeding it raises ``InsufficientRealizationsError``.  A tau that is
+    not finite raises ``ValueError`` before anything is drawn.
     """
     taus = [float(tau) for tau in taus]
+    if not all(math.isfinite(tau) for tau in taus):
+        raise ValueError("mc_correlator needs finite taus")
     # delta_ij = 0 across modes: no indistinguishability factor
     norm = cfg.t_bar**2 if cross_mode else 2.0 * cfg.t_bar**2
     group_size = max(1, _VALUE_BUDGET // cfg.n_realizations)

@@ -46,11 +46,14 @@ coordinates, with Richardson extrapolation) of the defining
 double-frequency integrals.  It builds one field per curve: the delay
 only multiplies the integrand by a phase of the difference frequency, so
 the field is built, edge-checked and summed over the pump axis once, and
-every tau costs one O(n) contraction.  ``rate_numeric`` is its one-tau
-call; both take their axes from the state and the model alone.  The
-coherent rate is R_F(0) + R_F(tau) of the Fock field, as in the closed
-form, and the exchange term past the difference-frequency axis is the
-analytic exchange tail.
+every tau costs one O(n) contraction.  The field is built in blocks of
+pump-axis rows under the ``_BLOCK_VALUES`` budget of the reduced forms,
+each reduced before the next, so no n x n array is held.
+``rate_numeric`` is its one-tau call; both take their axes from the
+state and the model alone.  The coherent rate is R_F(0) + R_F(tau) of
+the Fock field, as in the closed form, and the exchange term past the
+difference-frequency axis is the analytic exchange tail, or under
+Model I, where that tail is negligible, its analytic bound.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ from .states import (
     SymmetrizedState,
     EDGE_MASS_BUDGET,
     _continuum_norm,
-    _edge_fraction,
     _theta_norm_denominator,
 )
 
@@ -232,7 +234,8 @@ _GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
 REDUCED_ERROR_GATE = 1e-7
 # float64 values (512 kB) of one block of points of ``_integrate_reduced``,
 # counted per quadrature node as its Model II pole terms; unblocked, a
-# Model II figure column peaks at 5 to 8 MB of temporaries
+# Model II figure column peaks at 5 to 8 MB of temporaries.  The field of
+# ``rate_numeric_batch`` takes as many values per block of pump-axis rows.
 _BLOCK_VALUES = 2**16
 
 
@@ -581,8 +584,21 @@ def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureR
     return QuadratureResult(-value if weight == "sin" and freq < 0 else value, error)
 
 
+def _tail_bound(model: CorrelationModel, d_half: float, power: int) -> float:
+    """Bound on |Int_{d_half}^inf |C|^2 / d^power w(d) dd| for any |w| <= 1.
+
+    Under Model I |C|^2 = exp(-2|d|/omega_corr), so the integral is at most
+    (omega_corr / 2) exp(-2 d_half / omega_corr) / d_half^power; under
+    Model II no bound is taken (inf).
+    """
+    if not isinstance(model, ModelI):
+        return math.inf
+    omega = model.omega_corr
+    return 0.5 * omega * math.exp(-2.0 * d_half / omega) / d_half**power
+
+
 def _exchange_tail(
-    pump, crystal, model, tau: float, d_half: float, h: QuadratureResult, theta: Optional[float] = None
+    pump, crystal, model, tau: float, d_half: float, h, theta: Optional[float] = None
 ) -> QuadratureResult:
     """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau).
 
@@ -602,15 +618,33 @@ def _exchange_tail(
     (its expansion is even in a).  The first term both tails leave out
     is (a/b)^2 smaller than the leading one; with |cos| <= 1 it is at
     most k S M H / eta_-^2, M = s^2/2 + |s^2/2 - s^4/4| D, H the integral
-    of |C|^2 / d^4 past d_half (``h``, with its QUADPACK error: it does
-    not depend on tau, so a batch computes it once), k = 1 (entangled) or 2 + 6 |cos theta| (symmetrized).
+    of |C|^2 / d^4 past d_half, k = 1 (entangled) or 2 + 6 |cos theta|
+    (symmetrized).  ``h()`` returns H with its QUADPACK error; it does
+    not depend on tau, so a batch computes it at most once.
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
-    coefficients.
+    coefficients.  Where the same weights on ``_tail_bound`` give under
+    1e-3 of ``QUADRATURE_ERROR_GATE`` (Model I with d_half many omega_corr
+    wide), the tail is 0 with that bound as its error, and no integral runs.
     """
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
+    scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
+    damp = math.exp(-0.25 * s * s)
+    a, b, c, k = damp, 1.0, 0.0, 1.0
+    if theta is not None:
+        a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
+        c = -math.cos(theta) * s * s * damp / eta_m
+        k = 2.0 + 6.0 * abs(math.cos(theta))
+    m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
+    bound = scale * (
+        (abs(a) + abs(b)) * _tail_bound(model, d_half, 2)
+        + 2.0 * abs(c) * _tail_bound(model, d_half, 3)
+        + m * _tail_bound(model, d_half, 4)
+    )
+    if bound < 1e-3 * QUADRATURE_ERROR_GATE:
+        return QuadratureResult(0.0, bound)
 
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
@@ -618,18 +652,12 @@ def _exchange_tail(
     flat = _tail_integral(csq_over_d2, d_half, tau)
     osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
     sines = [QuadratureResult(0.0, 0.0)] * 2
-    scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
-    damp = math.exp(-0.25 * s * s)
-    a, b, c, k = damp, 1.0, 0.0, 1.0
     if theta is not None:
         sines = [
             _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
             for sign in (1, -1)
         ]
-        a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
-        c = -math.cos(theta) * s * s * damp / eta_m
-        k = 2.0 + 6.0 * abs(math.cos(theta))
-    omitted = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) * (h.value + h.error) / (eta_m * eta_m)
+    omitted = m * (h().value + h().error)
     return QuadratureResult(
         value=scale
         * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
@@ -641,21 +669,6 @@ def _exchange_tail(
             + omitted
         ),
     )
-
-
-def _strided_reductions(G: np.ndarray, hp: float, hd: float) -> list:
-    """For the Richardson strides k = 1, 2, 4: ``(k, h_k, wd_k)`` with
-    ``h_k = wp_k @ G[::k, ::k]``, so that the strided trapezoid sum of
-    ``G(p, d) phase(d)`` is ``(h_k * phase[::k]) @ wd_k``."""
-    out = []
-    for k in (1, 2, 4):
-        sub = G[::k, ::k]
-        wp = np.full(sub.shape[0], hp * k)
-        wp[0] = wp[-1] = 0.5 * hp * k
-        wd = np.full(sub.shape[1], hd * k)
-        wd[0] = wd[-1] = 0.5 * hd * k
-        out.append((k, wp @ sub, wd))
-    return out
 
 
 def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence[float]) -> List[QuadratureResult]:
@@ -670,18 +683,24 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     ones.
 
     The delay enters only through a phase of d, so the field G(p, d) (the
-    integrand without that phase) is built and edge-checked once, and
-    reduced over p once per Richardson stride; each tau then costs O(n)
-    plus, for the entangled and symmetrized states, the analytic exchange
-    tail beyond the d axis.  Their d axis resolves both the delay phase
-    tau d and the sinc arguments eta_- d / 2: one cell spans at most
-    0.7 rad of ``max(|eta_-|, max |tau|) d``, so the axis follows the
-    batch's largest |tau|, and a one-tau call past |tau| = |eta_-| runs on
-    its own axis.  The coherent rate is R_F(0) + R_F(tau) of the Fock
-    state with the same envelope, from one Fock batch over [0] + taus,
-    with the two errors summed.
+    integrand without that phase) is built, edge-checked and reduced over
+    p once per Richardson stride, for all taus at once; each tau then
+    costs O(n) plus, for the entangled and symmetrized states, the
+    analytic exchange tail beyond the d axis.  The field is never held
+    whole: it is built in blocks of ``_BLOCK_VALUES // n`` pump-axis rows
+    (42 rows, 1 MB of complex values at n = 1537), and each block adds to
+    the mass totals and to the stride sums before the next is built.
+    Their d axis resolves both the delay phase tau d and the sinc
+    arguments eta_- d / 2: one cell spans at most 0.7 rad of
+    ``max(|eta_-|, max |tau|) d``, so the axis follows the batch's largest
+    |tau|, and a one-tau call past |tau| = |eta_-| runs on its own axis.
+    The coherent rate is R_F(0) + R_F(tau) of the Fock state with the same
+    envelope, from one Fock batch over [0] + taus, with the two errors
+    summed.  Each error carries a roundoff floor of 8 eps |R|, because the
+    Richardson estimate cannot resolve the rounding of the sums.
 
     Returns one ``QuadratureResult(value, error)`` per tau and raises
+    ``ValueError`` for a tau that is not finite,
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
     ``QUADRATURE_ERROR_GATE``, or ``GridTooNarrowError`` when the
     outermost cells carry more than ``EDGE_MASS_BUDGET`` of the integrand
@@ -691,6 +710,8 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     state raises ``DegenerateStateError``.
     """
     taus = [float(tau) for tau in taus]
+    if not all(math.isfinite(tau) for tau in taus):
+        raise ValueError("rate_numeric needs finite taus")
     coherent = isinstance(state, CoherentState)
     gauss = coherent or isinstance(state, FockState)
     if coherent:
@@ -717,46 +738,73 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     numerator_scale = 0.5  # Jacobian of (w1, w2) -> (p, d)
 
     if gauss:
-        G = np.exp(-0.5 * (p[:, None] ** 2 + d[None, :] ** 2) / state.delta**2) / (
-            math.pi * state.delta**2
-        )
-        G *= csq[None, :]
+        # the Gaussian envelopes of p and d factor the field into two axes
+        envelope = np.exp(-0.5 * (p / state.delta) ** 2)
+        kernel = np.exp(-0.5 * (d / state.delta) ** 2) / (math.pi * state.delta**2) * csq
+
+        def field(rows):
+            return envelope[rows, None] * kernel
+
         denom = 1.0  # analytically normalized Gaussian envelopes
     else:
         crystal = state.crystal
-        pump = state.pump
-        alpha2 = np.exp(-((p / pump.sigma) ** 2))
-        s_plus = sinc(0.5 * (crystal.eta_plus * p[:, None] + crystal.eta_minus * d[None, :]))
-        s_minus = sinc(0.5 * (crystal.eta_plus * p[:, None] - crystal.eta_minus * d[None, :]))
-        if isinstance(state, EntangledState):
-            exchange = s_plus * s_minus  # real: G stays a real array
-        else:
-            theta = state.theta
-            exchange = (
-                2.0 * s_plus * s_minus
-                + np.exp(1j * theta) * s_plus**2
-                + np.exp(-1j * theta) * s_minus**2
-            )
-        G = exchange * (alpha2[:, None] * csq[None, :])
+        alpha2 = np.exp(-((p / state.pump.sigma) ** 2))
 
-    mass = np.abs(G)
-    # a sinc field continues past |d| = d_half in the exchange tail, so only its pump axis may clip
-    edge = _edge_fraction(mass) if gauss else float(mass[0].sum() + mass[-1].sum()) / float(mass.sum())
-    if edge > EDGE_MASS_BUDGET:
+        def field(rows):
+            s_plus = sinc(0.5 * (crystal.eta_plus * p[rows, None] + crystal.eta_minus * d[None, :]))
+            s_minus = sinc(0.5 * (crystal.eta_plus * p[rows, None] - crystal.eta_minus * d[None, :]))
+            if isinstance(state, EntangledState):
+                exchange = s_plus * s_minus  # real: the field stays a real array
+            else:
+                exchange = (
+                    2.0 * s_plus * s_minus
+                    + np.exp(1j * state.theta) * s_plus**2
+                    + np.exp(-1j * state.theta) * s_minus**2
+                )
+            return exchange * (alpha2[rows, None] * csq[None, :])
+
+    # The stride-k trapezoid sum of G(p, d) phase(d) is
+    # ((wp_k @ G)[::k] * phase[::k]) @ wd_k for the Richardson strides k,
+    # wp_k the stride-k weights of the p axis (0 off its rows, halves on
+    # rows 0 and n - 1); ``sums`` gathers wp_k @ G block by block
+    strides = (1, 2, 4)
+    wp = np.zeros((len(strides), n))
+    wd = []
+    for i, k in enumerate(strides):
+        wp[i, ::k] = hp * k
+        wp[i, [0, -1]] = 0.5 * hp * k
+        wd.append(np.full(d[::k].size, hd * k))
+        wd[-1][0] = wd[-1][-1] = 0.5 * hd * k
+    sums = total = edge = 0.0
+    rows_per_block = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, n, rows_per_block):
+        rows = np.arange(lo, min(lo + rows_per_block, n))
+        block = field(rows)
+        mass = np.abs(block)
+        total += float(mass.sum())
+        # a sinc field continues past |d| = d_half in the exchange tail, so
+        # only its pump axis may clip; a Gaussian field counts its whole ring
+        outer = (rows == 0) | (rows == n - 1)
+        edge += float(mass[outer].sum())
+        if gauss:
+            edge += float(mass[:, [0, -1]][~outer].sum())
+        sums = sums + wp[:, rows] @ block
+    if edge > EDGE_MASS_BUDGET * total:
         raise GridTooNarrowError(
-            f"grid too narrow for rate_numeric: outermost cells carry {edge:.2e} of the integrand"
+            f"grid too narrow for rate_numeric: outermost cells carry {edge / total:.2e} of the integrand"
         )
-    del mass
-    reductions = _strided_reductions(G, hp, hd)
-    # H of the exchange tail's omitted-term bound, the same at every tau
-    h = None if gauss else QuadratureResult(
-        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
-    )
+
+    @functools.lru_cache(maxsize=None)
+    def h():
+        # H of the exchange tail's omitted-term bound, the same at every tau
+        return QuadratureResult(
+            *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
+        )
 
     results = []
     for tau in taus:
         phase = np.exp(-1j * d * tau)
-        s1, s2, s4 = (complex((h * phase[::k]) @ wd) for k, h, wd in reductions)
+        s1, s2, s4 = (complex((row[::k] * phase[::k]) @ wdk) for k, row, wdk in zip(strides, sums, wd))
         r1 = (4.0 * s1 - s2) / 3.0
         err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0
         # analytic |d| > d_half remainder of the sinc-tailed exchange term
@@ -765,12 +813,15 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
         else:
             tail = _exchange_tail(state.pump, state.crystal, model, tau, d_half, h, getattr(state, "theta", None))
         numerator = numerator_scale * (r1.real + tail.value)
-        results.append(QuadratureResult(1.0 + numerator / denom, numerator_scale * (err + tail.error) / denom))
+        value = 1.0 + numerator / denom
+        # the Richardson estimate can vanish below the rounding of the sums
+        floor = 8.0 * np.finfo(float).eps * abs(value)
+        results.append(QuadratureResult(value, numerator_scale * (err + tail.error) / denom + floor))
     if coherent:
         zero = results.pop(0)
         results = [QuadratureResult(zero.value + res.value, zero.error + res.error) for res in results]
     for res in results:
-        if res.error > QUADRATURE_ERROR_GATE:
+        if not res.error <= QUADRATURE_ERROR_GATE:
             raise QuadratureNotConvergedError(
                 f"quadrature not converged: estimate {res.error:.2e} > tolerance {QUADRATURE_ERROR_GATE:.2e}"
             )

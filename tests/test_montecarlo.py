@@ -423,3 +423,24 @@ def test_batch_tolerance_applies_per_tau():
     cfg = _fock_cfg(200, seed=9)
     with pytest.raises(InsufficientRealizationsError):
         mc_correlator_batch(FockState(100.0, 1.0), cfg, [0.0, 0.5], tol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batch_refuses_a_non_finite_tau_before_drawing(monkeypatch, bad):
+    import tpspeckle.montecarlo as montecarlo
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew an ensemble")
+
+    monkeypatch.setattr(montecarlo, "_ensemble", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        mc_correlator_batch(FockState(100.0, 1.0), _fock_cfg(n_real=100), [0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        mc_correlator(FockState(100.0, 1.0), _fock_cfg(n_real=100), bad)
+
+
+def test_standard_error_gate_refuses_nan():
+    import tpspeckle.montecarlo as montecarlo
+
+    with pytest.raises(InsufficientRealizationsError):
+        montecarlo._estimate(np.array([1.0, math.nan, 2.0]), tol=1.0)

@@ -196,17 +196,19 @@ def test_quadrature_curve(entangled_s2):
 
 def test_tail_integral_error_estimate_is_checked(monkeypatch):
     # the QUADPACK estimates of the entangled exchange tail feed the
-    # reported error and its gate
+    # reported error and its gate; a nearly flat kernel keeps the tail
+    # integrals (at omega_corr = 1 their Model I bound replaces them)
     import tpspeckle.rates as rates
 
     state = _ent(2.0)
-    healthy = rate_numeric(state, M_I, tau=0.5)
+    model = ModelI(omega_corr=1e3)
+    healthy = rate_numeric(state, model, tau=0.5)
     quad = rates.quad
     monkeypatch.setattr(rates, "quad", lambda *a, **k: (quad(*a, **k)[0], 1e-3))
     with pytest.raises(QuadratureNotConvergedError):
-        rate_numeric(state, M_I, tau=0.5)
+        rate_numeric(state, model, tau=0.5)
     monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1.0)
-    sloppy = rate_numeric(state, M_I, tau=0.5)
+    sloppy = rate_numeric(state, model, tau=0.5)
     assert sloppy.value == healthy.value
     assert sloppy.error > healthy.error + 1e-4
 
@@ -254,3 +256,118 @@ def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
     assert len(rate_numeric_batch(state, M_I, [0.0, 1.0])) == 2
     with pytest.raises(QuadratureNotConvergedError, match="quadrature not converged: estimate"):
         compute_rate_curve(state, M_I, [0.0, 0.5, 1.0], method="quadrature")
+
+
+# --- the field in blocks of pump-axis rows
+
+_CURVE_TAUS = np.linspace(-2.0, 2.0, 17).tolist()
+
+
+@pytest.mark.parametrize("state", [_ent(2.0), SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 1.0)])
+def test_batch_memory_stays_bounded(state):
+    # a whole 1537 x 1537 field is 19 MB real and 38 MB complex; the blocks
+    # of pump-axis rows keep a 17-tau curve far under one such array
+    import tracemalloc
+
+    rate_numeric_batch(state, M_I, _CURVE_TAUS)
+    tracemalloc.start()
+    try:
+        rate_numeric_batch(state, M_I, _CURVE_TAUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("model", [M_I, ModelII(omega_th=1.0)], ids=["I", "II"])
+@pytest.mark.parametrize("name", list(_BATCH_STATES))
+def test_batch_does_not_depend_on_the_block_size(monkeypatch, name, model):
+    # 7-row blocks are ragged against the Richardson strides 2 and 4; one
+    # block holding the whole field is the unblocked sum
+    import tpspeckle.rates as rates
+
+    state = _BATCH_STATES[name]
+    n = rates.QUADRATURE_POINTS_GAUSS if name in ("fock", "coherent") else rates.QUADRATURE_POINTS_SINC
+    default = rate_numeric_batch(state, model, _BATCH_TAUS)
+    for rows in (7, n):
+        monkeypatch.setattr(rates, "_BLOCK_VALUES", rows * n)
+        for res, ref in zip(rate_numeric_batch(state, model, _BATCH_TAUS), default):
+            assert abs(res.value - ref.value) <= 1e-15
+            assert abs(res.error - ref.error) <= 1e-15
+
+
+def test_grid_too_narrow_error_in_small_blocks(monkeypatch):
+    import tpspeckle.rates as rates
+
+    monkeypatch.setattr(rates, "_model_d_support", lambda model: 0.0)
+    monkeypatch.setattr(rates, "_BLOCK_VALUES", 7 * rates.QUADRATURE_POINTS_GAUSS)
+    with pytest.raises(GridTooNarrowError):
+        rate_numeric_batch(FockState(100.0, 1.0), M_I, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(_BATCH_STATES))
+def test_non_finite_tau_is_refused(name, bad):
+    with pytest.raises(ValueError, match="finite"):
+        rate_numeric_batch(_BATCH_STATES[name], M_I, [0.0, bad])
+
+
+def test_nan_error_estimate_fails_the_gate(monkeypatch):
+    import tpspeckle.rates as rates
+
+    monkeypatch.setattr(rates, "_exchange_tail", lambda *args: rates.QuadratureResult(0.0, math.nan))
+    with pytest.raises(QuadratureNotConvergedError):
+        rate_numeric_batch(_ent(2.0), M_I, [0.0])
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("state", [FockState(100.0, 1.0), CoherentState(100.0, 1.0)])
+def test_error_has_a_roundoff_floor(state, scale):
+    # the Richardson estimate can vanish at some taus; the reported error
+    # still covers the rounding of the sums
+    model = ModelII(omega_th=scale)
+    taus = np.linspace(-3.0, 3.0, 25)
+    for res, closed in zip(rate_numeric_batch(state, model, taus), rate_closed_form(state, model, taus)):
+        assert res.error >= 8.0 * np.finfo(float).eps * abs(res.value)
+        assert abs(res.value - closed) <= res.error
+
+
+def _counting_quad(monkeypatch):
+    import tpspeckle.rates as rates
+
+    calls = []
+    quad = rates.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "quad", counted)
+    return calls
+
+
+def test_model_i_tail_bound_replaces_the_tail_integrals(monkeypatch):
+    # the d axis reaches 19 omega_corr: the whole tail is under
+    # exp(-38) and no QUADPACK call runs, while its bound joins the error
+    import tpspeckle.rates as rates
+
+    calls = _counting_quad(monkeypatch)
+    state = _ent(2.0)
+    results = rate_numeric_batch(state, M_I, _CURVE_TAUS)
+    assert calls == []
+    bound = rates._exchange_tail(state.pump, state.crystal, M_I, 0.0, 19.0, None)
+    assert bound.value == 0.0
+    assert 0.0 < bound.error < 1e-3 * rates.QUADRATURE_ERROR_GATE
+    for tau, res in zip(_CURVE_TAUS, results):
+        assert abs(res.value - rate_entangled(tau, 2.0, 1.0)) <= res.error
+
+
+def test_flat_model_i_kernel_keeps_the_tail_integrals(monkeypatch):
+    # omega_corr = 1e3 leaves |C|^2 near 1 past the d axis: the bound is
+    # not negligible and the tail is integrated (3 calls and the H integral)
+    calls = _counting_quad(monkeypatch)
+    state = _ent(2.0)
+    model = ModelI(omega_corr=1e3)
+    res = rate_numeric_batch(state, model, [0.0])[0]
+    assert len(calls) == 4
+    assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
