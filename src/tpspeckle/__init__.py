@@ -74,15 +74,12 @@ from .states import (
     PumpParams,
     StateSpec,
     SymmetrizedState,
-    biphoton_amplitude,
     biphoton_norm_closed_form,
-    default_grid,
     gaussian_envelope,
     grid_amplitude_matrix,
     grid_envelope,
     phase_matching,
     pump_envelope,
     spectral_width_ratio,
-    symmetrized_amplitude,
     symmetrized_norm_sq,
 )

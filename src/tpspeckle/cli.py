@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .correlation import model_from_config, model_to_config
 from .errors import NonFiniteValueError, TpspeckleError
-from .montecarlo import ensemble_config_from_json, mc_correlator, mc_correlator_batch
+from .montecarlo import _json_int, ensemble_config_from_json, mc_correlator, mc_correlator_batch
 from .rates import (
     CW_LIMIT,
     DimensionlessArgs,
@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
         vary = cfg.get("vary", {})
         taus = cfg.get("tau", [0.0])
         if isinstance(taus, dict):
-            taus = np.linspace(float(taus["min"]), float(taus["max"]), int(taus["n"])).tolist()
+            taus = np.linspace(float(taus["min"]), float(taus["max"]), _json_int(taus["n"], "tau n")).tolist()
         tau_values = [_finite(tau) for tau in taus]
         model = _parse_model(model_cfg)
         vary_keys = sorted(vary.keys())
@@ -420,7 +420,7 @@ def cmd_mc_validate(args) -> int:
         cfg = _load_json(args.config)
         if not set(cfg) <= {"seed", "t_bar", "n_realizations", "cases"}:
             raise ValueError(f"unknown mc-validate key among {sorted(cfg)}")
-        seed = int(cfg.get("seed", args.seed))
+        seed = _json_int(cfg.get("seed", args.seed), "seed")
         shared = {key: cfg[key] for key in ("t_bar", "n_realizations") if key in cfg}
         cases = cfg.get("cases", _default_mc_cases())
         if not (isinstance(cases, list) and cases):
@@ -488,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tpspeckle",
         description="Two-photon coincidence rates behind a diffusive random medium",
     )
-    default_seed = int(os.environ.get(SEED_ENV_VAR, "12345"))
+    # a string default goes through ``type=int`` only where a command takes
+    # --seed, so a bad TPSPECKLE_SEED exits 2 there and nowhere else
+    default_seed = os.environ.get(SEED_ENV_VAR, "12345")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rate", help="R(tau) curve for a state and correlation model")

@@ -138,6 +138,14 @@ class McEstimate:
     n: int
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is an integer; ``TypeError`` for a bool or a float
+    such as 2.5 or 2.0, which ``int()`` would truncate or take silently."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def ensemble_config_from_json(cfg, *, state: StateSpec, model: CorrelationModel, seed: int) -> EnsembleConfig:
     """Parse ``{"grid": {"center", "half_width", "n"}, "model", "t_bar", "n_realizations", "seed"}``.
 
@@ -145,7 +153,8 @@ def ensemble_config_from_json(cfg, *, state: StateSpec, model: CorrelationModel,
     grid without ``center`` is centered on the state), the run's ``model``
     (another raises ``ValueError``), seed ``seed``, and ``EnsembleConfig``'s
     ``t_bar`` and ``n_realizations``.  Any other key raises ``ValueError``,
-    so a misspelt one cannot fall back to its default.
+    so a misspelt one cannot fall back to its default; a non-integer
+    ``n_realizations`` or ``seed`` raises ``TypeError``.
     """
     if isinstance(cfg, str):
         cfg = json.loads(cfg)
@@ -165,8 +174,8 @@ def ensemble_config_from_json(cfg, *, state: StateSpec, model: CorrelationModel,
         grid=grid,
         model=model,
         t_bar=float(cfg.get("t_bar", EnsembleConfig.t_bar)),
-        n_realizations=int(cfg.get("n_realizations", EnsembleConfig.n_realizations)),
-        seed=int(cfg.get("seed", seed)),
+        n_realizations=_json_int(cfg.get("n_realizations", EnsembleConfig.n_realizations), "n_realizations"),
+        seed=_json_int(cfg.get("seed", seed), "seed"),
     )
 
 

@@ -598,12 +598,12 @@ def _tail_bound(model: CorrelationModel, d_half: float, power: int) -> float:
 
 
 def _exchange_tail(
-    pump, crystal, model, tau: float, d_half: float, h, theta: Optional[float] = None
-) -> QuadratureResult:
-    """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau).
+    state: Union[EntangledState, SymmetrizedState], model: CorrelationModel, d_half: float, taus: Sequence[float]
+) -> List[QuadratureResult]:
+    """|d| > d_half remainder of Int dp dd alpha^2 X(p, d) |C|^2 cos(d tau), one per tau.
 
-    X is the entangled sinc product s_+ s_-, s_pm = sinc(y_pm), or, given
-    ``theta``, the symmetrized exchange 2 s_+ s_- + e^{i theta} s_+^2 +
+    X is the entangled sinc product s_+ s_-, s_pm = sinc(y_pm), or, for a
+    symmetrized state, the exchange 2 s_+ s_- + e^{i theta} s_+^2 +
     e^{-i theta} s_-^2.  At large |d| with b = eta_- d and a = eta_+ p,
     s_+ s_- = -2[cos b - cos a] / b^2 and
     s_pm^2 = 2[1 - cos(a +- b)] / b^2 (1 -+ 2a/b); the pump integral is
@@ -619,24 +619,29 @@ def _exchange_tail(
     is (a/b)^2 smaller than the leading one; with |cos| <= 1 it is at
     most k S M H / eta_-^2, M = s^2/2 + |s^2/2 - s^4/4| D, H the integral
     of |C|^2 / d^4 past d_half, k = 1 (entangled) or 2 + 6 |cos theta|
-    (symmetrized).  ``h()`` returns H with its QUADPACK error; it does
-    not depend on tau, so a batch computes it at most once.
+    (symmetrized).
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
     coefficients.  Where the same weights on ``_tail_bound`` give under
     1e-3 of ``QUADRATURE_ERROR_GATE`` (Model I with d_half many omega_corr
-    wide), the tail is 0 with that bound as its error, and no integral runs.
+    wide), every tail is 0 with that bound as its error, and no integral
+    runs.  The coefficients, that decision and H do not depend on tau, so
+    they are worked out once per batch; each tau then costs 3 (entangled)
+    or 5 (symmetrized) QUADPACK integrals.
     """
+    pump, crystal = state.pump, state.crystal
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
     scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
     damp = math.exp(-0.25 * s * s)
     a, b, c, k = damp, 1.0, 0.0, 1.0
-    if theta is not None:
-        a, b = 2.0 * (damp + math.cos(theta)), 2.0 * (1.0 + damp * math.cos(theta))
-        c = -math.cos(theta) * s * s * damp / eta_m
-        k = 2.0 + 6.0 * abs(math.cos(theta))
+    symmetrized = isinstance(state, SymmetrizedState)
+    if symmetrized:
+        cos_theta = math.cos(state.theta)
+        a, b = 2.0 * (damp + cos_theta), 2.0 * (1.0 + damp * cos_theta)
+        c = -cos_theta * s * s * damp / eta_m
+        k = 2.0 + 6.0 * abs(cos_theta)
     m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
     bound = scale * (
         (abs(a) + abs(b)) * _tail_bound(model, d_half, 2)
@@ -644,31 +649,39 @@ def _exchange_tail(
         + m * _tail_bound(model, d_half, 4)
     )
     if bound < 1e-3 * QUADRATURE_ERROR_GATE:
-        return QuadratureResult(0.0, bound)
+        return [QuadratureResult(0.0, bound)] * len(taus)
 
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
 
-    flat = _tail_integral(csq_over_d2, d_half, tau)
-    osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
-    sines = [QuadratureResult(0.0, 0.0)] * 2
-    if theta is not None:
-        sines = [
-            _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
-            for sign in (1, -1)
-        ]
-    omitted = m * (h().value + h().error)
-    return QuadratureResult(
-        value=scale
-        * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
-        error=scale
-        * (
-            abs(a) * flat.error
-            + abs(b) * 0.5 * (osc[0].error + osc[1].error)
-            + abs(c) * (sines[0].error + sines[1].error)
-            + omitted
-        ),
+    h = QuadratureResult(
+        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
     )
+    omitted = m * (h.value + h.error)
+    results = []
+    for tau in taus:
+        flat = _tail_integral(csq_over_d2, d_half, tau)
+        osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
+        sines = [QuadratureResult(0.0, 0.0)] * 2
+        if symmetrized:
+            sines = [
+                _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
+                for sign in (1, -1)
+            ]
+        results.append(
+            QuadratureResult(
+                value=scale
+                * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
+                error=scale
+                * (
+                    abs(a) * flat.error
+                    + abs(b) * 0.5 * (osc[0].error + osc[1].error)
+                    + abs(c) * (sines[0].error + sines[1].error)
+                    + omitted
+                ),
+            )
+        )
+    return results
 
 
 def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence[float]) -> List[QuadratureResult]:
@@ -794,24 +807,14 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
             f"grid too narrow for rate_numeric: outermost cells carry {edge / total:.2e} of the integrand"
         )
 
-    @functools.lru_cache(maxsize=None)
-    def h():
-        # H of the exchange tail's omitted-term bound, the same at every tau
-        return QuadratureResult(
-            *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
-        )
-
+    # analytic |d| > d_half remainder of the sinc-tailed exchange term
+    tails = [QuadratureResult(0.0, 0.0)] * len(taus) if gauss else _exchange_tail(state, model, d_half, taus)
     results = []
-    for tau in taus:
+    for tau, tail in zip(taus, tails):
         phase = np.exp(-1j * d * tau)
         s1, s2, s4 = (complex((row[::k] * phase[::k]) @ wdk) for k, row, wdk in zip(strides, sums, wd))
         r1 = (4.0 * s1 - s2) / 3.0
         err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0
-        # analytic |d| > d_half remainder of the sinc-tailed exchange term
-        if gauss:
-            tail = QuadratureResult(0.0, 0.0)
-        else:
-            tail = _exchange_tail(state.pump, state.crystal, model, tau, d_half, h, getattr(state, "theta", None))
         numerator = numerator_scale * (r1.real + tail.value)
         value = 1.0 + numerator / denom
         # the Richardson estimate can vanish below the rounding of the sums

@@ -15,17 +15,18 @@ Four states share the setup of two orthogonally polarized beams ('o' and
   one-photon envelopes of bandwidth ``delta``.
 * ``CoherentState`` - two-mode coherent state with the same envelope.
 
-Two-argument amplitudes are normalized numerically on the evaluation
-grid (the sinc factor makes closed-form normalization a tail-truncation
-question, see ``biphoton_norm_closed_form``).  One-argument envelopes
-are normalized analytically.
+``grid_amplitude_matrix`` is the one normalized two-photon amplitude: the
+n x n matrix on a caller's grid, normalized on that grid (the sinc factor
+makes closed-form normalization a tail-truncation question, see
+``biphoton_norm_closed_form``).  One-argument envelopes are normalized
+analytically, and ``grid_envelope`` renormalizes them on a grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,11 +46,8 @@ __all__ = [
     "phase_matching",
     "gaussian_envelope",
     "spectral_width_ratio",
-    "biphoton_amplitude",
-    "symmetrized_amplitude",
     "biphoton_norm_closed_form",
     "symmetrized_norm_sq",
-    "default_grid",
     "grid_amplitude_matrix",
     "grid_envelope",
 ]
@@ -58,16 +56,6 @@ __all__ = [
 EDGE_MASS_BUDGET = 1e-6
 # Degeneracy threshold for the symmetrized-state norm denominator.
 NORM_DEGENERACY_FLOOR = 1e-10
-
-# Default grid sizing.  Gaussian-envelope states decay fast and 6 widths at
-# 256 points suffice.  The sinc tails of the biphoton decay only as 1/x^2:
-# the boundary-ring mass scales as 2/(pi*(n-1)*ymax) with
-# ymax = |eta_minus|*half_width, so (n-1)*ymax must exceed ~1.3e6 to hold
-# the outermost-cell mass below EDGE_MASS_BUDGET (measured 1.7e-7 here).
-GAUSSIAN_GRID_WIDTHS = 6.0
-GAUSSIAN_GRID_POINTS = 256
-SINC_GRID_YMAX = 640.0
-SINC_GRID_POINTS = 2049
 
 
 @dataclass(frozen=True)
@@ -275,79 +263,33 @@ def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     return raw
 
 
-_GRID_MASS: Dict[Tuple[StateSpec, FrequencyGrid], Tuple[float, float]] = {}
-_GRID_MASS_SIZE = 64
-
-
 def _grid_mass(state: StateSpec, grid: FrequencyGrid, raw: Optional[np.ndarray] = None) -> Tuple[float, float]:
-    """On-grid total of the unnormalized |B|^2 and its outermost-cell share.
-
-    Cached per (state, grid), oldest entry evicted first; on a miss
-    ``raw``, the caller's ``_raw_matrix(state, grid)``, spares a rebuild.
-    """
-    key = (state, grid)
-    if key not in _GRID_MASS:
-        if raw is None:
-            raw = _raw_matrix(state, grid)
-        wts = grid.trapezoid_weights()
-        mass = np.abs(raw) ** 2
-        total = float(np.einsum("m,mn,n->", wts, mass, wts))
-        mass *= wts[:, None]
-        mass *= wts
-        if len(_GRID_MASS) >= _GRID_MASS_SIZE:
-            del _GRID_MASS[next(iter(_GRID_MASS))]
-        _GRID_MASS[key] = (total, _edge_fraction(mass))
-    return _GRID_MASS[key]
-
-
-def _grid_norm(
-    state: StateSpec, grid: FrequencyGrid, check: bool = True, raw: Optional[np.ndarray] = None
-) -> float:
-    """sqrt of the on-grid |B|^2 total; ``check`` enforces the edge-mass budget."""
-    total, edge = _grid_mass(state, grid, raw)
-    if check and edge > EDGE_MASS_BUDGET:
-        raise GridTooNarrowError(
-            f"grid too narrow: outermost cells hold {edge:.2e} of the |B|^2 mass "
-            f"(budget {EDGE_MASS_BUDGET:.0e})"
-        )
-    return math.sqrt(total)
-
-
-def biphoton_amplitude(omega1, omega2, pump: PumpParams, crystal: CrystalParams, grid: FrequencyGrid):
-    """Normalized biphoton amplitude B(w1, w2); the double integral of |B|^2
-    over the grid equals 1."""
-    norm = _grid_norm(EntangledState(pump, crystal), grid)
-    out = _biphoton_raw(omega1, omega2, pump, crystal) / norm + 0j
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def symmetrized_amplitude(
-    omega1, omega2, theta: float, pump: PumpParams, crystal: CrystalParams, grid: FrequencyGrid
-):
-    """Normalized symmetrized amplitude K_theta [B(w1,w2) + e^{i theta} B(w2,w1)]."""
-    norm = _grid_norm(SymmetrizedState(pump, crystal, theta), grid)
-    out = (
-        _biphoton_raw(omega1, omega2, pump, crystal)
-        + np.exp(1j * theta) * _biphoton_raw(omega2, omega1, pump, crystal)
-    ) / norm
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def default_grid(state: StateSpec) -> FrequencyGrid:
-    """State-aware default evaluation grid (see module constants)."""
-    if isinstance(state, (FockState, CoherentState)):
-        return FrequencyGrid(state.omega_bar, GAUSSIAN_GRID_WIDTHS * state.delta, GAUSSIAN_GRID_POINTS)
-    half_width = max(SINC_GRID_YMAX / abs(state.crystal.eta_minus), GAUSSIAN_GRID_WIDTHS * state.pump.sigma)
-    return FrequencyGrid(state.pump.omega_bar, half_width, SINC_GRID_POINTS)
+    """On-grid total of the unnormalized |B|^2 and its outermost-cell share;
+    ``raw``, the caller's ``_raw_matrix(state, grid)``, spares a rebuild."""
+    if raw is None:
+        raw = _raw_matrix(state, grid)
+    wts = grid.trapezoid_weights()
+    mass = np.abs(raw) ** 2
+    total = float(np.einsum("m,mn,n->", wts, mass, wts))
+    mass *= wts[:, None]
+    mass *= wts
+    return total, _edge_fraction(mass)
 
 
 def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "strict") -> np.ndarray:
-    """Full n x n matrix B(w_m, w_n) of the two-photon amplitude on the grid.
+    """Full n x n matrix B(w_m, w_n) of the two-photon amplitude on the grid,
+    normalized so that the trapezoid double integral of |B|^2 is 1.
 
-    ``check="none"`` skips the outermost-cell mass guard; callers whose own
-    kernels damp the grid edges (the Monte Carlo oracle) use it and own the
-    resulting truncation error.  Any other value than ``"strict"`` or
-    ``"none"`` raises ``ValueError``.  Normalization is always on-grid.
+    The Fock amplitude is the outer product of ``grid_envelope``.  For the
+    entangled and symmetrized states, ``check="strict"`` raises
+    ``GridTooNarrowError`` when the outermost cells hold more than
+    ``EDGE_MASS_BUDGET`` of the |B|^2 mass.  Their sinc tails decay only
+    as 1/x^2, so that share scales as 2 / (pi (n - 1) |eta_-| half_width),
+    and ``(n - 1) |eta_-| half_width`` must exceed about 1.3e6 (1.7e-7 at
+    2049 points and half-width 640 / |eta_-|).  ``check="none"`` skips the
+    guard; callers whose own kernels damp the grid edges (the Monte Carlo
+    oracle) use it and own the resulting truncation error.  Any other
+    value raises ``ValueError``.
     """
     if check not in ("strict", "none"):
         raise ValueError(f'check must be "strict" or "none", got {check!r}')
@@ -357,9 +299,14 @@ def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "s
         env = grid_envelope(state, grid)
         return np.outer(env, env).astype(complex)
     raw = _raw_matrix(state, grid)
-    norm = _grid_norm(state, grid, check=check == "strict", raw=raw)
+    total, edge = _grid_mass(state, grid, raw)
+    if check == "strict" and edge > EDGE_MASS_BUDGET:
+        raise GridTooNarrowError(
+            f"grid too narrow: outermost cells hold {edge:.2e} of the |B|^2 mass "
+            f"(budget {EDGE_MASS_BUDGET:.0e})"
+        )
     out = raw.astype(complex, copy=False)
-    out /= norm
+    out /= math.sqrt(total)
     return out
 
 

@@ -396,6 +396,38 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert args.seed == 777
 
 
+@pytest.mark.parametrize("command", ["rate", "mc-validate"])
+def test_bad_seed_env_var_exits_2_where_a_seed_is_read(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("TPSPECKLE_SEED", "abc")
+    out = tmp_path / "x.csv"
+    argv = {
+        "rate": ["rate", "--state", FOCK_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                 "--tau-n", "2"],
+        "mc-validate": ["mc-validate", "--config", "{}"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figure", "sweep", "visibility"])
+def test_bad_seed_env_var_is_ignored_without_a_seed(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("TPSPECKLE_SEED", "abc")
+    out = tmp_path / "x.csv"
+    if command == "visibility":
+        taus = np.concatenate([[0.0], np.geomspace(0.1, 60.0, 80)])
+        rows = ["tau,r"] + [f"{float(t)!r},{float(1.0 + math.exp(-0.5 * t * t))!r}" for t in taus]
+        out.write_text("\n".join(rows) + "\n")
+    argv = {
+        "figure": ["figure", "--id", "5", "--model", "I", "--out", str(out)],
+        "sweep": ["sweep", "--config", json.dumps({"state": json.loads(FOCK_STATE)}), "--out", str(out)],
+        "visibility": ["visibility", "--in", str(out)],
+    }[command]
+    assert main(argv) == 0
+
+
 # --- monte-carlo rate method and the ensemble JSON interface
 
 def test_rate_monte_carlo_csv_columns(tmp_path):
@@ -612,6 +644,12 @@ _BAD_CONFIGS = {
     "n_realizations-1": _mc_validate('{"n_realizations": 1}'),
     "n_realizations-inf": _mc_validate('{"n_realizations": Infinity}'),
     "seed-negative": _mc_validate('{"seed": -1, "n_realizations": 10}'),
+    # int() would truncate a float or take a bool, and the run would exit 0
+    "n_realizations-float": _mc_validate('{"n_realizations": 200.7}'),
+    "seed-float": _mc_validate('{"seed": 2.0, "n_realizations": 10}'),
+    "seed-bool": _mc_validate('{"seed": true, "n_realizations": 10}'),
+    "ensemble-seed-float": _mc_rate('{"n_realizations": 10, "seed": 2.5}'),
+    "tau-n-float": _sweep(tau={"min": 0, "max": 1, "n": 2.9}),
     "vary-string": _sweep(vary={"sigma": ["a"]}),
     "vary-number": _sweep(vary={"sigma": 3}),
     "vary-nested-list": _sweep(vary={"sigma": [[1.0]]}),

@@ -247,9 +247,9 @@ def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
 
     tail = rates._exchange_tail
 
-    def sloppy_at_half(pump, crystal, model, tau, d_half, h, theta=None):
-        res = tail(pump, crystal, model, tau, d_half, h, theta)
-        return res._replace(error=1e-3) if tau == 0.5 else res
+    def sloppy_at_half(state, model, d_half, taus):
+        results = tail(state, model, d_half, taus)
+        return [res._replace(error=1e-3) if tau == 0.5 else res for tau, res in zip(taus, results)]
 
     monkeypatch.setattr(rates, "_exchange_tail", sloppy_at_half)
     state = _ent(2.0)
@@ -315,7 +315,9 @@ def test_non_finite_tau_is_refused(name, bad):
 def test_nan_error_estimate_fails_the_gate(monkeypatch):
     import tpspeckle.rates as rates
 
-    monkeypatch.setattr(rates, "_exchange_tail", lambda *args: rates.QuadratureResult(0.0, math.nan))
+    monkeypatch.setattr(
+        rates, "_exchange_tail", lambda state, model, d_half, taus: [rates.QuadratureResult(0.0, math.nan)] * len(taus)
+    )
     with pytest.raises(QuadratureNotConvergedError):
         rate_numeric_batch(_ent(2.0), M_I, [0.0])
 
@@ -355,7 +357,7 @@ def test_model_i_tail_bound_replaces_the_tail_integrals(monkeypatch):
     state = _ent(2.0)
     results = rate_numeric_batch(state, M_I, _CURVE_TAUS)
     assert calls == []
-    bound = rates._exchange_tail(state.pump, state.crystal, M_I, 0.0, 19.0, None)
+    [bound] = rates._exchange_tail(state, M_I, 19.0, [0.0])
     assert bound.value == 0.0
     assert 0.0 < bound.error < 1e-3 * rates.QUADRATURE_ERROR_GATE
     for tau, res in zip(_CURVE_TAUS, results):

@@ -16,15 +16,12 @@ from tpspeckle import (
     MonochromaticPumpError,
     PumpParams,
     SymmetrizedState,
-    biphoton_amplitude,
     biphoton_norm_closed_form,
-    default_grid,
     gaussian_envelope,
     grid_amplitude_matrix,
     phase_matching,
     pump_envelope,
     spectral_width_ratio,
-    symmetrized_amplitude,
     symmetrized_norm_sq,
 )
 from tpspeckle.states import _biphoton_raw
@@ -175,10 +172,17 @@ def test_spectral_width_ratio_monotone(crystal):
 
 # --- biphoton amplitude
 
+# Sized by the rule in the ``grid_amplitude_matrix`` docstring: at eta_minus = 1,
+# (n - 1) * half_width = 1.3e6 holds the outermost-cell mass near 1.7e-7.
+SINC_GRID = FrequencyGrid(100.0, 640.0, 2049)
+# Symmetric about omega_bar and wide enough for the amplitude's support; too
+# narrow for the edge guard, which the exchange properties do not need.
+SMALL_GRID = FrequencyGrid(100.0, 8.0, 129)
+
+
 def test_biphoton_normalized_on_grid(entangled_s2):
-    grid = default_grid(entangled_s2)
-    b = grid_amplitude_matrix(entangled_s2, grid)
-    w = grid.trapezoid_weights()
+    b = grid_amplitude_matrix(entangled_s2, SINC_GRID)
+    w = SINC_GRID.trapezoid_weights()
     total = np.einsum("m,mn,n->", w, np.abs(b) ** 2, w)
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -196,7 +200,6 @@ def test_grid_amplitude_matrix_builds_once_per_call(monkeypatch, pump_s2, crysta
         calls.append(grid)
         return raw_matrix(state, grid)
 
-    monkeypatch.setattr(states, "_GRID_MASS", {})  # cold cache
     monkeypatch.setattr(states, "_raw_matrix", counted)
     b = grid_amplitude_matrix(state, grid, check="none")
     assert len(calls) == 1
@@ -214,39 +217,36 @@ def test_grid_amplitude_matrix_check_is_strict_or_none(entangled_s2, check):
         grid_amplitude_matrix(entangled_s2, FrequencyGrid(100.0, 8.0, 33), check=check)
 
 
-def test_biphoton_not_exchange_symmetric(pump_s2, crystal):
-    grid = default_grid(EntangledState(pump_s2, crystal))
-    a = biphoton_amplitude(100.8, 99.5, pump_s2, crystal, grid)
-    b = biphoton_amplitude(99.5, 100.8, pump_s2, crystal, grid)
-    assert abs(a - b) > 1e-3 * abs(a)
+def test_biphoton_not_exchange_symmetric(entangled_s2):
+    # b.T[m, n] = B(w_n, w_m): the swapped amplitude on the same grid
+    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
+    assert np.max(np.abs(b - b.T)) > 1e-3 * np.max(np.abs(b))
 
 
 def test_biphoton_closed_form_norm_check(pump_s2, crystal):
     # With K from <psi|psi> = |K|^2 pi^(3/2) sigma/|eta_minus|, the grid
     # integral of |K alpha Phi|^2 lands within 5% of 1 (tail truncation).
-    grid = default_grid(EntangledState(pump_s2, crystal))
-    omega = grid.axis()
-    w = grid.trapezoid_weights()
+    omega = SINC_GRID.axis()
+    w = SINC_GRID.trapezoid_weights()
     k_sq = 1.0 / biphoton_norm_closed_form(pump_s2, crystal)
     total = 0.0
-    for i0 in range(0, grid.n, 512):
-        blk = slice(i0, min(i0 + 512, grid.n))
+    for i0 in range(0, SINC_GRID.n, 512):
+        blk = slice(i0, min(i0 + 512, SINC_GRID.n))
         b = _biphoton_raw(omega[blk][:, None], omega[None, :], pump_s2, crystal)
         total += float(np.einsum("m,mn,n->", w[blk], np.abs(b) ** 2, w))
     assert k_sq * total == pytest.approx(1.0, abs=0.05)
 
 
-def test_biphoton_grid_too_narrow(pump_s2, crystal):
+def test_biphoton_grid_too_narrow(entangled_s2):
     # The sinc tails make narrow grids violate the edge-mass budget.
     with pytest.raises(GridTooNarrowError):
-        biphoton_amplitude(100.0, 100.0, pump_s2, crystal, FrequencyGrid(100.0, 6.0, 256))
+        grid_amplitude_matrix(entangled_s2, FrequencyGrid(100.0, 6.0, 256))
 
 
-def test_amplitudes_pure(pump_s2, crystal):
-    grid = default_grid(EntangledState(pump_s2, crystal))
-    a = biphoton_amplitude(100.3, 99.9, pump_s2, crystal, grid)
-    b = biphoton_amplitude(100.3, 99.9, pump_s2, crystal, grid)
-    assert a == b
+def test_amplitudes_pure(entangled_s2):
+    a = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
+    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
+    assert np.array_equal(a, b)
 
 
 # --- symmetrized amplitude
@@ -267,28 +267,18 @@ def test_symmetrized_norm_degenerate():
 
 @pytest.mark.parametrize("theta,expect_sign", [(0.0, 1.0), (math.pi, -1.0)])
 def test_symmetrized_exchange_identity(pump_s2, crystal, theta, expect_sign):
-    grid = default_grid(SymmetrizedState(pump_s2, crystal, theta))
-    axis = grid.axis()
-    # central nodes (where the amplitude lives) plus a strided tail sweep
-    center = np.arange(grid.n // 2 - 24, grid.n // 2 + 25)
-    omega = np.concatenate([axis[center], axis[::128]])
-    o1 = omega[:, None]
-    o2 = omega[None, :]
-    direct = symmetrized_amplitude(o1, o2, theta, pump_s2, crystal, grid)
-    swapped = symmetrized_amplitude(o2, o1, theta, pump_s2, crystal, grid)
-    scale = np.abs(direct).max()
-    assert scale > 0.01  # the sample must include the amplitude's support
-    assert np.max(np.abs(direct - expect_sign * swapped)) <= 1e-12 * scale
+    b = grid_amplitude_matrix(SymmetrizedState(pump_s2, crystal, theta), SMALL_GRID, check="none")
+    scale = np.abs(b).max()
+    assert scale > 0.01  # the grid must hold the amplitude's support
+    assert np.max(np.abs(b - expect_sign * b.T)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
 @pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
 def test_symmetrized_normalization(crystal, theta, s):
     pump = PumpParams(omega_bar=100.0, sigma=s / crystal.eta_plus)
-    state = SymmetrizedState(pump, crystal, theta)
-    grid = default_grid(state)
-    b = grid_amplitude_matrix(state, grid)
-    w = grid.trapezoid_weights()
+    b = grid_amplitude_matrix(SymmetrizedState(pump, crystal, theta), SINC_GRID)
+    w = SINC_GRID.trapezoid_weights()
     total = np.einsum("m,mn,n->", w, np.abs(b) ** 2, w)
     assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -296,7 +286,7 @@ def test_symmetrized_normalization(crystal, theta, s):
 def test_symmetrized_rejects_cw(crystal):
     state = SymmetrizedState(PumpParams(100.0, 0.0), crystal, 0.0)
     with pytest.raises(MonochromaticPumpError):
-        grid_amplitude_matrix(state, FrequencyGrid(100.0, 640.0, 2049))
+        grid_amplitude_matrix(state, SINC_GRID)
 
 
 # --- property: erf_ratio-based norm is even and bounded
