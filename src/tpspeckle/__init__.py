@@ -17,8 +17,6 @@ from .correlation import (
     correlation,
     correlation_sq_magnitude,
     covariance_factor,
-    model_from_config,
-    model_to_config,
 )
 from .errors import (
     DegenerateStateError,
@@ -37,7 +35,6 @@ from .montecarlo import (
     EnsembleConfig,
     McEstimate,
     beam_splitter_check,
-    ensemble_config_from_json,
     mc_correlator,
     mc_correlator_batch,
     mc_correlator_cross_mode,

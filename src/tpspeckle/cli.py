@@ -17,14 +17,15 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .correlation import model_from_config, model_to_config
+from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII
 from .errors import NonFiniteValueError, TpspeckleError
-from .montecarlo import _json_int, ensemble_config_from_json, mc_correlator, mc_correlator_batch
+from .montecarlo import EnsembleConfig, mc_correlator, mc_correlator_batch, mc_default_grid
 from .rates import (
     CW_LIMIT,
     DimensionlessArgs,
@@ -72,14 +73,40 @@ def _config_boundary(command: str):
         raise ConfigError(f"bad {command} config: {exc!r}") from exc
 
 
-def _finite(x) -> float:
-    x = float(x)
+def _object(cfg, what: str, keys) -> dict:
+    """``cfg``; ``ValueError`` for a non-object or any key outside ``keys`` (no misspelt key falls back)."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; valid keys: {sorted(keys)}")
+    return cfg
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is an integer; ``TypeError`` for a bool or a float
+    such as 2.5 or 2.0, which ``int()`` would truncate or take silently."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value, name: str) -> float:
+    """``value`` as a float; ``TypeError`` for a string or a bool, which ``float()`` would take."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _finite(x, name: str) -> float:
+    x = _json_float(x, name)
     if not math.isfinite(x):
-        raise ValueError(f"{x!r} is not finite")
+        raise ValueError(f"{name} {x!r} is not finite")
     return x
 
 
 def _load_json(blob: str):
+    """The one place a string becomes JSON: a file path or inline JSON."""
     if os.path.exists(blob):
         with open(blob, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -95,26 +122,27 @@ _STATE_KEYS = {
     "fock": {"omega_bar", "delta"},
     "coherent": {"omega_bar", "delta"},
 }
+# a sweep varies state parameters and the model scale; the state parser
+# then refuses a parameter its kind does not read
+_VARY_KEYS = set().union(*_STATE_KEYS.values()) | {"scale"}
 
 
 def state_from_config(cfg) -> StateSpec:
     """Parse a state ``{"state": kind, ...}``; a key its kind does not read raises ``ValueError``."""
-    if isinstance(cfg, str):
-        cfg = _load_json(cfg)
-    kind = cfg["state"]
+    kind = cfg["state"] if isinstance(cfg, dict) else None
     if kind not in _STATE_KEYS:
         raise ConfigError(f"unknown state kind {kind!r}")
-    if not set(cfg) <= _STATE_KEYS[kind] | {"state"}:
-        raise ValueError(f"unknown {kind} state key among {sorted(cfg)}")
+    _object(cfg, f"{kind} state", _STATE_KEYS[kind] | {"state"})
+    v = {key: _json_float(cfg[key], key) for key in _STATE_KEYS[kind]}
     if kind in ("entangled", "symmetrized"):
-        pump = PumpParams(float(cfg["omega_bar"]), float(cfg["sigma"]))
-        crystal = CrystalParams(float(cfg["nu_o"]), float(cfg["nu_e"]))
+        pump = PumpParams(v["omega_bar"], v["sigma"])
+        crystal = CrystalParams(v["nu_o"], v["nu_e"])
         if kind == "entangled":
             return EntangledState(pump=pump, crystal=crystal)
-        return SymmetrizedState(pump=pump, crystal=crystal, theta=float(cfg["theta"]))
+        return SymmetrizedState(pump=pump, crystal=crystal, theta=v["theta"])
     if kind == "fock":
-        return FockState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
-    return CoherentState(omega_bar=float(cfg["omega_bar"]), delta=float(cfg["delta"]))
+        return FockState(omega_bar=v["omega_bar"], delta=v["delta"])
+    return CoherentState(omega_bar=v["omega_bar"], delta=v["delta"])
 
 
 def state_to_config(state: StateSpec) -> dict:
@@ -133,6 +161,24 @@ def state_to_config(state: StateSpec) -> dict:
     return {"state": kind, "omega_bar": state.omega_bar, "delta": state.delta}
 
 
+def model_from_config(cfg) -> CorrelationModel:
+    """Parse the {"model": "I"|"II", "scale": <rad/time>} wire format."""
+    cfg = _object(cfg, "model", {"model", "scale"})
+    kind, scale = cfg["model"], _json_float(cfg["scale"], "model scale")
+    if kind == "I":
+        return ModelI(omega_corr=scale)
+    if kind == "II":
+        return ModelII(omega_th=scale)
+    raise ValueError(f"unknown correlation model {kind!r}")
+
+
+def model_to_config(model: CorrelationModel) -> dict:
+    """Serialize to the {"model": "I"|"II", "scale": <rad/time>} wire format."""
+    if isinstance(model, ModelI):
+        return {"model": "I", "scale": model.omega_corr}
+    return {"model": "II", "scale": model.omega_th}
+
+
 def _parse_model(cfg):
     """The correlation model of ``rate --model`` or a sweep's ``"model"``.
 
@@ -144,6 +190,38 @@ def _parse_model(cfg):
             return CW_LIMIT
         cfg = _load_json(cfg)
     return model_from_config(cfg)
+
+
+def ensemble_from_config(cfg, *, state: StateSpec, model: CorrelationModel, seed: int) -> EnsembleConfig:
+    """Parse ``{"grid": {"center", "half_width", "n"}, "model", "t_bar", "n_realizations", "seed"}``.
+
+    Every key is optional: grid ``mc_default_grid(state, model)`` (a given
+    grid without ``center`` is centered on the state), the run's ``model``
+    (another raises ``ValueError``), seed ``seed``, and ``EnsembleConfig``'s
+    ``t_bar`` and ``n_realizations``.
+    """
+    cfg = _object(cfg, "ensemble", {"grid", "model", "t_bar", "n_realizations", "seed"})
+    if "model" in cfg:
+        given = model_from_config(cfg["model"])
+        if given != model:
+            raise ValueError(f"ensemble model {given!r} differs from the run's model {model!r}")
+    grid = mc_default_grid(state, model)
+    if "grid" in cfg:
+        g = _object(cfg["grid"], "ensemble grid", {"center", "half_width", "n"})
+        center = _json_float(g["center"], "grid center") if "center" in g else grid.center
+        grid = FrequencyGrid(center, _json_float(g["half_width"], "grid half_width"), _json_int(g["n"], "grid n"))
+    return EnsembleConfig(
+        grid=grid,
+        model=model,
+        t_bar=_json_float(cfg.get("t_bar", EnsembleConfig.t_bar), "t_bar"),
+        n_realizations=_json_int(cfg.get("n_realizations", EnsembleConfig.n_realizations), "n_realizations"),
+        seed=_json_int(cfg.get("seed", seed), "seed"),
+    )
+
+
+def ensemble_to_config(ens: EnsembleConfig) -> dict:
+    """The wire format of an ensemble; ``ensemble_from_config`` reads it back."""
+    return {**asdict(ens), "model": model_to_config(ens.model)}
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +308,7 @@ def cmd_rate(args) -> int:
             raise ConfigError(f"{args.method} needs a concrete correlation model")
         if args.method == "monte-carlo":
             spec = {} if args.ensemble is None else _load_json(args.ensemble)
-            ens = ensemble_config_from_json(spec, state=state, model=model, seed=args.seed)
+            ens = ensemble_from_config(spec, state=state, model=model, seed=args.seed)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n).tolist()
     config = {
         "state": state_to_config(state),
@@ -241,7 +319,7 @@ def cmd_rate(args) -> int:
 
     notes = []
     if args.method == "monte-carlo":
-        config["ensemble"] = ens.to_json()
+        config["ensemble"] = ensemble_to_config(ens)
         estimates = mc_correlator_batch(state, ens, taus)
         columns = ["tau", "mean", "std_error", "n", "seed"]
         rows = [(tau, e.mean, e.std_error, e.n, ens.seed) for tau, e in zip(taus, estimates)]
@@ -346,18 +424,23 @@ def cmd_figure(args) -> int:
 
 def cmd_sweep(args) -> int:
     with _config_boundary("sweep"):
-        cfg = _load_json(args.config)
+        cfg = _object(_load_json(args.config), "sweep", {"state", "model", "vary", "tau"})
         base_state = cfg["state"]
         model_cfg = cfg.get("model", "cw")
-        vary = cfg.get("vary", {})
+        vary = _object(cfg.get("vary", {}), "vary", _VARY_KEYS)
         taus = cfg.get("tau", [0.0])
         if isinstance(taus, dict):
-            taus = np.linspace(float(taus["min"]), float(taus["max"]), _json_int(taus["n"], "tau n")).tolist()
-        tau_values = [_finite(tau) for tau in taus]
+            axis = _object(taus, "tau axis", {"min", "max", "n"})
+            taus = np.linspace(_finite(axis["min"], "tau min"), _finite(axis["max"], "tau max"),
+                               _json_int(axis["n"], "tau n")).tolist()
+        tau_values = [_finite(tau, "tau") for tau in taus]
         model = _parse_model(model_cfg)
-        vary_keys = sorted(vary.keys())
+        vary_keys = sorted(vary)
+        values = [[_finite(v, key) for v in vary[key]] for key in vary_keys]
+        if not (tau_values and all(values)):
+            raise ValueError(f"a sweep needs at least one tau and one value per varied key, got {cfg!r}")
         points = []
-        for combo in itertools.product(*([_finite(v) for v in vary[k]] for k in vary_keys)):
+        for combo in itertools.product(*values):
             scfg = dict(base_state)
             mdl = model
             for key, val in zip(vary_keys, combo):
@@ -417,9 +500,7 @@ def _default_mc_cases() -> List[dict]:
 
 def cmd_mc_validate(args) -> int:
     with _config_boundary("mc-validate"):
-        cfg = _load_json(args.config)
-        if not set(cfg) <= {"seed", "t_bar", "n_realizations", "cases"}:
-            raise ValueError(f"unknown mc-validate key among {sorted(cfg)}")
+        cfg = _object(_load_json(args.config), "mc-validate", {"seed", "t_bar", "n_realizations", "cases"})
         seed = _json_int(cfg.get("seed", args.seed), "seed")
         shared = {key: cfg[key] for key in ("t_bar", "n_realizations") if key in cfg}
         cases = cfg.get("cases", _default_mc_cases())
@@ -427,14 +508,11 @@ def cmd_mc_validate(args) -> int:
             raise ValueError(f"cases must be a non-empty list, got {cases!r}")
         runs = []
         for idx, case in enumerate(cases):
-            if not set(case) <= {"state", "model", "grid", "tau"}:
-                raise ValueError(f"unknown mc-validate case key among {sorted(case)}")
+            case = _object(case, "mc-validate case", {"state", "model", "grid", "tau"})
             state = state_from_config(case["state"])
             spec = dict(shared, grid=case["grid"]) if "grid" in case else shared
-            ens = ensemble_config_from_json(
-                spec, state=state, model=model_from_config(case["model"]), seed=seed + idx
-            )
-            runs.append((state, ens, _finite(case.get("tau", 0.0))))
+            ens = ensemble_from_config(spec, state=state, model=model_from_config(case["model"]), seed=seed + idx)
+            runs.append((state, ens, _finite(case.get("tau", 0.0), "tau")))
 
     rows = []
     worst = 0.0

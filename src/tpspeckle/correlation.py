@@ -14,7 +14,6 @@ covariance matrix on a uniform grid, used to draw correlated samples.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,8 +33,6 @@ __all__ = [
     "correlation",
     "correlation_sq_magnitude",
     "covariance_factor",
-    "model_to_config",
-    "model_from_config",
 ]
 
 # Relative eigenvalue floor and jitter budget for the covariance factorization.
@@ -189,22 +186,3 @@ def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float
             jitter = max(2.0 * jitter, 1e-15 * t_bar)
     return CovarianceFactor(grid=grid, lower_factor=L, jitter_used=jitter, t_bar=t_bar)
 
-
-def model_to_config(model: CorrelationModel) -> dict:
-    """Serialize to the {"model": "I"|"II", "scale": <rad/time>} wire format."""
-    if isinstance(model, ModelI):
-        return {"model": "I", "scale": model.omega_corr}
-    return {"model": "II", "scale": model.omega_th}
-
-
-def model_from_config(cfg) -> CorrelationModel:
-    """Parse the {"model": "I"|"II", "scale": <rad/time>} wire format."""
-    if isinstance(cfg, str):
-        cfg = json.loads(cfg)
-    kind = cfg["model"]
-    scale = float(cfg["scale"])
-    if kind == "I":
-        return ModelI(omega_corr=scale)
-    if kind == "II":
-        return ModelII(omega_th=scale)
-    raise ValueError(f"unknown correlation model {kind!r}")

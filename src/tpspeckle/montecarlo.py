@@ -52,23 +52,15 @@ complex ``g_t`` of other symmetrized states keep the complex products.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .correlation import (
-    CorrelationModel,
-    FrequencyGrid,
-    ModelI,
-    covariance_factor,
-    model_from_config,
-    model_to_config,
-)
+from .correlation import CorrelationModel, FrequencyGrid, ModelI, covariance_factor
 from .errors import InsufficientRealizationsError
 from .states import (
     CoherentState,
@@ -87,7 +79,6 @@ __all__ = [
     "RateRelation",
     "BeamSplitterReport",
     "mc_default_grid",
-    "ensemble_config_from_json",
     "sample_transmission",
     "mc_correlator",
     "mc_correlator_batch",
@@ -126,57 +117,12 @@ class EnsembleConfig:
         if self.grid.n < 8:
             raise ValueError("ensemble grids need n >= 8 points")
 
-    def to_json(self) -> dict:
-        """The wire format of this ensemble; ``ensemble_config_from_json`` reads it back."""
-        return {**asdict(self), "model": model_to_config(self.model)}
-
 
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_error: float
     n: int
-
-
-def _json_int(value, name: str) -> int:
-    """``value`` if it is an integer; ``TypeError`` for a bool or a float
-    such as 2.5 or 2.0, which ``int()`` would truncate or take silently."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def ensemble_config_from_json(cfg, *, state: StateSpec, model: CorrelationModel, seed: int) -> EnsembleConfig:
-    """Parse ``{"grid": {"center", "half_width", "n"}, "model", "t_bar", "n_realizations", "seed"}``.
-
-    Every key is optional: grid ``mc_default_grid(state, model)`` (a given
-    grid without ``center`` is centered on the state), the run's ``model``
-    (another raises ``ValueError``), seed ``seed``, and ``EnsembleConfig``'s
-    ``t_bar`` and ``n_realizations``.  Any other key raises ``ValueError``,
-    so a misspelt one cannot fall back to its default; a non-integer
-    ``n_realizations`` or ``seed`` raises ``TypeError``.
-    """
-    if isinstance(cfg, str):
-        cfg = json.loads(cfg)
-    if not set(cfg) <= {"grid", "model", "t_bar", "n_realizations", "seed"}:
-        raise ValueError(f"unknown ensemble key among {sorted(cfg)}")
-    if "model" in cfg:
-        given = model_from_config(cfg["model"])
-        if given != model:
-            raise ValueError(f"ensemble model {given!r} differs from the run's model {model!r}")
-    grid = mc_default_grid(state, model)
-    if "grid" in cfg:
-        g = cfg["grid"]
-        if not set(g) <= {"center", "half_width", "n"}:
-            raise ValueError(f"unknown ensemble grid key among {sorted(g)}")
-        grid = FrequencyGrid(float(g.get("center", grid.center)), float(g["half_width"]), g["n"])
-    return EnsembleConfig(
-        grid=grid,
-        model=model,
-        t_bar=float(cfg.get("t_bar", EnsembleConfig.t_bar)),
-        n_realizations=_json_int(cfg.get("n_realizations", EnsembleConfig.n_realizations), "n_realizations"),
-        seed=_json_int(cfg.get("seed", seed), "seed"),
-    )
 
 
 class RateRelation(NamedTuple):

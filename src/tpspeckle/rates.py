@@ -735,8 +735,6 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
         p_half = 12.0 * width
         d_half = min(12.0 * width, max(_model_d_support(model), 0.5 * width))
     else:
-        if state.pump.sigma <= 0:
-            raise ValueError("rate_numeric needs sigma > 0; use the cw closed forms")
         denom = _continuum_norm(state)
         n = QUADRATURE_POINTS_SINC
         phase_rate = max([abs(state.crystal.eta_minus)] + [abs(tau) for tau in taus])

@@ -465,10 +465,10 @@ def test_rate_ensemble_without_seed_uses_seed_option(tmp_path):
     names, data = read_curve_csv(str(out))
     assert np.all(data[:, names.index("seed")] == 5)
     header = next(line for line in _read_bytes(out).decode().splitlines() if line.startswith("# config: "))
-    state = cli.state_from_config(FOCK_STATE)
+    state = cli.state_from_config(json.loads(FOCK_STATE))
     model = ModelI(1.0)
     expect = EnsembleConfig(grid=mc_default_grid(state, model), model=model, n_realizations=40, seed=5)
-    assert json.loads(header[len("# config: "):])["ensemble"] == expect.to_json()
+    assert json.loads(header[len("# config: "):])["ensemble"] == cli.ensemble_to_config(expect)
 
 
 @pytest.mark.parametrize(
@@ -478,24 +478,26 @@ def test_rate_ensemble_without_seed_uses_seed_option(tmp_path):
     ids=["t_bar", "model", "realizations-seed", "grid"],
 )
 def test_partial_ensemble_equals_default(partial):
-    from tpspeckle import EnsembleConfig, ModelI, ensemble_config_from_json, mc_default_grid
+    from tpspeckle import EnsembleConfig, ModelI, mc_default_grid
+    from tpspeckle.cli import ensemble_from_config, ensemble_to_config
 
-    state = cli.state_from_config(FOCK_STATE)
+    state = cli.state_from_config(json.loads(FOCK_STATE))
     model = ModelI(1.0)
-    default = ensemble_config_from_json({}, state=state, model=model, seed=3)
+    default = ensemble_from_config({}, state=state, model=model, seed=3)
     assert default == EnsembleConfig(grid=mc_default_grid(state, model), model=model, seed=3)
     assert default.grid.half_width == 8.0  # the "grid" case spells the default grid out
-    assert ensemble_config_from_json(partial, state=state, model=model, seed=3) == default
-    assert ensemble_config_from_json(default.to_json(), state=state, model=model, seed=0) == default
+    assert ensemble_from_config(partial, state=state, model=model, seed=3) == default
+    assert ensemble_from_config(ensemble_to_config(default), state=state, model=model, seed=0) == default
 
 
 def test_ensemble_config_json_roundtrip():
-    from tpspeckle import ModelII, ensemble_config_from_json
+    from tpspeckle import ModelII
+    from tpspeckle.cli import ensemble_from_config, ensemble_to_config
 
     state = cli.state_from_config({"state": "fock", "omega_bar": 10.0, "delta": 1.0})
-    cfg = ensemble_config_from_json(
-        '{"grid": {"half_width": 4.0, "n": 16}, "model": {"model": "II", "scale": 0.5},'
-        ' "t_bar": 0.02, "n_realizations": 50, "seed": 3}',
+    cfg = ensemble_from_config(
+        {"grid": {"half_width": 4.0, "n": 16}, "model": {"model": "II", "scale": 0.5},
+         "t_bar": 0.02, "n_realizations": 50, "seed": 3},
         state=state,
         model=ModelII(0.5),
         seed=0,
@@ -504,7 +506,7 @@ def test_ensemble_config_json_roundtrip():
     assert cfg.grid.n == 16
     assert cfg.t_bar == 0.02
     assert cfg.seed == 3
-    assert ensemble_config_from_json(cfg.to_json(), state=state, model=ModelII(0.5), seed=0) == cfg
+    assert ensemble_from_config(ensemble_to_config(cfg), state=state, model=ModelII(0.5), seed=0) == cfg
 
 
 def test_figure_refinement_invariance(tmp_path):
@@ -688,6 +690,22 @@ _BAD_CONFIGS = {
                                "--tau-min", "0", "--tau-max", "1", "--tau-n", "2", "--method", "monte-carlo",
                                "--ensemble", _ENSEMBLE % '{"half_width": 8, "n": 64}'],
     **{f"ensemble-grid-{i}": _mc_rate(_ENSEMBLE % g) for i, g in enumerate(_BAD_GRIDS)},
+    # a sweep with no values would write a header-only file
+    "sweep-tau-empty": _sweep(tau=[]),
+    "sweep-tau-n-0": _sweep(tau={"min": 0, "max": 1, "n": 0}),
+    "sweep-vary-empty": _sweep(vary={"sigma": []}),
+    # a misspelt or foreign key in any JSON object the CLI reads
+    "sweep-key-misspelt": _sweep(taus=[0.5, 1.0]),
+    "tau-axis-key-foreign": _sweep(tau={"min": 0, "max": 1, "n": 3, "step": 9}),
+    "model-key-foreign": ["rate", "--state", ENT_STATE, "--model", '{"model": "I", "scale": 1.0, "omega_corr": 3}',
+                          "--tau-min", "0", "--tau-max", "1", "--tau-n", "2"],
+    # float() would read a string or a bool as a number
+    "state-number-string": _rate_from(json.dumps({**json.loads(FOCK_STATE), "omega_bar": "100"})),
+    "model-scale-bool": ["rate", "--state", ENT_STATE, "--model", '{"model": "I", "scale": true}',
+                         "--tau-min", "0", "--tau-max", "1", "--tau-n", "2"],
+    "vary-value-string": _sweep(vary={"sigma": ["1.0"]}),
+    "tau-string": _sweep(tau=["0.5"]),
+    "ensemble-t_bar-bool": _mc_rate('{"n_realizations": 10, "t_bar": true}'),
     **{f"case-grid-{i}": _mc_validate('{"n_realizations": 10, "cases": [{"state": %s, "model": %s, "grid": %s}]}'
                                       % (ENT_STATE, MODEL_I, g))
        for i, g in enumerate(_BAD_GRIDS)},
@@ -849,3 +867,55 @@ def test_config_leaf_never_crashes(tmp_path, capsys, mutation):
     assert "Traceback" not in capsys.readouterr().err
     assert rc == 0 or not out.exists()
 
+
+
+def _key_paths(node, path=()):
+    """The path of every key of every JSON object inside ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, path + (i,))
+
+
+def _renamed(cfg, path):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1] + "_x"] = node.pop(path[-1])
+    return cfg
+
+
+_TAU_AXIS = {"min": 0.0, "max": 0.5, "n": 2}
+_RENAMES = [
+    *(("sweep", _VALID_SWEEP, path) for path in _key_paths(_VALID_SWEEP)),
+    *(("sweep", {**_VALID_SWEEP, "tau": _TAU_AXIS}, path) for path in _key_paths(_TAU_AXIS, ("tau",))),
+    *(("mc-validate", _VALID_MC, path) for path in _key_paths(_VALID_MC)),
+    # the top level of _VALID_RATE names options, not JSON keys
+    *(("rate", _VALID_RATE, path) for path in _key_paths(_VALID_RATE) if len(path) > 1),
+]
+
+
+@pytest.mark.parametrize("command, cfg, path", _RENAMES,
+                         ids=[f"{c}:{'.'.join(map(str, path))}" for c, _, path in _RENAMES])
+def test_renamed_key_exits_2(tmp_path, capsys, command, cfg, path):
+    cfg = _renamed(cfg, path)
+    argv = _rate_argv(cfg, _RATE_OPTIONS) if command == "rate" else [command, "--config", json.dumps(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_monochromatic_pump_exits_3(tmp_path, capsys, method):
+    # sigma = 0 has no square-integrable amplitude: a numerical failure on
+    # both routes that need one, not a traceback
+    state = json.dumps({**json.loads(ENT_STATE), "sigma": 0.0})
+    out = tmp_path / "r.csv"
+    assert main(["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                 "--tau-n", "2", "--method", method, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()

@@ -14,9 +14,8 @@ from tpspeckle import (
     correlation,
     correlation_sq_magnitude,
     covariance_factor,
-    model_from_config,
-    model_to_config,
 )
+from tpspeckle.cli import model_from_config, model_to_config
 
 MODEL_I = ModelI(omega_corr=1.0)
 MODEL_II = ModelII(omega_th=1.0)
