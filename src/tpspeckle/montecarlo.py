@@ -25,6 +25,10 @@ hands them to a per-realization function reading ``_operators``.  The
 same-mode and cross-mode correlators share one pair estimator of two
 modes' draws (mode 0 twice for same-mode); they differ only in the norm.
 
+A pass allocates one workspace (``_Workspace``), and every chunk draws
+and contracts in it through ``out=``: a pass faults its pages in once,
+not once per chunk, with the bits of the allocating formulas.
+
 The transmissions do not depend on the delay, so a rate curve takes one
 draw per curve: ``mc_correlator_batch`` draws each chunk once and
 evaluates the estimator at every tau of the curve (the tau-independent
@@ -156,8 +160,40 @@ def mc_default_grid(state: StateSpec, model: CorrelationModel) -> FrequencyGrid:
     return FrequencyGrid(state.pump.omega_bar, half, MC_GRID_POINTS)
 
 
-def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range) -> np.ndarray:
-    """Correlated complex Gaussian draws ``L u``, one column per realization.
+class _Workspace:
+    """The buffers of one ensemble pass, allocated once and reused by every
+    chunk, so a pass faults its pages in once rather than once per chunk.
+
+    Each buffer is flat and holds one complex (grid.n, chunk) array; a
+    chunk of c realizations works on C-contiguous prefix views (``_view``),
+    so every ``out=`` product is the BLAS call an allocating product makes,
+    with the same bits.  ``t[s]`` holds stream s's transmissions.  The
+    scratch buffers change roles where lifetimes do not overlap: ``a`` holds
+    the normals of a draw, then ``m_direct p`` and ``g_t u``; ``b`` the
+    draw's product (or its complex ``u``), then the estimators' ``u``;
+    ``c`` the two ``|t|^2`` of the direct term, then the second mode's ``u``.
+    """
+
+    def __init__(self, n: int, modes: int, chunk: int):
+        size = 2 * n * chunk  # float64 values of one complex (n, chunk) array
+        self.t = [np.empty(size) for _ in range(2 * modes)]
+        self.a, self.b, self.c = np.empty(size), np.empty(size), np.empty(size)
+
+
+def _view(buf: np.ndarray, shape: Tuple[int, int], dtype=float) -> np.ndarray:
+    """A C-contiguous ``shape`` array on the front of the flat float buffer ``buf``."""
+    return buf.view(dtype)[: shape[0] * shape[1]].reshape(shape)
+
+
+def _abs2(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.abs(t) ** 2`` into ``out``."""
+    np.abs(t, out=out)
+    return np.square(out, out=out)
+
+
+def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range, ws: _Workspace) -> np.ndarray:
+    """Correlated complex Gaussian draws ``L u`` into ``ws.t[stream_id]``,
+    one column per realization.
 
     Realization r takes one call of 2n normals (sqrt 2 times the real
     parts of ``u``, then its imaginary parts) from the Philox stream reset
@@ -165,21 +201,24 @@ def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range) -
     halves in two real products, which give the same bits as the complex
     product of ``L + 0j``.
     """
-    n = L.shape[0]
+    n, chunk = L.shape[0], len(realizations)
     bitgen = Philox(key=seed)
     state = bitgen.state
     g = Generator(bitgen)
-    z = np.empty((len(realizations), 2 * n))
+    z = _view(ws.a, (chunk, 2 * n))
     for row, r in zip(z, realizations):
         state["state"]["counter"] = [0, 0, stream_id, r]
         bitgen.state = state
         g.standard_normal(out=row)
-    if L.dtype.kind == "c":
-        return L @ ((z[:, :n] + 1j * z[:, n:]) / math.sqrt(2.0)).T
     z *= 1.0 / math.sqrt(2.0)  # what dividing (a + ib) by sqrt 2 does to a and to b
-    t = np.empty((n, len(realizations)), dtype=complex)
-    t.real = L @ z[:, :n].T
-    t.imag = L @ z[:, n:].T
+    t = _view(ws.t[stream_id], (n, chunk), complex)
+    if L.dtype.kind == "c":
+        u = _view(ws.b, (chunk, n), complex)
+        u.real, u.imag = z[:, :n], z[:, n:]
+        return np.matmul(L, u.T, out=t)
+    prod = _view(ws.b, (n, chunk))
+    t.real = np.matmul(L, z[:, :n].T, out=prod)
+    t.imag = np.matmul(L, z[:, n:].T, out=prod)
     return t
 
 
@@ -191,16 +230,18 @@ def sample_transmission(
     Deterministic in (seed, realization_index, mode index); every vector is
     an independent draw with covariance ``t_bar * C(w_m - w_n)``.
     """
-    draws = _draws(cfg, mode_count, range(realization_index, realization_index + 1))
+    ws = _Workspace(cfg.grid.n, mode_count, 1)
+    draws = _draws(cfg, ws, range(realization_index, realization_index + 1))
     return np.array([o[:, 0] for o, _ in draws]), np.array([e[:, 0] for _, e in draws])
 
 
-def _draws(cfg: EnsembleConfig, modes: int, block: range) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """``(t_o, t_e)`` of each output mode, each (grid.n, len(block))."""
+def _draws(cfg: EnsembleConfig, ws: _Workspace, block: range) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(t_o, t_e)`` of each of the workspace's output modes, each
+    (grid.n, len(block)) and valid until the next draw into ``ws``."""
     L = _factor(cfg.grid, cfg.model, cfg.t_bar)
     return [
-        (_draw_block(L, cfg.seed, 2 * m, block), _draw_block(L, cfg.seed, 2 * m + 1, block))
-        for m in range(modes)
+        (_draw_block(L, cfg.seed, s, block, ws), _draw_block(L, cfg.seed, s + 1, block, ws))
+        for s in range(0, len(ws.t), 2)
     ]
 
 
@@ -208,12 +249,14 @@ def _ensemble(
     cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray], rows: int = 1
 ) -> np.ndarray:
     """``rows`` values per realization, shape (rows, n_realizations):
-    ``per_block((t_o, t_e) of mode 0, ...)`` over chunks of ``_CHUNK``
-    realizations, each array of shape (grid.n, chunk)."""
+    ``per_block(workspace, (t_o, t_e) of mode 0, ...)`` over chunks of
+    ``_CHUNK`` realizations, each array of shape (grid.n, chunk), all
+    chunks in one workspace."""
     values = np.empty((rows, cfg.n_realizations))
+    ws = _Workspace(cfg.grid.n, modes, min(_CHUNK, cfg.n_realizations))
     for start in range(0, cfg.n_realizations, _CHUNK):
         block = range(start, min(start + _CHUNK, cfg.n_realizations))
-        values[:, block.start : block.stop] = per_block(*_draws(cfg, modes, block))
+        values[:, block.start : block.stop] = per_block(ws, *_draws(cfg, ws, block))
     return values
 
 
@@ -267,21 +310,22 @@ def _operators(state: StateSpec, grid: FrequencyGrid) -> _Operators:
 
 def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float]):
     """Per-realization <:n_i n_j:> (before the t_bar norm) at every tau, shape
-    (len(taus), chunk), as a function of the draws ``(t_o, t_e)`` of modes i
-    and j; pass one mode twice for i = j."""
+    (len(taus), chunk), as a function of the workspace and the draws
+    ``(t_o, t_e)`` of modes i and j; pass one mode twice for i = j."""
     if ops.a2w is not None:
         a2w = ops.a2w
         phases = [np.exp(-1j * grid.axis() * tau)[:, None] for tau in taus]
 
-        def intensity(mode, phase):
+        def intensity(ws, mode, phase):  # a2w @ |t_e phase + t_o|^2
             t_o, t_e = mode
-            return a2w @ (np.abs(t_e * phase + t_o) ** 2)
+            field = np.multiply(t_e, phase, out=_view(ws.b, t_o.shape, complex))
+            return a2w @ _abs2(np.add(field, t_o, out=field), _view(ws.c, t_o.shape))
 
-        def coherent_pair(mode_i, mode_j):
+        def coherent_pair(ws, mode_i, mode_j):
             out = np.empty((len(phases), mode_i[0].shape[1]))
             for row, phase in zip(out, phases):
-                i_i = intensity(mode_i, phase)
-                row[:] = i_i * (i_i if mode_j is mode_i else intensity(mode_j, phase))
+                i_i = intensity(ws, mode_i, phase)
+                row[:] = i_i * (i_i if mode_j is mode_i else intensity(ws, mode_j, phase))
             return out
 
         return coherent_pair
@@ -289,23 +333,36 @@ def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float])
     m_direct, g_t = ops.m_direct, ops.g_t
     phases = [np.exp(1j * grid.axis() * tau)[:, None] for tau in taus]
 
-    def exchange(u):  # g_t @ u; a real g_t gives the bits of the complex product with g_t + 0j
-        return g_t @ u if g_t.dtype.kind == "c" else (g_t @ u.view(float)).view(complex)
+    def exchange(u, out):  # g_t @ u; a real g_t gives the bits of the complex product with g_t + 0j
+        if g_t.dtype.kind == "c":
+            return np.matmul(g_t, u, out=out)
+        np.matmul(g_t, u.view(float), out=out.view(float))
+        return out
 
-    def pair(mode_i, mode_j):
+    def phased(phase, t_e, t_o, out):  # phase * conj(t_e) * t_o
+        np.conjugate(t_e, out=out)
+        np.multiply(phase, out, out=out)
+        return np.multiply(out, t_o, out=out)
+
+    def pair(ws, mode_i, mode_j):
         same = mode_j is mode_i
         (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
-        p_oi, p_ei = np.abs(t_oi) ** 2, np.abs(t_ei) ** 2
-        p_oj, p_ej = (p_oi, p_ei) if same else (np.abs(t_oj) ** 2, np.abs(t_ej) ** 2)
-        direct = np.einsum("mc,mc->c", p_oi, m_direct @ p_ej)
-        direct += np.einsum("mc,mc->c", p_ei, m_direct @ p_oj)
-        conj_ei = np.conj(t_ei)
-        conj_ej = conj_ei if same else np.conj(t_ej)
+        shape = t_oi.shape
+        p, q, m_p = _view(ws.c, shape), _view(ws.c[t_oi.size :], shape), _view(ws.a, shape)
+        p_oi, p_ej = _abs2(t_oi, p), _abs2(t_ej, q)
+        direct = np.einsum("mc,mc->c", p_oi, np.matmul(m_direct, p_ej, out=m_p))
+        p_ei, p_oj = (p_ej, p_oi) if same else (_abs2(t_ei, p), _abs2(t_oj, q))
+        direct += np.einsum("mc,mc->c", p_ei, np.matmul(m_direct, p_oj, out=m_p))
+        # the direct term is done: ws.a and ws.c take the exchange term
+        u_i, g_u = _view(ws.b, shape, complex), _view(ws.a, shape, complex)
+        u_j = u_i if same else _view(ws.c, shape, complex)
         out = np.empty((len(phases), direct.size))
         for row, phase in zip(out, phases):
-            u_i = phase * conj_ei * t_oi
-            u_j = u_i if same else phase * conj_ej * t_oj
-            row[:] = direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), exchange(u_i)))
+            exchange(phased(phase, t_ei, t_oi, u_i), g_u)
+            if not same:
+                phased(phase, t_ej, t_oj, u_j)
+            np.conjugate(u_j, out=u_j)
+            row[:] = direct + 2.0 * np.real(np.einsum("mc,mc->c", u_j, g_u))
         return out
 
     return pair
@@ -340,9 +397,9 @@ def mc_correlator_batch(
         group = taus[lo : lo + group_size]
         pair = _pair_estimator(ops, cfg.grid, group)
         if cross_mode:
-            values = _ensemble(cfg, 2, lambda mode_i, mode_j: pair(mode_i, mode_j) / norm, len(group))
+            values = _ensemble(cfg, 2, lambda ws, mode_i, mode_j: pair(ws, mode_i, mode_j) / norm, len(group))
         else:
-            values = _ensemble(cfg, 1, lambda mode: pair(mode, mode) / norm, len(group))
+            values = _ensemble(cfg, 1, lambda ws, mode: pair(ws, mode, mode) / norm, len(group))
         estimates.extend(_estimate(row, tol) for row in values)
     return estimates
 
@@ -376,9 +433,10 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
     else:  # the weighted marginals of |B|^2
         wo, we = ops.m_direct.sum(axis=1), ops.m_direct.sum(axis=0)
 
-    def photocount(mode):
+    def photocount(ws, mode):
         t_o, t_e = mode
-        return (wo @ (np.abs(t_o) ** 2) + we @ (np.abs(t_e) ** 2)) / cfg.t_bar
+        p = _view(ws.c, t_o.shape)  # wo @ |t_o|^2 is formed before |t_e|^2 takes p
+        return (wo @ _abs2(t_o, p) + we @ _abs2(t_e, p)) / cfg.t_bar
 
     return _estimate(_ensemble(cfg, 1, photocount)[0])
 

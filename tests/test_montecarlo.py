@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ def test_reused_philox_matches_fresh_generators(stream_id):
     from numpy.random import Generator, Philox
 
     from tpspeckle.correlation import covariance_factor
-    from tpspeckle.montecarlo import _CHUNK, _draw_block, _factor
+    from tpspeckle.montecarlo import _CHUNK, _draw_block, _factor, _Workspace
 
     seed = 2024
     block = range(_CHUNK - 20, _CHUNK + 20)  # crosses a chunk edge
@@ -358,29 +359,32 @@ def test_reused_philox_matches_fresh_generators(stream_id):
             u[:, j] = (g.standard_normal(n) + 1j * g.standard_normal(n)) / math.sqrt(2.0)
         return L @ u
 
-    assert np.array_equal(_draw_block(np.eye(16), seed, stream_id, block), reference(np.eye(16, dtype=complex)))
+    ws = _Workspace(16, 2, len(block))
+    assert np.array_equal(_draw_block(np.eye(16), seed, stream_id, block, ws), reference(np.eye(16, dtype=complex)))
     # Model I's factor is real and takes the real products; Model II's is complex
     grid = FrequencyGrid(100.0, 10.0, 128)
+    ws = _Workspace(grid.n, 2, len(block))
     for model, kind in ((ModelI(omega_corr=1.0), "f"), (ModelII(omega_th=0.5), "c")):
         L = covariance_factor(grid, model, 0.01).lower_factor
         assert L.dtype == complex
         draw_factor = _factor(grid, model, 0.01)
         assert draw_factor.dtype.kind == kind
-        assert np.array_equal(_draw_block(draw_factor, seed, stream_id, block), reference(L))
+        assert np.array_equal(_draw_block(draw_factor, seed, stream_id, block, ws), reference(L))
 
 
 @pytest.mark.parametrize("name", ["entangled", "fock"])
 def test_real_exchange_operator_matches_complex(name):
-    from tpspeckle.montecarlo import _draws, _operators, _pair_estimator
+    from tpspeckle.montecarlo import _draws, _operators, _pair_estimator, _Workspace
 
     state = _PIN_STATES[name]
     ops = _operators(state, _PIN_CFG.grid)
     assert ops.g_t.dtype == float
     complex_ops = ops._replace(g_t=ops.g_t.astype(complex))
-    mode_i, mode_j = _draws(_PIN_CFG, 2, range(500, 600))
+    ws = _Workspace(_PIN_CFG.grid.n, 2, 100)
+    mode_i, mode_j = _draws(_PIN_CFG, ws, range(500, 600))
     for i, j in ((mode_i, mode_i), (mode_i, mode_j)):
-        real_pair = _pair_estimator(ops, _PIN_CFG.grid, _BATCH_TAUS)(i, j)
-        complex_pair = _pair_estimator(complex_ops, _PIN_CFG.grid, _BATCH_TAUS)(i, j)
+        real_pair = _pair_estimator(ops, _PIN_CFG.grid, _BATCH_TAUS)(ws, i, j)
+        complex_pair = _pair_estimator(complex_ops, _PIN_CFG.grid, _BATCH_TAUS)(ws, i, j)
         assert np.array_equal(real_pair, complex_pair)
 
 
@@ -409,9 +413,9 @@ def test_batch_draws_once_per_tau_group(monkeypatch, budget, draws_per_stream):
     calls = []
     draw = montecarlo._draw_block
 
-    def counted(L, seed, stream_id, realizations):
+    def counted(L, seed, stream_id, realizations, ws):
         calls.append(stream_id)
-        return draw(L, seed, stream_id, realizations)
+        return draw(L, seed, stream_id, realizations, ws)
 
     monkeypatch.setattr(montecarlo, "_VALUE_BUDGET", budget)
     monkeypatch.setattr(montecarlo, "_draw_block", counted)
@@ -444,3 +448,142 @@ def test_standard_error_gate_refuses_nan():
 
     with pytest.raises(InsufficientRealizationsError):
         montecarlo._estimate(np.array([1.0, math.nan, 2.0]), tol=1.0)
+
+
+# --- one workspace per pass: the bits of the allocating formulas
+
+_WS_MODELS = {"I": M_I, "II": ModelII(omega_th=1.0)}
+_WS_TAUS = [-0.9, 0.0, 0.35]
+
+
+def _ws_cfg(model):
+    # 1 300 realizations are chunks of 512, 512 and 276
+    return EnsembleConfig(grid=_PIN_CFG.grid, model=_WS_MODELS[model], t_bar=0.01, n_realizations=1300, seed=17)
+
+
+def _allocating_draw(cfg, stream_id, block):
+    # a fresh generator per realization, fresh normals and fresh products
+    from numpy.random import Generator, Philox
+
+    from tpspeckle.montecarlo import _factor
+
+    L = _factor(cfg.grid, cfg.model, cfg.t_bar)
+    n = L.shape[0]
+    z = np.array([Generator(Philox(key=cfg.seed, counter=[0, 0, stream_id, r])).standard_normal(2 * n) for r in block])
+    if L.dtype.kind == "c":
+        return L @ ((z[:, :n] + 1j * z[:, n:]) / math.sqrt(2.0)).T
+    z *= 1.0 / math.sqrt(2.0)
+    t = np.empty((n, len(block)), dtype=complex)
+    t.real = L @ z[:, :n].T
+    t.imag = L @ z[:, n:].T
+    return t
+
+
+def _allocating_pair(ops, grid, taus, mode_i, mode_j):
+    (t_oi, t_ei), (t_oj, t_ej) = mode_i, mode_j
+    if ops.a2w is not None:
+        def intensity(t_o, t_e, phase):
+            return ops.a2w @ (np.abs(t_e * phase + t_o) ** 2)
+
+        phases = [np.exp(-1j * grid.axis() * tau)[:, None] for tau in taus]
+        return np.array([intensity(t_oi, t_ei, ph) * intensity(t_oj, t_ej, ph) for ph in phases])
+    p_oi, p_ei, p_oj, p_ej = (np.abs(t) ** 2 for t in (t_oi, t_ei, t_oj, t_ej))
+    direct = np.einsum("mc,mc->c", p_oi, ops.m_direct @ p_ej)
+    direct += np.einsum("mc,mc->c", p_ei, ops.m_direct @ p_oj)
+    rows = []
+    for tau in taus:
+        phase = np.exp(1j * grid.axis() * tau)[:, None]
+        u_i = phase * np.conj(t_ei) * t_oi
+        u_j = phase * np.conj(t_ej) * t_oj
+        if ops.g_t.dtype.kind == "c":
+            g_u = ops.g_t @ u_i
+        else:
+            g_u = (ops.g_t @ u_i.view(float)).view(complex)
+        rows.append(direct + 2.0 * np.real(np.einsum("mc,mc->c", np.conj(u_j), g_u)))
+    return np.array(rows)
+
+
+def _allocating_values(cfg, modes, per_block, rows):
+    values = np.empty((rows, cfg.n_realizations))
+    for start in range(0, cfg.n_realizations, 512):
+        block = range(start, min(start + 512, cfg.n_realizations))
+        draws = [(_allocating_draw(cfg, 2 * m, block), _allocating_draw(cfg, 2 * m + 1, block)) for m in range(modes)]
+        values[:, block.start : block.stop] = per_block(*draws)
+    return values
+
+
+def _as_array(estimates):
+    return np.array([(e.mean, e.std_error, e.n) for e in estimates])
+
+
+@pytest.mark.parametrize("model", list(_WS_MODELS))
+@pytest.mark.parametrize("cross_mode", [False, True], ids=["same", "cross"])
+@pytest.mark.parametrize("name", ["entangled", "antisymmetric", "fock", "coherent"])
+def test_workspace_pass_matches_allocating_formulas(name, cross_mode, model):
+    from tpspeckle.montecarlo import _ensemble, _estimate, _operators, _pair_estimator
+
+    state, cfg = _PIN_STATES[name], _ws_cfg(model)
+    ops = _operators(state, cfg.grid)
+    assert (ops.g_t is None or ops.g_t.dtype.kind == "c") == (name in ("antisymmetric", "coherent"))
+    modes = 2 if cross_mode else 1
+
+    def reference(*draws):
+        return _allocating_pair(ops, cfg.grid, _WS_TAUS, draws[0], draws[-1])
+
+    expect = _allocating_values(cfg, modes, reference, len(_WS_TAUS))
+    pair = _pair_estimator(ops, cfg.grid, _WS_TAUS)
+    values = _ensemble(cfg, modes, lambda ws, *draws: pair(ws, draws[0], draws[-1]), len(_WS_TAUS))
+    assert np.array_equal(values, expect)
+    norm = (1.0 if cross_mode else 2.0) * cfg.t_bar**2
+    batch = mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=cross_mode)
+    assert np.array_equal(_as_array(batch), _as_array(_estimate(row) for row in expect / norm))
+
+
+@pytest.mark.parametrize("model", list(_WS_MODELS))
+@pytest.mark.parametrize("name", ["entangled", "antisymmetric", "fock", "coherent"])
+def test_workspace_photocount_matches_allocating_formulas(name, model):
+    from tpspeckle.montecarlo import _estimate, _operators
+
+    state, cfg = _PIN_STATES[name], _ws_cfg(model)
+    ops = _operators(state, cfg.grid)
+    wo = we = ops.a2w
+    if ops.a2w is None:
+        wo, we = ops.m_direct.sum(axis=1), ops.m_direct.sum(axis=0)
+
+    def photocount(mode):
+        t_o, t_e = mode
+        return (wo @ (np.abs(t_o) ** 2) + we @ (np.abs(t_e) ** 2)) / cfg.t_bar
+
+    expect = _estimate(_allocating_values(cfg, 1, photocount, 1)[0])
+    assert np.array_equal(_as_array([mc_mean_photocount(cfg, state)]), _as_array([expect]))
+
+
+@pytest.mark.parametrize("model", list(_WS_MODELS))
+def test_workspace_sample_transmission_matches_allocating_draw(model):
+    cfg = _ws_cfg(model)
+    for r in (0, 511, 512, 1299):
+        t_o, t_e = sample_transmission(cfg, 2, r)
+        block = range(r, r + 1)
+        assert np.array_equal(t_o, np.array([_allocating_draw(cfg, s, block)[:, 0] for s in (0, 2)]))
+        assert np.array_equal(t_e, np.array([_allocating_draw(cfg, s, block)[:, 0] for s in (1, 3)]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults by ru_minflt")
+@pytest.mark.parametrize("model", list(_WS_MODELS))
+@pytest.mark.parametrize("name", ["entangled", "coherent"])
+def test_pass_faults_do_not_grow_with_chunks(name, model):
+    # one workspace per pass: 20 chunks fault no more pages than 2 do
+    import resource
+
+    state = _PIN_STATES[name]
+
+    def faults(n_realizations):
+        cfg = EnsembleConfig(grid=FrequencyGrid(100.0, 8.0, 128), model=_WS_MODELS[model], t_bar=0.01,
+                             n_realizations=n_realizations, seed=3)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        mc_correlator_batch(state, cfg, [0.0, 0.5])
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(1024)  # warm-up: the covariance factor and the BLAS buffers
+    small = faults(1024)
+    assert faults(10_240) <= 2 * small + 500
