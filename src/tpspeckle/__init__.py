@@ -21,12 +21,10 @@ from .correlation import (
 from .errors import (
     DegenerateStateError,
     GridTooNarrowError,
-    InsufficientRealizationsError,
     MonochromaticPumpError,
     NonFiniteValueError,
     NotPositiveSemidefiniteError,
     QuadratureNotConvergedError,
-    RangeError,
     TailNotConvergedError,
     TpspeckleError,
 )
@@ -34,10 +32,10 @@ from .montecarlo import (
     BeamSplitterReport,
     EnsembleConfig,
     McEstimate,
+    RateRelation,
     beam_splitter_check,
     mc_correlator,
     mc_correlator_batch,
-    mc_correlator_cross_mode,
     mc_default_grid,
     mc_mean_photocount,
     rate_correlation_relation,
@@ -50,7 +48,6 @@ from .rates import (
     SemiclassicalVerdict,
     classify_semiclassical,
     compute_rate_curve,
-    erf_complex,
     mean_photocount,
     rate_closed_form,
     rate_coherent,

@@ -14,7 +14,8 @@ class MonochromaticPumpError(TpspeckleError):
 
 
 class GridTooNarrowError(TpspeckleError):
-    """The frequency grid clips a non-negligible part of the integrand."""
+    """The quadrature field's outermost cells carry more than
+    ``rates.EDGE_MASS_BUDGET`` of the integrand mass."""
 
 
 class DegenerateStateError(TpspeckleError):
@@ -26,11 +27,9 @@ class NotPositiveSemidefiniteError(TpspeckleError):
 
 
 class QuadratureNotConvergedError(TpspeckleError):
-    """Richardson error estimate of a numeric rate exceeds the tolerance."""
-
-
-class InsufficientRealizationsError(TpspeckleError):
-    """Monte Carlo standard error exceeds the requested tolerance."""
+    """A rate integral's error estimate exceeds its gate: the Richardson
+    estimate of the direct quadrature, or the embedded-rule estimate of a
+    reduced closed-form integral."""
 
 
 class TailNotConvergedError(TpspeckleError):
@@ -39,7 +38,3 @@ class TailNotConvergedError(TpspeckleError):
 
 class NonFiniteValueError(TpspeckleError, ValueError):
     """A computed rate or estimate is NaN or infinite."""
-
-
-class RangeError(TpspeckleError):
-    """Argument outside the documented accuracy range."""

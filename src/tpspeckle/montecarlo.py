@@ -34,8 +34,8 @@ draw per curve: ``mc_correlator_batch`` draws each chunk once and
 evaluates the estimator at every tau of the curve (the tau-independent
 direct term once per chunk, the exchange term per tau).  Its value
 buffer holds one row per tau; past ``_VALUE_BUDGET`` values the taus are
-split into groups that draw once each.  ``mc_correlator`` and
-``mc_correlator_cross_mode`` are its one-tau calls.
+split into groups that draw once each.  ``mc_correlator`` is its
+same-mode call at one tau; ``cross_mode=True`` gives the cross-mode rate.
 
 Randomness is counter-based (Philox): stream (realization r, mode m,
 polarization p) uses counter ``[0, 0, 2 m + p, r]`` under the master seed,
@@ -65,7 +65,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .correlation import CorrelationModel, FrequencyGrid, ModelI, covariance_factor
-from .errors import InsufficientRealizationsError
 from .states import (
     CoherentState,
     EntangledState,
@@ -86,7 +85,6 @@ __all__ = [
     "sample_transmission",
     "mc_correlator",
     "mc_correlator_batch",
-    "mc_correlator_cross_mode",
     "mc_mean_photocount",
     "rate_correlation_relation",
     "beam_splitter_check",
@@ -260,20 +258,14 @@ def _ensemble(
     return values
 
 
-def _estimate(values: np.ndarray, tol: Optional[float] = None) -> McEstimate:
-    """Mean and standard error; a standard error above ``tol`` raises
-    ``InsufficientRealizationsError``."""
+def _estimate(values: np.ndarray) -> McEstimate:
+    """Mean and standard error of the values."""
     n = values.size
-    est = McEstimate(
+    return McEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(n)),
         n=n,
     )
-    if tol is not None and not est.std_error <= tol:
-        raise InsufficientRealizationsError(
-            f"insufficient realizations: std_error {est.std_error:.3e} > tolerance {tol:.3e}"
-        )
-    return est
 
 
 class _Operators(NamedTuple):  # what the estimators read; None where it does not apply
@@ -289,21 +281,21 @@ def _operators(state: StateSpec, grid: FrequencyGrid) -> _Operators:
 
     The direct kernel uses the on-grid norm (its disorder mean is then
     exactly 2 t_bar^2).  For the sinc-tailed states the exchange kernel is
-    rescaled by (grid norm)/(continuum norm): the grid clips a 1/(pi Y)
-    fraction of the |B|^2 mass that the exchange integral, damped by
-    |C|^2, does not lose, and without the rescaling the estimator would
-    carry a systematic +1/(pi Y) relative bias on R - 1.
+    rescaled by (grid norm)/(continuum norm): with Y = |eta_-| half_width,
+    the grid clips about 1/(pi Y) of the |B|^2 mass, which the exchange
+    integral, damped by |C|^2, does not lose, and without the rescaling
+    the estimator would carry a systematic +1/(pi Y) relative bias on R - 1.
     """
     wts = grid.trapezoid_weights()
     if isinstance(state, CoherentState):
         env = grid_envelope(state, grid)
         return _Operators(a2w=env * env * wts)
-    b = grid_amplitude_matrix(state, grid, check="none")
+    b = grid_amplitude_matrix(state, grid)
     ww = np.outer(wts, wts)
     m_direct = (np.abs(b) ** 2) * ww
     g_exch = (b * np.conj(b.T)) * ww
     if isinstance(state, (EntangledState, SymmetrizedState)):
-        g_exch = g_exch * (_grid_mass(state, grid)[0] / _continuum_norm(state))
+        g_exch = g_exch * (_grid_mass(state, grid) / _continuum_norm(state))
     g_t = g_exch.T.copy()
     return _Operators(m_direct=m_direct, g_t=g_t if g_t.imag.any() else g_t.real.copy())
 
@@ -372,7 +364,6 @@ def mc_correlator_batch(
     state: StateSpec,
     cfg: EnsembleConfig,
     taus: Sequence[float],
-    tol: Optional[float] = None,
     *,
     cross_mode: bool = False,
 ) -> List[McEstimate]:
@@ -381,9 +372,8 @@ def mc_correlator_batch(
     Same-mode R(tau) by default; ``cross_mode=True`` gives R_{ij}, i != j,
     from a two-mode run (parameter-free targets: 2 for the two-photon
     states, 4 for coherent).  Each estimate equals the one-tau call at
-    the same seed.  ``tol`` (if given) is the acceptable standard error;
-    exceeding it raises ``InsufficientRealizationsError``.  A tau that is
-    not finite raises ``ValueError`` before anything is drawn.
+    the same seed.  A tau that is not finite raises ``ValueError`` before
+    anything is drawn.
     """
     taus = [float(tau) for tau in taus]
     if not all(math.isfinite(tau) for tau in taus):
@@ -400,25 +390,13 @@ def mc_correlator_batch(
             values = _ensemble(cfg, 2, lambda ws, mode_i, mode_j: pair(ws, mode_i, mode_j) / norm, len(group))
         else:
             values = _ensemble(cfg, 1, lambda ws, mode: pair(ws, mode, mode) / norm, len(group))
-        estimates.extend(_estimate(row, tol) for row in values)
+        estimates.extend(_estimate(row) for row in values)
     return estimates
 
 
-def mc_correlator(
-    state: StateSpec, cfg: EnsembleConfig, tau: float, tol: Optional[float] = None
-) -> McEstimate:
+def mc_correlator(state: StateSpec, cfg: EnsembleConfig, tau: float) -> McEstimate:
     """Same-mode coincidence rate R(tau): ``mc_correlator_batch`` at one tau."""
-    return mc_correlator_batch(state, cfg, [tau], tol)[0]
-
-
-def mc_correlator_cross_mode(
-    state: StateSpec, cfg: EnsembleConfig, tau: float = 0.0, tol: Optional[float] = None
-) -> McEstimate:
-    """Cross-mode rate R_{ij}, i != j: ``mc_correlator_batch`` at one tau.
-
-    Parameter-free targets: 2 for the two-photon states, 4 for coherent.
-    """
-    return mc_correlator_batch(state, cfg, [tau], tol, cross_mode=True)[0]
+    return mc_correlator_batch(state, cfg, [tau])[0]
 
 
 def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:

@@ -65,7 +65,6 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erf as _scipy_erf
 from scipy.special import erfcx as _scipy_erfcx
 
 from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
@@ -74,7 +73,6 @@ from .errors import (
     GridTooNarrowError,
     NonFiniteValueError,
     QuadratureNotConvergedError,
-    RangeError,
     TailNotConvergedError,
 )
 from .states import (
@@ -83,7 +81,6 @@ from .states import (
     FockState,
     StateSpec,
     SymmetrizedState,
-    EDGE_MASS_BUDGET,
     _continuum_norm,
     _theta_norm_denominator,
 )
@@ -93,7 +90,6 @@ __all__ = [
     "RateCurve",
     "QuadratureResult",
     "SemiclassicalVerdict",
-    "erf_complex",
     "rate_entangled_cw_limit",
     "rate_entangled",
     "rate_fock",
@@ -109,7 +105,6 @@ __all__ = [
     "compute_rate_curve",
 ]
 
-ERF_RANGE = 30.0
 CW_LIMIT = "cw-limit"  # the model value of frequency-flat transmission, w = inf
 
 
@@ -183,20 +178,6 @@ class RateCurve:
 class SemiclassicalVerdict:
     classification: str  # "nonclassical" | "consistent-with-classical"
     implied_intensity_variance: Optional[float]
-
-
-def erf_complex(z):
-    """Error function of complex argument, |Re z|, |Im z| <= 30.
-
-    Backed by the Faddeeva evaluation in scipy; odd and conjugate
-    symmetric.  Within the documented box the true value can exceed the
-    double range (|erf| ~ e^{y^2 - x^2}); those points overflow to inf.
-    """
-    arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(arr.real) > ERF_RANGE) or np.any(np.abs(arr.imag) > ERF_RANGE):
-        raise RangeError(f"erf_complex documented for |Re z|, |Im z| <= {ERF_RANGE}")
-    out = _scipy_erf(arr)
-    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +548,8 @@ def visibility(curve: RateCurve, tail_rtol: float = 1e-4) -> float:
 QUADRATURE_POINTS_GAUSS = 1025
 QUADRATURE_POINTS_SINC = 1537
 QUADRATURE_ERROR_GATE = 1e-5
+# Share of the integrand mass allowed on the quadrature field's outermost cells.
+EDGE_MASS_BUDGET = 1e-6
 
 
 def _model_d_support(model: CorrelationModel) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._special import erf_ratio, one_minus_erf_ratio, sinc
 from .correlation import FrequencyGrid
-from .errors import DegenerateStateError, GridTooNarrowError, MonochromaticPumpError
+from .errors import DegenerateStateError, MonochromaticPumpError
 
 __all__ = [
     "CrystalParams",
@@ -52,8 +52,6 @@ __all__ = [
     "grid_envelope",
 ]
 
-# Fraction of |B|^2 mass allowed on the outermost grid cells.
-EDGE_MASS_BUDGET = 1e-6
 # Degeneracy threshold for the symmetrized-state norm denominator.
 NORM_DEGENERACY_FLOOR = 1e-10
 
@@ -244,15 +242,6 @@ def _biphoton_raw(omega1, omega2, pump: PumpParams, crystal: CrystalParams):
     return pump_envelope(o1 + o2, pump) * phase_matching(o1, o2, crystal, pump.omega_bar)
 
 
-def _edge_fraction(mass: np.ndarray) -> float:
-    """Share of a non-negative 2-D mass held by its outermost ring of cells."""
-    total = float(mass.sum())
-    if total == 0.0:
-        return 0.0
-    ring = float(mass[0, :].sum() + mass[-1, :].sum() + mass[1:-1, 0].sum() + mass[1:-1, -1].sum())
-    return ring / total
-
-
 def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     """Unnormalized B (real) or B + e^{i theta} B^T (complex) on the grid."""
     omega = grid.axis()
@@ -263,50 +252,34 @@ def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     return raw
 
 
-def _grid_mass(state: StateSpec, grid: FrequencyGrid, raw: Optional[np.ndarray] = None) -> Tuple[float, float]:
-    """On-grid total of the unnormalized |B|^2 and its outermost-cell share;
-    ``raw``, the caller's ``_raw_matrix(state, grid)``, spares a rebuild."""
+def _grid_mass(state: StateSpec, grid: FrequencyGrid, raw: Optional[np.ndarray] = None) -> float:
+    """On-grid trapezoid total of the unnormalized |B|^2; ``raw``, the
+    caller's ``_raw_matrix(state, grid)``, spares a rebuild."""
     if raw is None:
         raw = _raw_matrix(state, grid)
     wts = grid.trapezoid_weights()
-    mass = np.abs(raw) ** 2
-    total = float(np.einsum("m,mn,n->", wts, mass, wts))
-    mass *= wts[:, None]
-    mass *= wts
-    return total, _edge_fraction(mass)
+    return float(np.einsum("m,mn,n->", wts, np.abs(raw) ** 2, wts))
 
 
-def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid, check: str = "strict") -> np.ndarray:
+def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     """Full n x n matrix B(w_m, w_n) of the two-photon amplitude on the grid,
     normalized so that the trapezoid double integral of |B|^2 is 1.
 
-    The Fock amplitude is the outer product of ``grid_envelope``.  For the
-    entangled and symmetrized states, ``check="strict"`` raises
-    ``GridTooNarrowError`` when the outermost cells hold more than
-    ``EDGE_MASS_BUDGET`` of the |B|^2 mass.  Their sinc tails decay only
-    as 1/x^2, so that share scales as 2 / (pi (n - 1) |eta_-| half_width),
-    and ``(n - 1) |eta_-| half_width`` must exceed about 1.3e6 (1.7e-7 at
-    2049 points and half-width 640 / |eta_-|).  ``check="none"`` skips the
-    guard; callers whose own kernels damp the grid edges (the Monte Carlo
-    oracle) use it and own the resulting truncation error.  Any other
-    value raises ``ValueError``.
+    The Fock amplitude is the outer product of ``grid_envelope``.  The
+    entangled and symmetrized amplitudes have sinc tails that decay only
+    as 1/x^2, so a grid of half-width Y / |eta_-| clips about 1/(pi Y) of
+    their |B|^2 mass.  The grid norm leaves that share out, and callers own
+    the truncation: the Monte Carlo oracle rescales its exchange kernel to
+    the continuum norm, and the quadrature route checks its own edge mass.
     """
-    if check not in ("strict", "none"):
-        raise ValueError(f'check must be "strict" or "none", got {check!r}')
     if isinstance(state, CoherentState):
         raise TypeError("coherent state has no two-photon amplitude; use grid_envelope")
     if isinstance(state, FockState):
         env = grid_envelope(state, grid)
         return np.outer(env, env).astype(complex)
     raw = _raw_matrix(state, grid)
-    total, edge = _grid_mass(state, grid, raw)
-    if check == "strict" and edge > EDGE_MASS_BUDGET:
-        raise GridTooNarrowError(
-            f"grid too narrow: outermost cells hold {edge:.2e} of the |B|^2 mass "
-            f"(budget {EDGE_MASS_BUDGET:.0e})"
-        )
     out = raw.astype(complex, copy=False)
-    out /= math.sqrt(total)
+    out /= math.sqrt(_grid_mass(state, grid, raw))
     return out
 
 

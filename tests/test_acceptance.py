@@ -25,7 +25,7 @@ from tpspeckle import (
     correlation,
     covariance_factor,
     mc_correlator,
-    mc_correlator_cross_mode,
+    mc_correlator_batch,
     mc_default_grid,
     mc_mean_photocount,
     mean_photocount,
@@ -282,7 +282,7 @@ def test_criterion_5_monte_carlo_oracle():
             grid=grid, model=ModelI(1.0), t_bar=0.01, n_realizations=n_real,
             seed=ACCEPTANCE_SEED + 100 + k,
         )
-        est = mc_correlator_cross_mode(state, cfg, tau=0.4)
+        est = mc_correlator_batch(state, cfg, [0.4], cross_mode=True)[0]
         assert abs(est.mean - expect) < 3.0 * est.std_error
     _report(
         "5 (Monte Carlo oracle)",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from tpspeckle import (
@@ -15,13 +16,11 @@ from tpspeckle import (
     ModelI,
     ModelII,
     NonFiniteValueError,
-    RangeError,
     RateCurve,
     SymmetrizedState,
     TailNotConvergedError,
     classify_semiclassical,
     compute_rate_curve,
-    erf_complex,
     mean_photocount,
     rate_closed_form,
     rate_coherent,
@@ -35,56 +34,6 @@ from tpspeckle import (
 
 INF = math.inf
 NAN = math.nan
-
-
-# --- complex error function
-
-def _erf_taylor(z: complex, terms: int = 80) -> complex:
-    # Maclaurin series summed to machine precision (|z| <= ~3)
-    acc = 0.0 + 0.0j
-    term = z
-    k = 0
-    while k < terms:
-        acc += term / (2 * k + 1)
-        k += 1
-        term *= -z * z / k
-    return 2.0 / math.sqrt(math.pi) * acc
-
-
-def test_erf_complex_at_zero():
-    assert erf_complex(0.0) == 0.0 + 0.0j
-
-
-def test_erf_complex_at_one():
-    assert erf_complex(1.0) == pytest.approx(0.8427007929497149, rel=1e-12)
-
-
-def test_erf_complex_vs_taylor_oracle():
-    rng = np.random.default_rng(42)
-    zs = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-    for z in zs:
-        assert erf_complex(z) == pytest.approx(_erf_taylor(complex(z)), rel=1e-10)
-
-
-def test_erf_complex_conjugate_symmetry():
-    rng = np.random.default_rng(7)
-    zs = rng.uniform(-4, 4, 100) + 1j * rng.uniform(-4, 4, 100)
-    for z in zs:
-        assert erf_complex(np.conj(z)) == pytest.approx(np.conj(erf_complex(z)), rel=1e-13)
-
-
-def test_erf_complex_odd():
-    rng = np.random.default_rng(3)
-    zs = rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50)
-    for z in zs:
-        assert erf_complex(-z) == pytest.approx(-erf_complex(z), rel=1e-13)
-
-
-def test_erf_complex_range_guard():
-    with pytest.raises(RangeError):
-        erf_complex(31.0)
-    with pytest.raises(RangeError):
-        erf_complex(1.0 + 31.0j)
 
 
 # --- entangled state, Model I
@@ -146,7 +95,7 @@ def test_fock_matches_naive_formula_moderate_t():
     for t, w in ((0.3, 0.7), (1.2, 2.0), (2.5, 0.4)):
         pre = math.exp(-0.5 * (t**2 - (2 / w) ** 2))
         inner = math.cos(2 * t / w) - (
-            np.exp(-2j * t / w) * erf_complex((2 / w - 1j * t) / math.sqrt(2))
+            np.exp(-2j * t / w) * special.erf((2 / w - 1j * t) / math.sqrt(2))
         ).real
         assert rate_fock(t, w) == pytest.approx(1 + pre * inner, abs=1e-10)
 

@@ -12,7 +12,6 @@ from tpspeckle import (
     EntangledState,
     FockState,
     FrequencyGrid,
-    GridTooNarrowError,
     MonochromaticPumpError,
     PumpParams,
     SymmetrizedState,
@@ -172,11 +171,10 @@ def test_spectral_width_ratio_monotone(crystal):
 
 # --- biphoton amplitude
 
-# Sized by the rule in the ``grid_amplitude_matrix`` docstring: at eta_minus = 1,
-# (n - 1) * half_width = 1.3e6 holds the outermost-cell mass near 1.7e-7.
+# At eta_minus = 1 this grid clips 1/(pi * 640) = 5e-4 of the |B|^2 mass.
 SINC_GRID = FrequencyGrid(100.0, 640.0, 2049)
-# Symmetric about omega_bar and wide enough for the amplitude's support; too
-# narrow for the edge guard, which the exchange properties do not need.
+# Symmetric about omega_bar and wide enough for the amplitude's support; it
+# clips about 4% of the sinc tails, which the exchange properties do not need.
 SMALL_GRID = FrequencyGrid(100.0, 8.0, 129)
 
 
@@ -201,9 +199,9 @@ def test_grid_amplitude_matrix_builds_once_per_call(monkeypatch, pump_s2, crysta
         return raw_matrix(state, grid)
 
     monkeypatch.setattr(states, "_raw_matrix", counted)
-    b = grid_amplitude_matrix(state, grid, check="none")
+    b = grid_amplitude_matrix(state, grid)
     assert len(calls) == 1
-    grid_amplitude_matrix(state, grid, check="none")
+    grid_amplitude_matrix(state, grid)
     assert len(calls) == 2
     raw = raw_matrix(state, grid)
     w = grid.trapezoid_weights()
@@ -211,15 +209,22 @@ def test_grid_amplitude_matrix_builds_once_per_call(monkeypatch, pump_s2, crysta
     assert np.array_equal(b, raw.astype(complex) / math.sqrt(total))
 
 
-@pytest.mark.parametrize("check", ["strict-ish", "None", "", None], ids=["misspelt", "None-string", "empty", "None"])
-def test_grid_amplitude_matrix_check_is_strict_or_none(entangled_s2, check):
-    with pytest.raises(ValueError, match="check must be"):
-        grid_amplitude_matrix(entangled_s2, FrequencyGrid(100.0, 8.0, 33), check=check)
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("half_width, n", [(16.0, 257), (32.0, 513)])
+def test_grid_clips_the_sinc_tail_share(crystal, sigma, half_width, n):
+    # the premise of the Monte Carlo exchange rescale: a grid of half-width
+    # Y / |eta_-| holds all but about 1/(pi Y) of the continuum |B|^2 mass
+    from tpspeckle.states import _continuum_norm, _grid_mass
+
+    state = EntangledState(PumpParams(100.0, sigma), crystal)
+    clipped = 1.0 - _grid_mass(state, FrequencyGrid(100.0, half_width, n)) / _continuum_norm(state)
+    share = 1.0 / (math.pi * abs(crystal.eta_minus) * half_width)
+    assert clipped == pytest.approx(share, rel=0.08)
 
 
 def test_biphoton_not_exchange_symmetric(entangled_s2):
     # b.T[m, n] = B(w_n, w_m): the swapped amplitude on the same grid
-    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
+    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID)
     assert np.max(np.abs(b - b.T)) > 1e-3 * np.max(np.abs(b))
 
 
@@ -237,15 +242,9 @@ def test_biphoton_closed_form_norm_check(pump_s2, crystal):
     assert k_sq * total == pytest.approx(1.0, abs=0.05)
 
 
-def test_biphoton_grid_too_narrow(entangled_s2):
-    # The sinc tails make narrow grids violate the edge-mass budget.
-    with pytest.raises(GridTooNarrowError):
-        grid_amplitude_matrix(entangled_s2, FrequencyGrid(100.0, 6.0, 256))
-
-
 def test_amplitudes_pure(entangled_s2):
-    a = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
-    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID, check="none")
+    a = grid_amplitude_matrix(entangled_s2, SMALL_GRID)
+    b = grid_amplitude_matrix(entangled_s2, SMALL_GRID)
     assert np.array_equal(a, b)
 
 
@@ -267,7 +266,7 @@ def test_symmetrized_norm_degenerate():
 
 @pytest.mark.parametrize("theta,expect_sign", [(0.0, 1.0), (math.pi, -1.0)])
 def test_symmetrized_exchange_identity(pump_s2, crystal, theta, expect_sign):
-    b = grid_amplitude_matrix(SymmetrizedState(pump_s2, crystal, theta), SMALL_GRID, check="none")
+    b = grid_amplitude_matrix(SymmetrizedState(pump_s2, crystal, theta), SMALL_GRID)
     scale = np.abs(b).max()
     assert scale > 0.01  # the grid must hold the amplitude's support
     assert np.max(np.abs(b - expect_sign * b.T)) <= 1e-12 * scale
