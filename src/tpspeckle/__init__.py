@@ -44,10 +44,6 @@ from .montecarlo import (
 from .rates import (
     DimensionlessArgs,
     QuadratureResult,
-    RateCurve,
-    SemiclassicalVerdict,
-    classify_semiclassical,
-    compute_rate_curve,
     mean_photocount,
     rate_closed_form,
     rate_coherent,

@@ -29,13 +29,12 @@ from .montecarlo import EnsembleConfig, mc_correlator, mc_correlator_batch, mc_d
 from .rates import (
     CW_LIMIT,
     DimensionlessArgs,
-    RateCurve,
-    compute_rate_curve,
     rate_closed_form,
     rate_coherent,
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
+    rate_numeric_batch,
     rate_theta,
     visibility,
 )
@@ -324,10 +323,18 @@ def cmd_rate(args) -> int:
         columns = ["tau", "mean", "std_error", "n", "seed"]
         rows = [(tau, e.mean, e.std_error, e.n, ens.seed) for tau, e in zip(taus, estimates)]
     else:
-        curve = compute_rate_curve(state, model, taus, method=args.method)
-        columns, rows = ["tau", "r"], zip(curve.taus.tolist(), curve.rs.tolist())
-        if curve.errors is not None:
-            notes.append(f"quadrature error estimate, worst over the curve: {float(curve.errors.max())!r}")
+        if args.method == "quadrature":
+            results = rate_numeric_batch(state, model, taus)
+            rs = np.array([res.value for res in results])
+            worst = float(max(res.error for res in results))
+            notes.append(f"quadrature error estimate, worst over the curve: {worst!r}")
+        else:
+            rs = np.array(rate_closed_form(state, model, taus), dtype=float)
+        # suppressed antisymmetric rates can round to -1e-13; clamp roundoff only
+        rs[(rs < 0.0) & (rs > -1e-9)] = 0.0
+        if (rs < 0.0).any():
+            raise TpspeckleError(f"negative coincidence rate {float(rs.min())!r} beyond roundoff")
+        columns, rows = ["tau", "r"], zip(taus, rs.tolist())
     write_csv(args.out, _header("rate", config, notes), columns, rows)
     return EXIT_OK
 
@@ -551,10 +558,7 @@ def cmd_visibility(args) -> int:
             raise ConfigError(f"{args.infile} needs a tau and a rate column")
         tau_idx = names.index("tau") if "tau" in names else 0
         r_idx = 1 if tau_idx == 0 else 0
-        curve = RateCurve(
-            taus=data[:, tau_idx], rs=data[:, r_idx], state=None, model=CW_LIMIT, method="closed-form"
-        )
-        v = visibility(curve)
+        v = visibility(data[:, tau_idx], data[:, r_idx])
     print(repr(v))
     return EXIT_OK
 

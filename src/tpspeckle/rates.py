@@ -50,10 +50,14 @@ every tau costs one O(n) contraction.  The field is built in blocks of
 pump-axis rows under the ``_BLOCK_VALUES`` budget of the reduced forms,
 each reduced before the next, so no n x n array is held.
 ``rate_numeric`` is its one-tau call; both take their axes from the
-state and the model alone.  The coherent rate is R_F(0) + R_F(tau) of
-the Fock field, as in the closed form, and the exchange term past the
-difference-frequency axis is the analytic exchange tail, or under
-Model I, where that tail is negligible, its analytic bound.
+state and the model alone, and the model must be a ``ModelI`` or a
+``ModelII`` (the cw limit has only the closed forms).  Every value comes
+with its error estimate; ``rate --method quadrature`` writes the worst
+one over its curve into the CSV header.  The coherent rate is
+R_F(0) + R_F(tau) of the Fock field, as in the closed form, and the
+exchange term past the difference-frequency axis is the analytic
+exchange tail, or under Model I, where that tail is negligible, its
+analytic bound.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -87,9 +91,7 @@ from .states import (
 
 __all__ = [
     "DimensionlessArgs",
-    "RateCurve",
     "QuadratureResult",
-    "SemiclassicalVerdict",
     "rate_entangled_cw_limit",
     "rate_entangled",
     "rate_fock",
@@ -101,8 +103,6 @@ __all__ = [
     "rate_closed_form",
     "mean_photocount",
     "visibility",
-    "classify_semiclassical",
-    "compute_rate_curve",
 ]
 
 CW_LIMIT = "cw-limit"  # the model value of frequency-flat transmission, w = inf
@@ -147,37 +147,6 @@ def _model_scale(model: Union[CorrelationModel, str]) -> float:
     if isinstance(model, str) and model == CW_LIMIT:
         return math.inf
     raise TypeError(f"model must be ModelI, ModelII or {CW_LIMIT!r}, got {model!r}")
-
-
-@dataclass
-class RateCurve:
-    """Sampled R(tau) with provenance: state, correlation model, method,
-    and, for the quadrature method, each rate's error estimate."""
-
-    taus: np.ndarray
-    rs: np.ndarray
-    state: StateSpec
-    model: Union[CorrelationModel, str]
-    method: str
-    errors: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=float)
-        self.rs = np.asarray(self.rs, dtype=float)
-        if self.taus.shape != self.rs.shape:
-            raise ValueError("taus and rs must have identical shapes")
-        if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.rs))):
-            raise NonFiniteValueError("taus and rs must be finite")
-        if np.any(np.diff(self.taus) <= 0):
-            raise ValueError("taus must be strictly increasing")
-        if np.any(self.rs < 0):
-            raise ValueError("coincidence rates must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SemiclassicalVerdict:
-    classification: str  # "nonclassical" | "consistent-with-classical"
-    implied_intensity_variance: Optional[float]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +455,7 @@ def rate_theta(t, s, w: float, theta: float, kind: str = "I"):
 
 
 # ---------------------------------------------------------------------------
-# Cross-mode rates, photocount, nonclassicality
+# Cross-mode rates, photocount, visibility
 
 def rate_cross_mode(state: StateSpec) -> float:
     """R for detectors in two different outgoing modes: parameter-free."""
@@ -500,24 +469,29 @@ def mean_photocount(t_bar: float) -> float:
     return 2.0 * t_bar
 
 
-def classify_semiclassical(r_value: float) -> SemiclassicalVerdict:
-    """Mandel-bound check: any classical intensity distribution forces R >= 2."""
-    if r_value < 0:
-        raise ValueError("rate must be >= 0")
-    implied = 0.5 * r_value - 1.0
-    if r_value < 2.0 - 1e-9:
-        return SemiclassicalVerdict("nonclassical", None)
-    return SemiclassicalVerdict("consistent-with-classical", implied)
+# relative spread the last decade of |tau| of a curve may keep for ``visibility``
+_TAIL_RTOL = 1e-4
 
 
-def visibility(curve: RateCurve, tail_rtol: float = 1e-4) -> float:
-    """|R(0) - R(inf)| / (R(0) + R(inf)), R(inf) from the converged curve tail.
+def visibility(taus, rs) -> float:
+    """|R(0) - R(inf)| / (R(0) + R(inf)) of a sampled curve, R(inf) from its converged tail.
 
-    The tail is the last decade of |tau|; it must be flat to ``tail_rtol``
+    ``taus`` and ``rs`` must have one shape (else ``ValueError``) and be
+    finite (else ``NonFiniteValueError``); the taus must increase strictly,
+    the rates be nonnegative and one tau be 0 (else ``ValueError``).  The
+    tail is the last decade of |tau|; it must be flat to ``_TAIL_RTOL``
     relative or ``TailNotConvergedError`` is raised.
     """
-    taus = curve.taus
-    rs = curve.rs
+    taus = np.asarray(taus, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    if taus.shape != rs.shape:
+        raise ValueError("taus and rs must have identical shapes")
+    if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(rs))):
+        raise NonFiniteValueError("taus and rs must be finite")
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError("taus must be strictly increasing")
+    if np.any(rs < 0):
+        raise ValueError("coincidence rates must be nonnegative")
     at_zero = np.flatnonzero(taus == 0.0)
     if at_zero.size == 0:
         raise ValueError("curve must contain tau = 0")
@@ -531,7 +505,7 @@ def visibility(curve: RateCurve, tail_rtol: float = 1e-4) -> float:
     tail_vals = rs[tail]
     r_inf = float(rs[np.argmax(abs_tau)])
     spread = float(tail_vals.max() - tail_vals.min())
-    if spread > tail_rtol * max(abs(r_inf), 1e-300):
+    if spread > _TAIL_RTOL * max(abs(r_inf), 1e-300):
         raise TailNotConvergedError(
             f"tail not converged: relative spread {spread / max(abs(r_inf), 1e-300):.2e} "
             f"over the last decade of tau"
@@ -695,8 +669,10 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     summed.  Each error carries a roundoff floor of 8 eps |R|, because the
     Richardson estimate cannot resolve the rounding of the sums.
 
-    Returns one ``QuadratureResult(value, error)`` per tau and raises
-    ``ValueError`` for a tau that is not finite,
+    Returns one ``QuadratureResult(value, error)`` per tau.  Before it
+    builds anything it raises ``TypeError`` for a model that is not a
+    ``ModelI`` or a ``ModelII`` and ``ValueError`` for ``CW_LIMIT``, whose
+    rates are the closed forms, or for a tau that is not finite.  It raises
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
     ``QUADRATURE_ERROR_GATE``, or ``GridTooNarrowError`` when the
     outermost cells carry more than ``EDGE_MASS_BUDGET`` of the integrand
@@ -705,6 +681,8 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     |d| > d_half part is the exchange tail.  A degenerate symmetrized
     state raises ``DegenerateStateError``.
     """
+    if math.isinf(_model_scale(model)):
+        raise ValueError(f"quadrature needs a correlation model; {CW_LIMIT!r} has closed forms")
     taus = [float(tau) for tau in taus]
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError("rate_numeric needs finite taus")
@@ -832,28 +810,3 @@ def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str], tau)
     if isinstance(state, FockState):
         return rate_fock(args.t, args.w, kind)
     return rate_coherent(args.t, args.w, kind)
-
-
-def compute_rate_curve(
-    state: StateSpec,
-    model: Union[CorrelationModel, str],
-    taus: Sequence[float],
-    method: str = "closed-form",
-) -> RateCurve:
-    """Evaluate R over a tau grid; ``model`` may be ``CW_LIMIT`` for flat transmission."""
-    taus = np.asarray(taus, dtype=float)
-    cw = math.isinf(_model_scale(model))
-    errors = None
-    if method == "closed-form":
-        rs = np.array(rate_closed_form(state, model, taus), dtype=float)
-    elif method == "quadrature":
-        if cw:
-            raise ValueError("quadrature needs a concrete correlation model; cw has closed forms")
-        results = rate_numeric_batch(state, model, taus)
-        rs = np.array([res.value for res in results])
-        errors = np.array([res.error for res in results])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # suppressed antisymmetric rates can round to -1e-13; clamp roundoff only
-    rs[(rs < 0.0) & (rs > -1e-9)] = 0.0
-    return RateCurve(taus=taus, rs=rs, state=state, model=model, method=method, errors=errors)

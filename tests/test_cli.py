@@ -594,9 +594,7 @@ def test_rate_rejects_non_finite_tau(tmp_path):
 def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
     # a rate that comes out NaN from valid inputs is a numerical failure,
     # and no command may write it
-    import tpspeckle.rates as rates
-
-    monkeypatch.setattr(rates, "rate_closed_form", lambda state, model, tau: np.full(np.shape(tau), NAN))
+    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: np.full(np.shape(tau), NAN))
     out = tmp_path / "r.csv"
     assert main(_rate_args(json.loads(FOCK_STATE), out)) == 3
     assert not out.exists()
@@ -612,6 +610,20 @@ def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
     assert main(["figure", "--id", "5", "--model", "I", "--out", str(out)]) == 3
     assert not out.exists()
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value, code", [(-1e-12, 0), (-1e-9, 3), (-0.5, 3)])
+def test_negative_rate_past_roundoff_exits_numerical(tmp_path, capsys, monkeypatch, value, code):
+    # a rate in (-1e-9, 0) is roundoff of a suppressed zero and is written
+    # as 0; a more negative one refuses the curve
+    monkeypatch.setattr(cli, "rate_closed_form", lambda state, model, tau: np.full(np.shape(tau), value))
+    out = tmp_path / "r.csv"
+    assert main(_rate_args(json.loads(FOCK_STATE), out)) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code:
+        assert not out.exists()
+    else:
+        assert read_curve_csv(str(out))[1][:, 1].tolist() == [0.0] * 3
 
 
 # --- one configuration boundary: every malformed config exits 2
@@ -732,8 +744,12 @@ def test_malformed_config_exits_2(tmp_path, tmp_path_factory, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text", ["tau\n0\n1\n", "tau,r\n0,2\n1\n", "tau,r\n0,2\n-1,1.5\n"],
-                         ids=["one-column", "ragged", "decreasing-tau"])
+@pytest.mark.parametrize(
+    "text",
+    ["tau\n0\n1\n", "tau,r\n0,2\n1\n", "tau,r\n0,2\n-1,1.5\n",
+     "tau,r\n0,2\n1,-0.5\n2,1\n", "tau,r\n0,2\n1,abc\n2,1\n", "tau,r\n1,2\n2,1\n3,1\n"],
+    ids=["one-column", "ragged", "decreasing-tau", "negative-rate", "non-numeric-cell", "no-tau-zero"],
+)
 def test_malformed_visibility_input_exits_2(tmp_path, capsys, text):
     curve = tmp_path / "curve.csv"
     curve.write_text(text)

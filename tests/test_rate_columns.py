@@ -5,6 +5,7 @@ in one call must agree with its points evaluated one at a time.
 """
 
 import argparse
+import json
 import math
 import tracemalloc
 
@@ -17,7 +18,6 @@ from tpspeckle import (
     PumpParams,
     QuadratureNotConvergedError,
     SymmetrizedState,
-    compute_rate_curve,
     rate_closed_form,
     rate_coherent,
     rate_entangled,
@@ -79,18 +79,22 @@ def test_array_call_keeps_the_broadcast_shape():
     assert rate_entangled(np.array([]), 1.0, 1.0).shape == (0,)
 
 
-def test_closed_form_curve_is_one_call(monkeypatch):
+def test_closed_form_curve_is_one_call(tmp_path, monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
         return rate_closed_form(*args)
 
-    monkeypatch.setattr(rates, "rate_closed_form", counted)
-    taus = np.linspace(-2.0, 2.0, 9)
-    curve = compute_rate_curve(_STATE, _MODEL, taus)
+    monkeypatch.setattr(cli, "rate_closed_form", counted)
+    out = tmp_path / "r.csv"
+    assert cli.main(["rate", "--state", json.dumps(cli.state_to_config(_STATE)),
+                     "--model", json.dumps(cli.model_to_config(_MODEL)),
+                     "--tau-min", "-2", "--tau-max", "2", "--tau-n", "9", "--out", str(out)]) == 0
     assert len(calls) == 1
-    assert np.array_equal(curve.rs, [rate_closed_form(_STATE, _MODEL, tau) for tau in taus])
+    taus, rs = cli.read_curve_csv(str(out))[1].T
+    assert np.array_equal(taus, np.linspace(-2.0, 2.0, 9))
+    assert np.array_equal(rs, [rate_closed_form(_STATE, _MODEL, tau) for tau in taus])
 
 
 def test_a_failing_point_inside_a_column_raises():

@@ -15,7 +15,6 @@ from tpspeckle import (
     PumpParams,
     QuadratureNotConvergedError,
     SymmetrizedState,
-    compute_rate_curve,
     rate_closed_form,
     rate_coherent,
     rate_entangled,
@@ -189,9 +188,17 @@ def test_grid_too_narrow_error(monkeypatch):
 
 def test_quadrature_curve(entangled_s2):
     taus = np.linspace(0.0, 1.0, 3)
-    curve = compute_rate_curve(entangled_s2, M_I, taus, method="quadrature")
-    for tau, r in zip(curve.taus, curve.rs):
-        assert r == pytest.approx(rate_entangled(tau, 2.0, 1.0), abs=1e-6)
+    for tau, res in zip(taus, rate_numeric_batch(entangled_s2, M_I, taus)):
+        assert res.value == pytest.approx(rate_entangled(tau, 2.0, 1.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("state", [_ent(2.0), FockState(100.0, 1.0), CoherentState(100.0, 1.0)],
+                         ids=["entangled", "fock", "coherent"])
+def test_quadrature_refuses_the_cw_limit(state):
+    # flat transmission has only the closed forms; the refusal comes before
+    # any field is built, for the Gaussian fields as for the sinc ones
+    with pytest.raises(ValueError, match="closed forms"):
+        rate_numeric_batch(state, "cw-limit", [0.0])
 
 
 def test_tail_integral_error_estimate_is_checked(monkeypatch):
@@ -255,7 +262,7 @@ def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
     state = _ent(2.0)
     assert len(rate_numeric_batch(state, M_I, [0.0, 1.0])) == 2
     with pytest.raises(QuadratureNotConvergedError, match="quadrature not converged: estimate"):
-        compute_rate_curve(state, M_I, [0.0, 0.5, 1.0], method="quadrature")
+        rate_numeric_batch(state, M_I, [0.0, 0.5, 1.0])
 
 
 # --- the field in blocks of pump-axis rows

@@ -16,11 +16,8 @@ from tpspeckle import (
     ModelI,
     ModelII,
     NonFiniteValueError,
-    RateCurve,
     SymmetrizedState,
     TailNotConvergedError,
-    classify_semiclassical,
-    compute_rate_curve,
     mean_photocount,
     rate_closed_form,
     rate_coherent,
@@ -28,6 +25,7 @@ from tpspeckle import (
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
+    rate_numeric_batch,
     rate_theta,
     visibility,
 )
@@ -402,18 +400,6 @@ def test_mean_photocount():
         mean_photocount(1.5)
 
 
-def test_classify_semiclassical():
-    v = classify_semiclassical(1.0)
-    assert v.classification == "nonclassical"
-    assert v.implied_intensity_variance is None
-    v = classify_semiclassical(2.0)
-    assert v.classification == "consistent-with-classical"
-    assert v.implied_intensity_variance == 0.0
-    v = classify_semiclassical(4.0)
-    assert v.classification == "consistent-with-classical"
-    assert v.implied_intensity_variance == 1.0
-
-
 # --- dimensionless mapping
 
 _REDUCED_FORMS = {
@@ -510,9 +496,9 @@ def test_model_must_be_a_model_or_cw_limit(entangled_s2, model):
         DimensionlessArgs.from_state(entangled_s2, model, 0.0)
     with pytest.raises(TypeError):
         rate_closed_form(entangled_s2, model, 0.0)
-    for method in ("closed-form", "quadrature"):
+    for state in (entangled_s2, FockState(100.0, 1.0), CoherentState(100.0, 1.0)):
         with pytest.raises(TypeError):
-            compute_rate_curve(entangled_s2, model, [0.0, 0.5], method=method)
+            rate_numeric_batch(state, model, [0.0, 0.5])
 
 
 # --- visibility
@@ -521,52 +507,54 @@ def _ideal_curve(r0, rinf):
     taus = np.concatenate([[0.0], np.linspace(0.5, 20.0, 80)])
     rs = np.full_like(taus, rinf)
     rs[0] = r0
-    return RateCurve(taus=taus, rs=rs, state=None, model="cw-limit", method="closed-form")
+    return taus, rs
 
 
 def test_visibility_two_photon_max():
-    assert visibility(_ideal_curve(2.0, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert visibility(*_ideal_curve(2.0, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_visibility_coherent_max():
-    assert visibility(_ideal_curve(4.0, 3.0)) == pytest.approx(1.0 / 7.0, rel=1e-12)
+    assert visibility(*_ideal_curve(4.0, 3.0)) == pytest.approx(1.0 / 7.0, rel=1e-12)
 
 
 def test_visibility_antisymmetric_max():
-    assert visibility(_ideal_curve(0.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
+    assert visibility(*_ideal_curve(0.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_visibility_requires_converged_tail():
     taus = np.linspace(0.0, 3.0, 40)
     rs = 1.0 + np.exp(-0.5 * taus**2)  # still decaying at tau = 3
-    curve = RateCurve(taus=taus, rs=rs, state=None, model="cw-limit", method="closed-form")
     with pytest.raises(TailNotConvergedError):
-        visibility(curve)
+        visibility(taus, rs)
 
 
 def test_visibility_of_computed_fock_curve():
     # tau_max = 60 puts the whole last decade [6, 60] on the converged tail
     taus = np.concatenate([[0.0], np.geomspace(0.1, 60.0, 140)])
     rs = np.array([rate_fock(t, INF) for t in taus])
-    curve = RateCurve(taus=taus, rs=rs, state=FockState(1.0, 1.0), model="cw-limit", method="closed-form")
-    assert visibility(curve) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert visibility(taus, rs) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 def test_rate_curve_validation():
-    with pytest.raises(ValueError):
-        RateCurve(taus=np.array([0.0, 0.0]), rs=np.array([1.0, 1.0]), state=None, model="cw-limit", method="closed-form")
-    with pytest.raises(ValueError):
-        RateCurve(taus=np.array([0.0, 1.0]), rs=np.array([1.0, -0.1]), state=None, model="cw-limit", method="closed-form")
+    for taus, rs in (
+        ([0.0, 0.0], [1.0, 1.0]),  # a repeated tau
+        ([0.0, 1.0], [1.0, -0.1]),  # a negative rate
+        ([0.0, 1.0, 2.0], [1.0, 1.0]),  # unequal shapes
+        ([1.0, 2.0], [1.0, 1.0]),  # no tau = 0
+    ):
+        with pytest.raises(ValueError):
+            visibility(np.array(taus), np.array(rs))
 
 
 def test_rate_curve_rejects_non_finite():
     for taus, rs in (([0.0, 1.0], [1.0, math.nan]), ([0.0, 1.0], [1.0, math.inf]), ([0.0, math.nan], [1.0, 1.0])):
         with pytest.raises(NonFiniteValueError):
-            RateCurve(taus=np.array(taus), rs=np.array(rs), state=None, model="cw-limit", method="closed-form")
+            visibility(np.array(taus), np.array(rs))
 
 
-def test_compute_rate_curve_closed_form(entangled_s2):
+def test_closed_form_curve_over_a_tau_grid(entangled_s2):
     taus = np.linspace(-2, 2, 21)
-    curve = compute_rate_curve(entangled_s2, ModelI(omega_corr=1.0), taus)
-    assert curve.method == "closed-form"
-    assert curve.rs[10] == pytest.approx(rate_entangled(0.0, 2.0, 1.0), rel=1e-12)
+    rs = rate_closed_form(entangled_s2, ModelI(omega_corr=1.0), taus)
+    assert rs.shape == taus.shape
+    assert rs[10] == pytest.approx(rate_entangled(0.0, 2.0, 1.0), rel=1e-12)
