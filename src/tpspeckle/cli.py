@@ -23,11 +23,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII
+from .correlation import CorrelationModel, FrequencyGrid, ModelI, ModelII, _model_scale
 from .errors import NonFiniteValueError, TpspeckleError
 from .montecarlo import EnsembleConfig, mc_correlator, mc_correlator_batch, mc_default_grid
 from .rates import (
-    CW_LIMIT,
     DimensionlessArgs,
     rate_closed_form,
     rate_coherent,
@@ -161,9 +160,9 @@ def state_to_config(state: StateSpec) -> dict:
 
 
 def model_from_config(cfg) -> CorrelationModel:
-    """Parse the {"model": "I"|"II", "scale": <rad/time>} wire format."""
+    """Parse the {"model": "I"|"II", "scale": <rad/time>} wire format; its scale is finite."""
     cfg = _object(cfg, "model", {"model", "scale"})
-    kind, scale = cfg["model"], _json_float(cfg["scale"], "model scale")
+    kind, scale = cfg["model"], _finite(cfg["scale"], "model scale")
     if kind == "I":
         return ModelI(omega_corr=scale)
     if kind == "II":
@@ -171,8 +170,10 @@ def model_from_config(cfg) -> CorrelationModel:
     raise ValueError(f"unknown correlation model {kind!r}")
 
 
-def model_to_config(model: CorrelationModel) -> dict:
-    """Serialize to the {"model": "I"|"II", "scale": <rad/time>} wire format."""
+def model_to_config(model: CorrelationModel):
+    """Serialize to the {"model": "I"|"II", "scale": <rad/time>} wire format, or "cw" at infinite scale."""
+    if math.isinf(_model_scale(model)):
+        return "cw"
     if isinstance(model, ModelI):
         return {"model": "I", "scale": model.omega_corr}
     return {"model": "II", "scale": model.omega_th}
@@ -181,12 +182,13 @@ def model_to_config(model: CorrelationModel) -> dict:
 def _parse_model(cfg):
     """The correlation model of ``rate --model`` or a sweep's ``"model"``.
 
-    "cw", "CW" or "cw-limit" is the flat-transmission ``CW_LIMIT``; any
-    other string is JSON (inline or a file path) in the model wire format.
+    "cw", "CW" or "cw-limit" is flat transmission, ``ModelI`` at infinite
+    scale; any other string is JSON (inline or a file path) in the model
+    wire format.
     """
     if isinstance(cfg, str):
         if cfg.strip().lower() in ("cw", "cw-limit"):
-            return CW_LIMIT
+            return ModelI(math.inf)
         cfg = _load_json(cfg)
     return model_from_config(cfg)
 
@@ -303,15 +305,13 @@ def cmd_rate(args) -> int:
             raise ConfigError("tau-min and tau-max must be finite")
         if not args.tau_min < args.tau_max:
             raise ConfigError("tau-min must be below tau-max")
-        if args.method != "closed-form" and model == CW_LIMIT:
-            raise ConfigError(f"{args.method} needs a concrete correlation model")
         if args.method == "monte-carlo":
             spec = {} if args.ensemble is None else _load_json(args.ensemble)
             ens = ensemble_from_config(spec, state=state, model=model, seed=args.seed)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_n).tolist()
     config = {
         "state": state_to_config(state),
-        "model": "cw" if model == CW_LIMIT else model_to_config(model),
+        "model": model_to_config(model),
         "tau_grid": [args.tau_min, args.tau_max, args.tau_n],
         "method": args.method,
     }
@@ -452,7 +452,7 @@ def cmd_sweep(args) -> int:
             mdl = model
             for key, val in zip(vary_keys, combo):
                 if key == "scale":
-                    if model == CW_LIMIT:
+                    if math.isinf(_model_scale(model)):
                         raise ConfigError("cannot vary 'scale' of the cw model")
                     mdl = model_from_config({**model_to_config(model), "scale": val})
                 else:

@@ -8,6 +8,9 @@ circular Gaussian random variables with
 * Model II - diffusive kernel, ``C(dw) = z / sinh(z)`` with
   ``z = sqrt(-i dw / omega_th)``, ``omega_th`` the Thouless frequency.
 
+Either scale may be inf: frequency-flat transmission (the cw limit), where
+C = 1 at every detuning.
+
 ``covariance_factor`` builds a lower-triangular factor of the Hermitian
 covariance matrix on a uniform grid, used to draw correlated samples.
 """
@@ -42,36 +45,41 @@ JITTER_BUDGET = 1e-6
 
 @dataclass(frozen=True)
 class ModelI:
-    """Exponential frequency correlation with correlation frequency ``omega_corr``."""
+    """Exponential frequency correlation with correlation frequency ``omega_corr`` in (0, inf]."""
 
     omega_corr: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_corr) and self.omega_corr > 0):
-            raise ValueError("omega_corr must be finite and > 0")
+        if not self.omega_corr > 0:
+            raise ValueError(f"omega_corr must lie in (0, inf], got {self.omega_corr!r}")
 
 
 @dataclass(frozen=True)
 class ModelII:
-    """Diffusive frequency correlation with Thouless frequency ``omega_th``."""
+    """Diffusive frequency correlation with Thouless frequency ``omega_th`` in (0, inf]."""
 
     omega_th: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_th) and self.omega_th > 0):
-            raise ValueError("omega_th must be finite and > 0")
+        if not self.omega_th > 0:
+            raise ValueError(f"omega_th must lie in (0, inf], got {self.omega_th!r}")
 
 
 CorrelationModel = Union[ModelI, ModelII]
 
 
+def _model_scale(model: CorrelationModel) -> float:
+    """omega_corr or omega_th of a correlation model; ``TypeError`` for anything else."""
+    if isinstance(model, ModelI):
+        return model.omega_corr
+    if isinstance(model, ModelII):
+        return model.omega_th
+    raise TypeError(f"model must be ModelI or ModelII, got {model!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform frequency grid: ``n`` points on ``[center - half_width, center + half_width]``.
-
-    Quadrature and ensemble consumers need n >= 8; a single-point grid is
-    allowed so degenerate covariance cases stay expressible.
-    """
+    """Uniform frequency grid: ``n >= 8`` points on ``[center - half_width, center + half_width]``."""
 
     center: float
     half_width: float
@@ -80,25 +88,19 @@ class FrequencyGrid:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral):
             raise TypeError(f"grid n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("grid needs n >= 1 points")
+        if self.n < 8:
+            raise ValueError(f"grid needs n >= 8 points, got {self.n}")
         if not (math.isfinite(self.center) and math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError("center must be finite and half_width finite and > 0")
 
     @property
     def spacing(self) -> float:
-        if self.n == 1:
-            return 0.0
         return 2.0 * self.half_width / (self.n - 1)
 
     def axis(self) -> np.ndarray:
-        if self.n == 1:
-            return np.array([self.center])
         return np.linspace(self.center - self.half_width, self.center + self.half_width, self.n)
 
     def trapezoid_weights(self) -> np.ndarray:
-        if self.n == 1:
-            return np.array([2.0 * self.half_width])
         w = np.full(self.n, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
         return w
@@ -108,10 +110,8 @@ class FrequencyGrid:
 class CovarianceFactor:
     """Lower-triangular factor L with ``L @ L^H = t_bar * C(w_m - w_n) + jitter_used * I``."""
 
-    grid: FrequencyGrid
     lower_factor: np.ndarray
     jitter_used: float
-    t_bar: float
 
 
 def _model_ii_ratio(z: np.ndarray) -> np.ndarray:
@@ -167,10 +167,9 @@ def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float
         raise ValueError("t_bar must be in (0, 1]")
     omega = grid.axis()
     col = t_bar * correlation(omega - omega[0], model)
-    col = np.atleast_1d(col)
     sigma = toeplitz(col, np.conj(col))
 
-    eig_min = float(eigvalsh(sigma).min()) if grid.n > 1 else float(sigma[0, 0].real)
+    eig_min = float(eigvalsh(sigma).min())
     jitter = max(0.0, EIG_FLOOR * t_bar - eig_min)
     budget = JITTER_BUDGET * t_bar
     while True:
@@ -184,5 +183,5 @@ def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float
             break
         except np.linalg.LinAlgError:
             jitter = max(2.0 * jitter, 1e-15 * t_bar)
-    return CovarianceFactor(grid=grid, lower_factor=L, jitter_used=jitter, t_bar=t_bar)
+    return CovarianceFactor(lower_factor=L, jitter_used=jitter)
 

@@ -64,7 +64,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .correlation import CorrelationModel, FrequencyGrid, ModelI, covariance_factor
+from .correlation import CorrelationModel, FrequencyGrid, _model_scale, covariance_factor
 from .states import (
     CoherentState,
     EntangledState,
@@ -100,7 +100,10 @@ class EnsembleConfig:
     """Disorder-ensemble configuration.
 
     ``t_bar <= 0.05`` keeps the diffuse-regime reading (T-bar << 1); larger
-    values are accepted since every estimate here is t_bar-normalized.
+    values are accepted since every estimate here is t_bar-normalized.  The
+    model's scale is finite: at infinite scale every frequency shares one
+    draw, and a theta = pi state reads 0.025 +- 0.0004 at tau = 0, where
+    the cw rate is 0.  The seed is a Philox key, in [0, 2**128).
     """
 
     grid: FrequencyGrid
@@ -114,10 +117,10 @@ class EnsembleConfig:
             raise ValueError("t_bar must be in (0, 1]")
         if self.n_realizations < 2:
             raise ValueError("need at least 2 realizations")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.grid.n < 8:
-            raise ValueError("ensemble grids need n >= 8 points")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        if math.isinf(_model_scale(self.model)):
+            raise ValueError("a Monte Carlo ensemble needs a finite model scale; the cw limit has none")
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def mc_default_grid(state: StateSpec, model: CorrelationModel) -> FrequencyGrid:
     amplitude: it must cover the state's spectrum, resolve the kernel width
     (spacing <= Omega/3 where affordable) and keep the sinc oscillations
     sampled."""
-    scale = model.omega_corr if isinstance(model, ModelI) else model.omega_th
+    scale = _model_scale(model)
     if isinstance(state, (FockState, CoherentState)):
         delta = state.delta
         cover = 8.0 * delta

@@ -19,9 +19,11 @@ Gaussian x Lorentzian closed form.  The x-integrals of both models use one
 composite Gauss-Legendre rule, evaluated as numpy arrays, whose embedded
 lower-order rule checks every value.
 
-Frequency-flat transmission (the cw limit) is w = inf of the same forms,
-for either model: ``f`` integrates to pi, so it becomes pi times a delta
-at x = -t, and the Fock/coherent average becomes exp(-t^2/2).  The
+Every form takes w in [0, inf].  Frequency-flat transmission (the cw
+limit, a model at infinite scale) is w = inf of the same forms, for
+either model: ``f`` integrates to pi, so it becomes pi times a delta at
+x = -t, and the Fock/coherent average becomes exp(-t^2/2).  At w = 0
+``f`` vanishes and so does the average: every rate is 1 (coherent: 2).  The
 symmetrized rate is one ratio of the x-integral to the norm denominator
 at every point, both written so that no term cancels at theta = pi, where
 each is O(s^2).  Where 1 + cos(theta) rounds to 0, s = 0 is a 0/0 limit,
@@ -50,10 +52,9 @@ every tau costs one O(n) contraction.  The field is built in blocks of
 pump-axis rows under the ``_BLOCK_VALUES`` budget of the reduced forms,
 each reduced before the next, so no n x n array is held.
 ``rate_numeric`` is its one-tau call; both take their axes from the
-state and the model alone, and the model must be a ``ModelI`` or a
-``ModelII`` (the cw limit has only the closed forms).  Every value comes
-with its error estimate; ``rate --method quadrature`` writes the worst
-one over its curve into the CSV header.  The coherent rate is
+state and the model alone, a model at infinite scale (the cw limit)
+included.  Every value comes with its error estimate; ``rate --method
+quadrature`` writes the worst one over its curve into the CSV header.  The coherent rate is
 R_F(0) + R_F(tau) of the Fock field, as in the closed form, and the
 exchange term past the difference-frequency axis is the analytic
 exchange tail, or under Model I, where that tail is negligible, its
@@ -72,7 +73,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx as _scipy_erfcx
 
 from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
-from .correlation import CorrelationModel, ModelI, ModelII, correlation_sq_magnitude
+from .correlation import CorrelationModel, ModelI, ModelII, _model_scale, correlation_sq_magnitude
 from .errors import (
     GridTooNarrowError,
     NonFiniteValueError,
@@ -105,9 +106,6 @@ __all__ = [
     "visibility",
 ]
 
-CW_LIMIT = "cw-limit"  # the model value of frequency-flat transmission, w = inf
-
-
 class QuadratureResult(NamedTuple):
     value: float
     error: float
@@ -127,26 +125,12 @@ class DimensionlessArgs:
     w: float
 
     @classmethod
-    def from_state(cls, state: StateSpec, model: Union[CorrelationModel, str], tau: float):
+    def from_state(cls, state: StateSpec, model: CorrelationModel, tau: float):
         scale = _model_scale(model)
         if isinstance(state, (EntangledState, SymmetrizedState)):
             eta_m = state.crystal.eta_minus
             return cls(t=tau / eta_m, s=abs(state.pump.sigma * state.crystal.eta_plus), w=abs(scale * eta_m))
         return cls(t=tau * state.delta, s=0.0, w=scale / state.delta)
-
-
-def _model_scale(model: Union[CorrelationModel, str]) -> float:
-    """omega_corr or omega_th of a correlation model; inf for the flat-transmission ``CW_LIMIT``.
-
-    Anything else, a misspelt cw limit or ``None`` included, raises ``TypeError``.
-    """
-    if isinstance(model, ModelI):
-        return model.omega_corr
-    if isinstance(model, ModelII):
-        return model.omega_th
-    if isinstance(model, str) and model == CW_LIMIT:
-        return math.inf
-    raise TypeError(f"model must be ModelI, ModelII or {CW_LIMIT!r}, got {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +260,16 @@ def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str
     of s and x.  Both G integrate to pi over the real line, so at w = inf
     (flat transmission) w G(w d) is pi times the delta at d = 0 and the
     value is pi * kernel(s, t) on |t| < 1, 0 elsewhere, for either
-    ``kind``.  A repeated edge of ``_panel_edges`` drops out, and the
-    points with equal panel counts run together, in blocks of at most
-    ``_BLOCK_VALUES`` values, 20 per node for Model II and 8 for Model I:
-    each point's value is the one it has on its own.  For each point the
-    sum over panels of
-    |20-node - 10-node| bounds the error and must stay under
-    ``REDUCED_ERROR_GATE``; otherwise ``QuadratureNotConvergedError``
-    names the worst point.
+    ``kind``; at w = 0 it is 0.  A repeated edge of ``_panel_edges``
+    drops out, and the points with equal panel counts run together, in
+    blocks of at most ``_BLOCK_VALUES`` values, 20 per node for Model II
+    and 8 for Model I: each point's value is the one it has on its own.
+    For each point the sum over panels of |20-node - 10-node| bounds the
+    error and must stay under ``REDUCED_ERROR_GATE``; otherwise
+    ``QuadratureNotConvergedError`` names the worst point.
     """
+    if w == 0.0:
+        return np.zeros(t.size)
     if math.isinf(w):
         inside = np.abs(t) < 1.0
         return np.where(inside, math.pi * kernel(s, np.where(inside, t, 0.0)), 0.0)
@@ -335,17 +320,16 @@ def _shaped(values, shape):
     return float(values) if values.ndim == 0 else values
 
 
-def _check_args(t, w: float, kind: str, s=None, zero_ok: bool = False) -> None:
-    """The one argument check of the reduced forms, at every w, the flat
-    limit w = inf included: no t is NaN; every s is finite and >= 0; w in
-    (0, inf], or in [0, inf] with ``zero_ok``; and ``kind`` "I" or "II";
-    else ``ValueError``."""
+def _check_args(t, w: float, kind: str, s=None) -> None:
+    """The one argument check of the reduced forms, at every w, both
+    limits included: no t is NaN; every s is finite and >= 0; w in
+    [0, inf]; and ``kind`` "I" or "II"; else ``ValueError``."""
     if np.isnan(t).any():
         raise ValueError("t must not be NaN")
     if s is not None and not (np.isfinite(s) & (s >= 0.0)).all():
         raise ValueError("s must be finite and >= 0")
-    if not (w >= 0.0 if zero_ok else w > 0.0):
-        raise ValueError(f"w must lie in {'[' if zero_ok else '('}0, inf], got {w!r}")
+    if not w >= 0.0:
+        raise ValueError(f"w must lie in [0, inf], got {w!r}")
     if kind not in ("I", "II"):
         raise ValueError(f'kind must be "I" or "II", got {kind!r}')
 
@@ -386,12 +370,15 @@ def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
     sqrt(pi/8) / q e^{-t^2/2} [erfcx((q - t)/sqrt2) + erfcx((q + t)/sqrt2)].
     For q < t, erfcx(-a) = 2 e^{a^2} - erfcx(a) folds the growing factor
     into 2 e^{q^2/2 - q t}, so no term overflows at large |t|.  At w = inf
-    |C|^2 = 1 for either model and the average is e^{-t^2/2}.
+    |C|^2 = 1 for either model and the average is e^{-t^2/2}; at w = 0
+    |C|^2 vanishes off y = 0 and so does the average.
     """
     t = np.abs(t)
     gone = np.isinf(t)
     t = np.where(gone, 0.0, t)
-    if math.isinf(w):
+    if w == 0.0:
+        avg = np.zeros(t.size)
+    elif math.isinf(w):
         avg = np.exp(-0.5 * t * t)
     elif kind == "I":
         avg = _scipy_erfcx(math.sqrt(2.0) / w + 1j * (t / math.sqrt(2.0))).real
@@ -418,9 +405,7 @@ def rate_fock(t, w: float, kind: str = "I"):
 def rate_coherent(t, w: float, kind: str = "I"):
     """Coherent-state rate; bounded in [2, 4], tail value 2 + erfcx(sqrt2/w)."""
     (t,), shape = _points(t)
-    _check_args(t, w, kind, zero_ok=True)
-    if w == 0.0:
-        return _shaped(np.full(t.size, 2.0), shape)
+    _check_args(t, w, kind)
     return _shaped(2.0 + _gauss_kernel_avg(np.zeros(1), w, kind) + _gauss_kernel_avg(t, w, kind), shape)
 
 
@@ -527,9 +512,7 @@ EDGE_MASS_BUDGET = 1e-6
 
 
 def _model_d_support(model: CorrelationModel) -> float:
-    if isinstance(model, ModelI):
-        return 19.0 * model.omega_corr
-    return 600.0 * model.omega_th
+    return (19.0 if isinstance(model, ModelI) else 600.0) * _model_scale(model)
 
 
 def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
@@ -576,7 +559,10 @@ def _exchange_tail(
     is (a/b)^2 smaller than the leading one; with |cos| <= 1 it is at
     most k S M H / eta_-^2, M = s^2/2 + |s^2/2 - s^4/4| D, H the integral
     of |C|^2 / d^4 past d_half, k = 1 (entangled) or 2 + 6 |cos theta|
-    (symmetrized).
+    (symmetrized).  As |C| falls with |d|, H >= |C(2 d_half)|^2 7 / (24
+    d_half^3); where that alone fails the gate (a huge |tau| cuts d_half
+    short), ``QuadratureNotConvergedError`` is raised before any integral
+    divides by a power of d that rounds to 0.
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
@@ -600,6 +586,13 @@ def _exchange_tail(
         c = -cos_theta * s * s * damp / eta_m
         k = 2.0 + 6.0 * abs(cos_theta)
     m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
+    # a tail error reaches the rate times 1/2 (the Jacobian) over the norm
+    budget = 2.0 * QUADRATURE_ERROR_GATE * _continuum_norm(state)
+    if scale * m * correlation_sq_magnitude(2.0 * d_half, model) * 7.0 / 24.0 > budget * d_half**3:
+        raise QuadratureNotConvergedError(
+            f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves out "
+            f"more than the error gate {QUADRATURE_ERROR_GATE:.2e} admits"
+        )
     bound = scale * (
         (abs(a) + abs(b)) * _tail_bound(model, d_half, 2)
         + 2.0 * abs(c) * _tail_bound(model, d_half, 3)
@@ -671,8 +664,8 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
 
     Returns one ``QuadratureResult(value, error)`` per tau.  Before it
     builds anything it raises ``TypeError`` for a model that is not a
-    ``ModelI`` or a ``ModelII`` and ``ValueError`` for ``CW_LIMIT``, whose
-    rates are the closed forms, or for a tau that is not finite.  It raises
+    ``ModelI`` or a ``ModelII`` and ``ValueError`` for a tau that is not
+    finite; a model at infinite scale is flat transmission.  It raises
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
     ``QUADRATURE_ERROR_GATE``, or ``GridTooNarrowError`` when the
     outermost cells carry more than ``EDGE_MASS_BUDGET`` of the integrand
@@ -681,8 +674,7 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     |d| > d_half part is the exchange tail.  A degenerate symmetrized
     state raises ``DegenerateStateError``.
     """
-    if math.isinf(_model_scale(model)):
-        raise ValueError(f"quadrature needs a correlation model; {CW_LIMIT!r} has closed forms")
+    support = _model_d_support(model)
     taus = [float(tau) for tau in taus]
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError("rate_numeric needs finite taus")
@@ -694,13 +686,13 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
         n = QUADRATURE_POINTS_GAUSS
         width = state.delta
         p_half = 12.0 * width
-        d_half = min(12.0 * width, max(_model_d_support(model), 0.5 * width))
+        d_half = min(12.0 * width, max(support, 0.5 * width))
     else:
         denom = _continuum_norm(state)
         n = QUADRATURE_POINTS_SINC
         phase_rate = max([abs(state.crystal.eta_minus)] + [abs(tau) for tau in taus])
         p_half = 8.0 * state.pump.sigma
-        d_half = min(_model_d_support(model), 0.35 * (n - 1) / phase_rate)
+        d_half = min(support, 0.35 * (n - 1) / phase_rate)
 
     p = np.linspace(-p_half, p_half, n)
     d = np.linspace(-d_half, d_half, n)
@@ -798,9 +790,10 @@ def rate_numeric(state: StateSpec, model: CorrelationModel, tau: float) -> Quadr
 # ---------------------------------------------------------------------------
 # Curves
 
-def rate_closed_form(state: StateSpec, model: Union[CorrelationModel, str], tau):
+def rate_closed_form(state: StateSpec, model: CorrelationModel, tau):
     """Closed-form/reduced rate for a physical state at a delay or an array
-    of delays (one call for a whole curve); model may be ``CW_LIMIT``."""
+    of delays (one call for a whole curve); a model at infinite scale is
+    the cw limit."""
     args = DimensionlessArgs.from_state(state, model, np.asarray(tau, dtype=float))
     kind = "II" if isinstance(model, ModelII) else "I"
     if isinstance(state, EntangledState):

@@ -72,6 +72,41 @@ def test_rate_command_cw_model(tmp_path):
     assert data[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rate_quadrature_cw_model(tmp_path):
+    # the cw limit is a model at infinite scale, so the quadrature route
+    # runs there and checks the flat-transmission closed form
+    args = ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "-1", "--tau-max", "1", "--tau-n", "5"]
+    quad, closed = tmp_path / "q.csv", tmp_path / "c.csv"
+    assert main(args + ["--method", "quadrature", "--out", str(quad)]) == 0
+    assert main(args + ["--out", str(closed)]) == 0
+    [note] = [line for line in _read_bytes(quad).decode().splitlines() if "worst over the curve" in line]
+    worst = float(note.rsplit(" ", 1)[1])
+    assert np.all(np.abs(read_curve_csv(str(quad))[1][:, 1] - read_curve_csv(str(closed))[1][:, 1]) <= worst)
+    assert '"model": "cw"' in _read_bytes(quad).decode()
+
+
+def test_rate_quadrature_huge_delay_exits_numerical(tmp_path, capsys):
+    # |tau| = 1e300 cuts the d axis to 5e-298: the run fails the error gate
+    out = tmp_path / "q.csv"
+    assert main(["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1e300",
+                 "--tau-n", "2", "--method", "quadrature", "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_underflowing_width_is_full_suppression(tmp_path):
+    # w = scale / delta = 1e-300 / 1e300 rounds to 0, an ordinary value: R = 1
+    state = {"state": "fock", "omega_bar": 100.0, "delta": 1e300}
+    model = {"model": "I", "scale": 1e-300}
+    rate, sweep = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert main(["rate", "--state", json.dumps(state), "--model", json.dumps(model), "--tau-min", "-1",
+                 "--tau-max", "1", "--tau-n", "5", "--out", str(rate)]) == 0
+    assert main(["sweep", "--config", json.dumps({"state": state, "model": model, "tau": [0.0, 0.5]}),
+                 "--out", str(sweep)]) == 0
+    assert read_curve_csv(str(rate))[1][:, 1].tolist() == [1.0] * 5
+    assert read_curve_csv(str(sweep))[1][:, -1].tolist() == [1.0] * 2
+
+
 def test_rate_quadrature_model_ii_past_eta_minus(tmp_path):
     # the d axis follows the curve's largest |tau|, here 3 against |eta_-| = 1
     args = ["rate", "--state", ENT_STATE, "--model", '{"model": "II", "scale": 1.0}',
@@ -412,6 +447,15 @@ def test_bad_seed_env_var_exits_2_where_a_seed_is_read(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def test_seed_env_var_past_the_philox_key_exits_2(tmp_path, monkeypatch, capsys):
+    # case k of mc-validate runs at seed + k, so the second case's key is 2**128
+    monkeypatch.setenv("TPSPECKLE_SEED", str(2**128 - 1))
+    out = tmp_path / "x.csv"
+    assert main(["mc-validate", "--config", '{"n_realizations": 10}', "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["figure", "sweep", "visibility"])
 def test_bad_seed_env_var_is_ignored_without_a_seed(tmp_path, monkeypatch, command):
     monkeypatch.setenv("TPSPECKLE_SEED", "abc")
@@ -693,8 +737,13 @@ _BAD_CONFIGS = {
                      "--tau-n", "1"],
     "state-file-key-foreign": _rate_from("<state file: key-foreign>"),
     "state-file-not-json": _rate_from("<state file: not-json>"),
-    "rate-quadrature-cw": ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "0", "--tau-max", "1",
-                           "--tau-n", "2", "--method", "quadrature"],
+    # every frequency of a cw ensemble would share one draw
+    "rate-monte-carlo-cw": ["rate", "--state", ENT_STATE, "--model", "cw", "--tau-min", "0", "--tau-max", "1",
+                            "--tau-n", "2", "--method", "monte-carlo"],
+    # a seed is a Philox key, below 2**128
+    "ensemble-seed-2**128": _mc_rate('{"n_realizations": 10, "seed": %d}' % 2**128),
+    "rate-seed-2**128": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                         "--tau-n", "2", "--method", "monte-carlo", "--seed", str(2**128)],
     "ensemble-key-misspelt": _mc_rate('{"grid": {"half_width": 8, "n": 64}, "model": {"model": "I", "scale": 1.0}, '
                                       '"t_bar": 0.01, "n_realizations": 10, "seeds": 3}'),
     "ensemble-grid-key-misspelt": _mc_rate(_ENSEMBLE % '{"centre": 99.0, "half_width": 8, "n": 64}'),

@@ -22,18 +22,23 @@ MODEL_II = ModelII(omega_th=1.0)
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        ModelI(omega_corr=0.0)
-    with pytest.raises(ValueError):
-        ModelII(omega_th=-1.0)
+    # a scale lies in (0, inf]; inf is flat transmission, C = 1
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \(0, inf\]"):
+            ModelI(omega_corr=bad)
+        with pytest.raises(ValueError, match=r"must lie in \(0, inf\]"):
+            ModelII(omega_th=bad)
+    dw = np.array([0.0, 1.0, -7.5, 1e300])
+    for model in (ModelI(math.inf), ModelII(math.inf)):
+        assert np.array_equal(correlation(dw, model), np.ones(4, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_model_scale_must_be_finite(bad):
-    with pytest.raises(ValueError):
-        ModelI(omega_corr=bad)
-    with pytest.raises(ValueError):
-        ModelII(omega_th=bad)
+    # a configured scale is finite: the cw limit is spelt "cw", not a scale
+    for kind in ("I", "II"):
+        with pytest.raises(ValueError, match="not finite"):
+            model_from_config({"model": kind, "scale": bad})
 
 
 def test_correlation_at_zero_is_exactly_one():
@@ -122,19 +127,13 @@ def test_grid_axis_and_weights():
 def test_grid_validation():
     with pytest.raises(ValueError):
         FrequencyGrid(0.0, -1.0, 16)
-    with pytest.raises(ValueError):
-        FrequencyGrid(0.0, 1.0, 0)
+    for n in (0, 1, 7):
+        with pytest.raises(ValueError, match="n >= 8"):
+            FrequencyGrid(0.0, 1.0, n)
+    assert FrequencyGrid(0.0, 1.0, 8).axis().size == 8
 
 
 # --- covariance factorization
-
-def test_covariance_single_point():
-    grid = FrequencyGrid(0.0, 1.0, 1)
-    fac = covariance_factor(grid, MODEL_I, t_bar=0.04)
-    assert fac.lower_factor.shape == (1, 1)
-    assert fac.lower_factor[0, 0] == pytest.approx(0.2, rel=1e-14)
-    assert fac.jitter_used == 0.0
-
 
 def test_covariance_wide_spacing_is_diagonal():
     # spacing 100 >> omega_corr: off-diagonals e^{-100} are negligible
@@ -190,5 +189,7 @@ def test_model_config_roundtrip():
     for model in (ModelI(2.5), ModelII(0.3)):
         assert model_from_config(model_to_config(model)) == model
     assert model_to_config(ModelI(2.5)) == {"model": "I", "scale": 2.5}
+    # infinite scale, the cw limit, keeps the CSV headers' "cw"
+    assert model_to_config(ModelI(math.inf)) == model_to_config(ModelII(math.inf)) == "cw"
     with pytest.raises(ValueError):
         model_from_config({"model": "X", "scale": 1.0})

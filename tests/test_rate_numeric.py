@@ -192,13 +192,39 @@ def test_quadrature_curve(entangled_s2):
         assert res.value == pytest.approx(rate_entangled(tau, 2.0, 1.0), abs=1e-6)
 
 
-@pytest.mark.parametrize("state", [_ent(2.0), FockState(100.0, 1.0), CoherentState(100.0, 1.0)],
-                         ids=["entangled", "fock", "coherent"])
-def test_quadrature_refuses_the_cw_limit(state):
-    # flat transmission has only the closed forms; the refusal comes before
-    # any field is built, for the Gaussian fields as for the sinc ones
-    with pytest.raises(ValueError, match="closed forms"):
-        rate_numeric_batch(state, "cw-limit", [0.0])
+_CW_STATES = {
+    "entangled": _ent(2.0),
+    "theta0": SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.0),
+    "thetapi": SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, math.pi),
+    "fock": FockState(100.0, 1.0),
+    "coherent": CoherentState(100.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CW_STATES))
+def test_quadrature_at_the_cw_limit(name):
+    # flat transmission is a model at infinite scale, so the quadrature
+    # route checks the cw closed forms; either model gives the same field
+    state = _CW_STATES[name]
+    taus = [-3.0, -1.0, 0.0, 1.0, 3.0]
+    results = rate_numeric_batch(state, ModelI(math.inf), taus)
+    for res, closed in zip(results, rate_closed_form(state, ModelI(math.inf), taus)):
+        assert abs(res.value - closed) <= res.error
+    assert rate_numeric_batch(state, ModelII(math.inf), taus) == results
+
+
+@pytest.mark.parametrize("state", [_ent(2.0), SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 1.0)],
+                         ids=["entangled", "theta"])
+@pytest.mark.parametrize("model", [M_I, ModelII(omega_th=1.0)], ids=["I", "II"])
+def test_huge_delay_fails_the_gate_before_the_tail_integrals(monkeypatch, state, model):
+    # a huge |tau| cuts the d axis short; the left-out term of the exchange
+    # tail alone is then over the gate, and no integral divides by a power
+    # of d that rounds to 0
+    calls = _counting_quad(monkeypatch)
+    for tau_max in (1e6, 1e20, 1e100, 1e300):
+        with pytest.raises(QuadratureNotConvergedError, match="exchange tail"):
+            rate_numeric_batch(state, model, [0.0, tau_max])
+    assert calls == []
 
 
 def test_tail_integral_error_estimate_is_checked(monkeypatch):

@@ -413,19 +413,32 @@ _REDUCED_FORMS = {
 @pytest.mark.parametrize("name", list(_REDUCED_FORMS))
 def test_reduced_forms_check_w_and_kind(name):
     rate = _REDUCED_FORMS[name]
-    for w in (-INF, math.nan, -1.0):
-        with pytest.raises(ValueError, match="w must lie in"):
+    for w in (-INF, math.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match=r"w must lie in \[0, inf\]"):
             rate(w, "I")
-    if name == "coherent":
-        assert rate(0.0, "I") == 2.0
-    else:
-        with pytest.raises(ValueError, match="w must lie in"):
-            rate(0.0, "I")
+    assert rate(0.0, "I") == (2.0 if name == "coherent" else 1.0)
     for kind in ("i", "ii", "cw", None):
         for w in (1.0, INF):
             with pytest.raises(ValueError, match="kind must be"):
                 rate(w, kind)
     assert rate(INF, "II") == pytest.approx(rate(INF, "I"), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("name", ["entangled", "theta", "fock", "coherent"])
+def test_zero_width_is_full_suppression(name, kind):
+    # w = 0, where disorder decorrelates every pair of frequencies, is a
+    # value of every form: R = 1 (coherent: 2), as at w = 1e-300
+    t = np.linspace(-5.0, 5.0, 41)
+    rate = {
+        "entangled": lambda w: rate_entangled(t, 2.0, w, kind),
+        "theta": lambda w: rate_theta(t, 2.0, w, 1.0, kind),
+        "fock": lambda w: rate_fock(t, w, kind),
+        "coherent": lambda w: rate_coherent(t, w, kind),
+    }[name]
+    expect = np.full(t.size, 2.0 if name == "coherent" else 1.0)
+    assert np.array_equal(rate(0.0), expect)
+    assert np.array_equal(rate(1e-300), expect)
 
 
 @pytest.mark.parametrize("name", ["entangled", "theta", "fock", "coherent"])
@@ -471,7 +484,7 @@ def test_reduced_forms_check_t_and_s(name):
 
 def test_closed_form_rejects_nan_delay(entangled_s2, antisymmetric_s2):
     for state in (entangled_s2, antisymmetric_s2, FockState(100.0, 1.0), CoherentState(100.0, 1.0)):
-        for model in (ModelI(omega_corr=1.0), ModelII(omega_th=1.0), "cw-limit"):
+        for model in (ModelI(omega_corr=1.0), ModelII(omega_th=1.0), ModelI(omega_corr=INF)):
             with pytest.raises(ValueError, match="t must not be NaN"):
                 rate_closed_form(state, model, [0.0, NAN])
 
@@ -484,14 +497,16 @@ def test_dimensionless_args(crystal, pump_s2, entangled_s2):
     args = DimensionlessArgs.from_state(FockState(100.0, 2.0), ModelII(omega_th=3.0), tau=0.5)
     assert args.t == pytest.approx(1.0)
     assert args.w == pytest.approx(1.5)
-    args = DimensionlessArgs.from_state(FockState(100.0, 2.0), "cw-limit", tau=0.5)
-    assert math.isinf(args.w)
+    # the cw limit is a model at infinite scale, either kind
+    for model in (ModelI(omega_corr=INF), ModelII(omega_th=INF)):
+        assert math.isinf(DimensionlessArgs.from_state(FockState(100.0, 2.0), model, tau=0.5).w)
+        assert math.isinf(DimensionlessArgs.from_state(entangled_s2, model, tau=0.5).w)
 
 
-@pytest.mark.parametrize("model", ["II", "cw", None])
+@pytest.mark.parametrize("model", ["II", "cw", "cw-limit", None])
 def test_model_must_be_a_model_or_cw_limit(entangled_s2, model):
-    # only ModelI, ModelII and "cw-limit" name a correlation model: any
-    # other value must not pass silently for the flat-transmission limit
+    # only ModelI and ModelII name a correlation model, the cw limit being
+    # either at infinite scale: a string or None must not pass silently
     with pytest.raises(TypeError):
         DimensionlessArgs.from_state(entangled_s2, model, 0.0)
     with pytest.raises(TypeError):
