@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cholesky, eigvalsh, toeplitz
 
 from .errors import NotPositiveSemidefiniteError
 
@@ -167,9 +166,12 @@ def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float
         raise ValueError("t_bar must be in (0, 1]")
     omega = grid.axis()
     col = t_bar * correlation(omega - omega[0], model)
-    sigma = toeplitz(col, np.conj(col))
+    # Hermitian Toeplitz: col below the diagonal, its conjugate above
+    lag = np.subtract.outer(np.arange(grid.n), np.arange(grid.n))
+    entries = col[np.abs(lag)]
+    sigma = np.where(lag >= 0, entries, np.conj(entries))
 
-    eig_min = float(eigvalsh(sigma).min())
+    eig_min = float(np.linalg.eigvalsh(sigma).min())
     jitter = max(0.0, EIG_FLOOR * t_bar - eig_min)
     budget = JITTER_BUDGET * t_bar
     while True:
@@ -179,7 +181,7 @@ def covariance_factor(grid: FrequencyGrid, model: CorrelationModel, t_bar: float
                 f"exceeds budget {budget:.3e}"
             )
         try:
-            L = cholesky(sigma + jitter * np.eye(grid.n), lower=True)
+            L = np.linalg.cholesky(sigma + jitter * np.eye(grid.n))
             break
         except np.linalg.LinAlgError:
             jitter = max(2.0 * jitter, 1e-15 * t_bar)

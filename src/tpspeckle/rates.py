@@ -52,9 +52,10 @@ every tau costs one O(n) contraction.  The field is built in blocks of
 pump-axis rows under the ``_BLOCK_VALUES`` budget of the reduced forms,
 each reduced before the next, so no n x n array is held.
 ``rate_numeric`` is its one-tau call; both take their axes from the
-state and the model alone, a model at infinite scale (the cw limit)
-included.  Every value comes with its error estimate; ``rate --method
-quadrature`` writes the worst one over its curve into the CSV header.  The coherent rate is
+state, the model and the batch's largest |tau|, a model at infinite
+scale (the cw limit) included.  Every value comes with its error
+estimate; ``rate --method quadrature`` writes the worst one over its
+curve into the CSV header.  The coherent rate is
 R_F(0) + R_F(tau) of the Fock field, as in the closed form, and the
 exchange term past the difference-frequency axis is the analytic
 exchange tail, or under Model I, where that tail is negligible, its
@@ -69,7 +70,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx as _scipy_erfcx
 
 from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
@@ -515,6 +515,14 @@ def _model_d_support(model: CorrelationModel) -> float:
     return (19.0 if isinstance(model, ModelI) else 600.0) * _model_scale(model)
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on its first call: only the
+    exchange tail integrates with QUADPACK, and most commands never reach it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
     """Int_a^inf f(d) w(freq d) dd, w = cos or sin, for decaying f (QUADPACK
     Fourier rule), with its error estimate."""
@@ -571,7 +579,8 @@ def _exchange_tail(
     wide), every tail is 0 with that bound as its error, and no integral
     runs.  The coefficients, that decision and H do not depend on tau, so
     they are worked out once per batch; each tau then costs 3 (entangled)
-    or 5 (symmetrized) QUADPACK integrals.
+    or 5 (symmetrized) QUADPACK integrals.  These are the package's only
+    use of ``scipy.integrate``, which ``quad`` imports on its first call.
     """
     pump, crystal = state.pump, state.crystal
     eta_m = crystal.eta_minus
@@ -640,10 +649,10 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     Integration runs in rotated coordinates p = w1 + w2 - 2 wbar (pump
     detuning) and d = w1 - w2 (kernel argument); the |d| kink of |C|^2
     sits on a grid line, so one Richardson step cleans the trapezoid
-    error to O(h^4).  The axes follow from the state and the model alone:
-    ``QUADRATURE_POINTS_GAUSS`` points per axis for the Fock and coherent
-    states, ``QUADRATURE_POINTS_SINC`` for the entangled and symmetrized
-    ones.
+    error to O(h^4).  The axes follow from the state, the model and the
+    batch's largest |tau|: ``QUADRATURE_POINTS_GAUSS`` points per axis for
+    the Fock and coherent states, ``QUADRATURE_POINTS_SINC`` for the
+    entangled and symmetrized ones.
 
     The delay enters only through a phase of d, so the field G(p, d) (the
     integrand without that phase) is built, edge-checked and reduced over
@@ -653,10 +662,12 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     whole: it is built in blocks of ``_BLOCK_VALUES // n`` pump-axis rows
     (42 rows, 1 MB of complex values at n = 1537), and each block adds to
     the mass totals and to the stride sums before the next is built.
-    Their d axis resolves both the delay phase tau d and the sinc
-    arguments eta_- d / 2: one cell spans at most 0.7 rad of
-    ``max(|eta_-|, max |tau|) d``, so the axis follows the batch's largest
-    |tau|, and a one-tau call past |tau| = |eta_-| runs on its own axis.
+    Every d axis resolves the delay phase tau d, and the sinc states' axis
+    also the sinc arguments eta_- d / 2: one cell spans at most 0.7 rad of
+    ``max |tau| d`` (and of ``|eta_-| d``), so the axis follows the batch's
+    largest |tau|, and a one-tau call runs on its own axis past |tau| =
+    |eta_-| for the sinc states, and past 29.9 / delta at the latest for
+    the Fock and coherent states.
     The coherent rate is R_F(0) + R_F(tau) of the Fock state with the same
     envelope, from one Fock batch over [0] + taus, with the two errors
     summed.  Each error carries a roundoff floor of 8 eps |R|, because the
@@ -690,9 +701,13 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     else:
         denom = _continuum_norm(state)
         n = QUADRATURE_POINTS_SINC
-        phase_rate = max([abs(state.crystal.eta_minus)] + [abs(tau) for tau in taus])
         p_half = 8.0 * state.pump.sigma
-        d_half = min(support, 0.35 * (n - 1) / phase_rate)
+        d_half = min(support, 0.35 * (n - 1) / abs(state.crystal.eta_minus))
+    # one d cell spans at most 0.7 rad of the delay phase, or the Richardson
+    # strides alias it (at hd |tau| = 2 pi every stride sees the phase 1)
+    tau_max = max((abs(tau) for tau in taus), default=0.0)
+    if tau_max > 0.0:
+        d_half = min(d_half, 0.35 * (n - 1) / tau_max)
 
     p = np.linspace(-p_half, p_half, n)
     d = np.linspace(-d_half, d_half, n)

@@ -7,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpspeckle import (
+    CrystalParams,
+    EntangledState,
+    FockState,
     FrequencyGrid,
     ModelI,
     ModelII,
     NotPositiveSemidefiniteError,
+    PumpParams,
     correlation,
     correlation_sq_magnitude,
     covariance_factor,
+    mc_default_grid,
 )
+from tpspeckle.correlation import EIG_FLOOR
 from tpspeckle.cli import model_from_config, model_to_config
 
 MODEL_I = ModelI(omega_corr=1.0)
@@ -145,15 +151,31 @@ def test_covariance_wide_spacing_is_diagonal():
 
 @pytest.mark.parametrize("model", [MODEL_I, MODEL_II])
 def test_covariance_reconstruction(model):
-    grid = FrequencyGrid(0.0, 16.0, 64)
+    # scipy.linalg is the oracle of the numpy.linalg factorization, on a
+    # plain grid and on the Monte Carlo default grids
+    import scipy.linalg
+
     t_bar = 0.02
-    fac = covariance_factor(grid, model, t_bar)
-    omega = grid.axis()
-    sigma = t_bar * np.asarray(
-        [[correlation(wm - wn, model) for wn in omega] for wm in omega]
+    states = (
+        EntangledState(PumpParams(100.0, 1.0), CrystalParams(nu_o=1.5, nu_e=0.5)),
+        FockState(100.0, 2.0),
     )
-    recon = fac.lower_factor @ fac.lower_factor.conj().T
-    assert np.max(np.abs(recon - sigma)) <= 1e-8 * t_bar + fac.jitter_used + 1e-15
+    for grid in [FrequencyGrid(0.0, 16.0, 64)] + [mc_default_grid(state, model) for state in states]:
+        fac = covariance_factor(grid, model, t_bar)
+        omega = grid.axis()
+        sigma = t_bar * np.asarray(
+            [[correlation(wm - wn, model) for wn in omega] for wm in omega]
+        )
+        recon = fac.lower_factor @ fac.lower_factor.conj().T
+        assert np.max(np.abs(recon - sigma)) <= 1e-8 * t_bar + fac.jitter_used + 1e-15
+        jitter = max(0.0, EIG_FLOOR * t_bar - scipy.linalg.eigvalsh(sigma).min())
+        assert abs(fac.jitter_used - jitter) <= 1e-15 * grid.n * t_bar
+        if isinstance(model, ModelI):
+            # no jitter and well conditioned; Model II's jittered factors
+            # have near-zero pivots, so only the reconstruction binds them
+            assert fac.jitter_used == 0.0
+            oracle = scipy.linalg.cholesky(sigma, lower=True)
+            assert np.max(np.abs(fac.lower_factor - oracle)) <= 1e-12 * math.sqrt(t_bar)
 
 
 def test_covariance_jitter_within_budget_model_ii():

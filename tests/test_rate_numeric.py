@@ -227,6 +227,19 @@ def test_huge_delay_fails_the_gate_before_the_tail_integrals(monkeypatch, state,
     assert calls == []
 
 
+@pytest.mark.parametrize("state", [FockState(100.0, 1.0), CoherentState(100.0, 1.0)], ids=["fock", "coherent"])
+@pytest.mark.parametrize("model", [M_I, ModelII(omega_th=1.0), ModelI(math.inf)], ids=["I", "II", "cw"])
+def test_gaussian_axis_follows_the_delay(state, model):
+    # on an axis blind to the delay (24 delta over 1024 cells), every
+    # Richardson stride sees the delay phase 1 at tau = 2 pi / hd, and the
+    # batch would return R(0) with a roundoff-sized error; the axis follows
+    # |tau|, and at these taus is too narrow for the Gaussian envelope
+    alias = 2.0 * math.pi * 1024 / 24.0
+    for tau in (alias, 4.0 * alias):
+        with pytest.raises(GridTooNarrowError):
+            rate_numeric_batch(state, model, [0.0, tau])
+
+
 def test_tail_integral_error_estimate_is_checked(monkeypatch):
     # the QUADPACK estimates of the entangled exchange tail feed the
     # reported error and its gate; a nearly flat kernel keeps the tail
