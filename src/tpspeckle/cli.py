@@ -4,7 +4,8 @@ Every emitted CSV starts with ``#``-prefixed comment lines recording the
 package version and the fully resolved configuration (sorted-key JSON), so
 a dataset can be regenerated bit-identically from its own header.  Files
 are written atomically (temp file + rename).  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 validation failure.
+2 configuration error, 3 numerical failure (running out of memory
+included), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -299,8 +300,9 @@ def cmd_rate(args) -> int:
     with _config_boundary("rate"):
         state = state_from_config(_load_json(args.state))
         model = _parse_model(args.model)
-        if args.tau_n < 2:
-            raise ConfigError("tau-n must be >= 2")
+        most = np.iinfo(np.intp).max
+        if not 2 <= args.tau_n <= most:
+            raise ConfigError(f"tau-n must be >= 2 and at most {most}")
         if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
             raise ConfigError("tau-min and tau-max must be finite")
         if not args.tau_min < args.tau_max:
@@ -624,6 +626,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except TpspeckleError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -78,7 +78,8 @@ def _model_scale(model: CorrelationModel) -> float:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform frequency grid: ``n >= 8`` points on ``[center - half_width, center + half_width]``."""
+    """Uniform frequency grid: ``n >= 8`` points on ``[center - half_width, center + half_width]``,
+    at most ``np.iinfo(np.intp).max``, the largest length a numpy axis can have."""
 
     center: float
     half_width: float
@@ -87,8 +88,9 @@ class FrequencyGrid:
     def __post_init__(self):
         if not isinstance(self.n, numbers.Integral):
             raise TypeError(f"grid n must be an integer, got {self.n!r}")
-        if self.n < 8:
-            raise ValueError(f"grid needs n >= 8 points, got {self.n}")
+        most = np.iinfo(np.intp).max
+        if not 8 <= self.n <= most:
+            raise ValueError(f"grid needs n >= 8 points, at most {most}, got {self.n}")
         if not (math.isfinite(self.center) and math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError("center must be finite and half_width finite and > 0")
 

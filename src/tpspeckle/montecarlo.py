@@ -103,7 +103,8 @@ class EnsembleConfig:
     values are accepted since every estimate here is t_bar-normalized.  The
     model's scale is finite: at infinite scale every frequency shares one
     draw, and a theta = pi state reads 0.025 +- 0.0004 at tau = 0, where
-    the cw rate is 0.  The seed is a Philox key, in [0, 2**128).
+    the cw rate is 0.  The seed is a Philox key, in [0, 2**128), and
+    ``n_realizations`` lies in [2, ``np.iinfo(np.intp).max``].
     """
 
     grid: FrequencyGrid
@@ -115,8 +116,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if not 0.0 < self.t_bar <= 1.0:
             raise ValueError("t_bar must be in (0, 1]")
-        if self.n_realizations < 2:
-            raise ValueError("need at least 2 realizations")
+        most = np.iinfo(np.intp).max
+        if not 2 <= self.n_realizations <= most:
+            raise ValueError(f"need at least 2 realizations, at most {most}, got {self.n_realizations}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if math.isinf(_model_scale(self.model)):

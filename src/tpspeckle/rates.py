@@ -45,21 +45,23 @@ decaying factor.
 ``rate_numeric_batch`` is the independent verification route: a
 tensor-product trapezoid quadrature (in rotated sum/difference frequency
 coordinates, with Richardson extrapolation) of the defining
-double-frequency integrals.  It builds one field per curve: the delay
-only multiplies the integrand by a phase of the difference frequency, so
-the field is built, edge-checked and summed over the pump axis once, and
-every tau costs one O(n) contraction.  The field is built in blocks of
-pump-axis rows under the ``_BLOCK_VALUES`` budget of the reduced forms,
-each reduced before the next, so no n x n array is held.
-``rate_numeric`` is its one-tau call; both take their axes from the
-state, the model and the batch's largest |tau|, a model at infinite
-scale (the cw limit) included.  Every value comes with its error
-estimate; ``rate --method quadrature`` writes the worst one over its
-curve into the CSV header.  The coherent rate is
-R_F(0) + R_F(tau) of the Fock field, as in the closed form, and the
-exchange term past the difference-frequency axis is the analytic
-exchange tail, or under Model I, where that tail is negligible, its
-analytic bound.
+double-frequency integrals.  The delay only multiplies the integrand by
+a phase of the difference frequency d, so the field is summed over the
+pump axis once per curve, and every tau costs one O(n_d) contraction.
+The state kind picks, once, how those sums are built.  The Fock field
+is a Gaussian envelope of the pump axis times a kernel of d, so its sums
+are two 1-D sums; its d axis keeps one width at every delay and takes
+more points as |tau| grows (one cell per 0.35 rad of the delay phase, up
+to ``_BLOCK_VALUES`` points).  The coherent rate is R_F(0) + R_F(tau) of
+that field, as in the closed form.  The entangled and symmetrized fields
+are built in blocks of pump-axis rows under the ``_BLOCK_VALUES`` budget
+of the reduced forms, so no n x n array is held, and their part past the
+d axis is the analytic exchange tail, or under Model I, where that tail
+is negligible, its analytic bound.  ``rate_numeric`` is the one-tau
+call; both take their axes from the state, the model and the batch's
+largest |tau|, a model at infinite scale (the cw limit) included.  Every
+value comes with its error estimate; ``rate --method quadrature`` writes
+the worst one over its curve into the CSV header.
 """
 
 from __future__ import annotations
@@ -168,8 +170,9 @@ _GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
 REDUCED_ERROR_GATE = 1e-7
 # float64 values (512 kB) of one block of points of ``_integrate_reduced``,
 # counted per quadrature node as its Model II pole terms; unblocked, a
-# Model II figure column peaks at 5 to 8 MB of temporaries.  The field of
-# ``rate_numeric_batch`` takes as many values per block of pump-axis rows.
+# Model II figure column peaks at 5 to 8 MB of temporaries.  The sinc
+# field of ``rate_numeric_batch`` takes as many values per block of
+# pump-axis rows, and the Fock field's d axis at most as many points.
 _BLOCK_VALUES = 2**16
 
 
@@ -423,7 +426,8 @@ def rate_theta(t, s, w: float, theta: float, kind: str = "I"):
     cancels, so where theta = pi makes both O(s^2) the ratio keeps its last
     bits.  Where cpl rounds to 0 (theta = pi to double precision), s = 0 is
     a 0/0 limit: s is raised to ``UNIT_BELOW``, under which the ratio's
-    O(s^2) departure from that limit is below half an ulp.
+    O(s^2) departure from that limit is below half an ulp.  A rate in
+    (-1e-9, 0) is the roundoff of a suppressed zero and is returned as 0.
     """
     (t, s), shape = _points(t, s)
     _check_args(t, w, kind, s)
@@ -436,6 +440,8 @@ def rate_theta(t, s, w: float, theta: float, kind: str = "I"):
         return u / math.pi * (cpl - one_minus_erf_ratio(s * u) + (cpl - 1.0) * np.expm1(-0.25 * s * s * x * x))
 
     r = 1.0 + 2.0 * _integrate_reduced(kernel, t, w, s, kind) / _theta_norm_denominator(theta, s)
+    # theta = pi, w = inf, t = 0 is an exact 0 at any s, which rounds to -eps
+    r[(r < 0.0) & (r > -1e-9)] = 0.0
     return _shaped(r, shape)
 
 
@@ -501,9 +507,10 @@ def visibility(taus, rs) -> float:
 # ---------------------------------------------------------------------------
 # Direct quadrature of the defining double-frequency integrals
 
-# Trapezoid points per axis of the quadrature: the sinc tails and the |d|
-# kink of the entangled and symmetrized fields need the denser axis.
-# Both are 4k + 1, so the Richardson strides 2 and 4 land on grid points.
+# Trapezoid points of the quadrature's pump axis (Fock) and of both axes
+# (entangled and symmetrized, whose sinc tails and |d| kink need the
+# denser axis); the Fock d axis takes its count from the delay.  Both are
+# 4k + 1, so the Richardson strides 2 and 4 land on grid points.
 QUADRATURE_POINTS_GAUSS = 1025
 QUADRATURE_POINTS_SINC = 1537
 QUADRATURE_ERROR_GATE = 1e-5
@@ -643,152 +650,167 @@ def _exchange_tail(
     return results
 
 
+def _stride_weights(axis: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of a uniform axis at the Richardson strides 1, 2
+    and 4, one row each: h k on every k-th point, halves on the two ends
+    and 0 off the stride."""
+    h = axis[1] - axis[0]
+    weights = np.zeros((3, axis.size))
+    for row, k in zip(weights, (1, 2, 4)):
+        row[::k] = h * k
+        row[[0, -1]] = 0.5 * h * k
+    return weights
+
+
+def _check_edge_mass(edge: float, total: float) -> None:
+    """``GridTooNarrowError`` when the outermost cells carry more than ``EDGE_MASS_BUDGET`` of the mass."""
+    if edge > EDGE_MASS_BUDGET * total:
+        raise GridTooNarrowError(
+            f"grid too narrow for rate_numeric: outermost cells carry {edge / total:.2e} of the integrand"
+        )
+
+
+def _gaussian_sums(state: Union[FockState, CoherentState], model: CorrelationModel, support: float, taus: list):
+    """(d axis, p-summed stride sums, tails, norm) of the Fock field.
+
+    The field is ``envelope(p) kernel(d)``, so each stride sum over p is
+    the envelope's weighted sum times the kernel: two 1-D sums.  The d axis
+    keeps ``d_half = min(12 delta, max(support, 0.5 delta))`` at every
+    |tau|, and the batch's largest |tau| sets only its point count: 8k + 1
+    points, at least 1025, with one cell spanning at most 0.35 rad of
+    ``max |tau| d`` (8k puts d = 0, Model I's kink, on the stride-4 grid).
+    Past ``_BLOCK_VALUES`` points (|tau| delta above about 955) it raises
+    ``QuadratureNotConvergedError`` before any array is built.  The
+    Gaussian field has no tail past its axes.
+    """
+    delta = state.delta
+    d_half = min(12.0 * delta, max(support, 0.5 * delta))
+    cells = 8 * math.ceil(min(d_half * max(map(abs, taus), default=0.0) / 1.4, _BLOCK_VALUES))
+    if cells >= _BLOCK_VALUES:
+        raise QuadratureNotConvergedError(
+            f"quadrature not converged: the delay phase over a d axis of half-width {d_half:.3g} "
+            f"needs more than {_BLOCK_VALUES} points"
+        )
+    p = np.linspace(-12.0 * delta, 12.0 * delta, QUADRATURE_POINTS_GAUSS)
+    d = np.linspace(-d_half, d_half, max(1024, cells) + 1)
+    envelope = np.exp(-0.5 * (p / delta) ** 2)
+    kernel = np.exp(-0.5 * (d / delta) ** 2) / (math.pi * delta**2) * correlation_sq_magnitude(d, model)
+    # the outer ring of cells: the end cells of either axis
+    ring = (envelope[0] + envelope[-1]) * kernel.sum() + envelope.sum() * (kernel[0] + kernel[-1])
+    _check_edge_mass(ring, envelope.sum() * kernel.sum())
+    return d, (_stride_weights(p) @ envelope)[:, None] * kernel, [QuadratureResult(0.0, 0.0)] * len(taus), 1.0
+
+
+def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: CorrelationModel, support: float, taus: list):
+    """(d axis, p-summed stride sums, exchange tails, norm) of a sinc-tailed field.
+
+    The d axis is cut at ``min(support, 0.35 (n - 1) / max(|eta_-|, max
+    |tau|))``: one cell spans at most 0.7 rad of the delay phase and 0.35
+    rad of the sinc arguments ``eta_- d / 2``.  The field is built in
+    blocks of ``_BLOCK_VALUES // n`` pump-axis rows, each summed over p
+    before the next, so no n x n array is held.  Its part past the d axis
+    is ``_exchange_tail``, so only the two pump-axis edges count toward
+    the edge mass.
+    """
+    norm = _continuum_norm(state)
+    n = QUADRATURE_POINTS_SINC
+    crystal = state.crystal
+    d_half = min(support, 0.35 * (n - 1) / max([abs(crystal.eta_minus), *map(abs, taus)]))
+    p = np.linspace(-8.0 * state.pump.sigma, 8.0 * state.pump.sigma, n)
+    d = np.linspace(-d_half, d_half, n)
+    csq = correlation_sq_magnitude(d, model)
+    alpha2 = np.exp(-((p / state.pump.sigma) ** 2))
+    wp = _stride_weights(p)
+    sums = total = edge = 0.0
+    rows_per_block = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, n, rows_per_block):
+        rows = np.arange(lo, min(lo + rows_per_block, n))
+        s_plus = sinc(0.5 * (crystal.eta_plus * p[rows, None] + crystal.eta_minus * d[None, :]))
+        s_minus = sinc(0.5 * (crystal.eta_plus * p[rows, None] - crystal.eta_minus * d[None, :]))
+        if isinstance(state, EntangledState):
+            exchange = s_plus * s_minus  # real: the field stays a real array
+        else:
+            exchange = (
+                2.0 * s_plus * s_minus
+                + np.exp(1j * state.theta) * s_plus**2
+                + np.exp(-1j * state.theta) * s_minus**2
+            )
+        block = exchange * (alpha2[rows, None] * csq[None, :])
+        total += float(np.abs(block).sum())
+        edge += float(np.abs(block[(rows == 0) | (rows == n - 1)]).sum())
+        sums = sums + wp[:, rows] @ block
+    _check_edge_mass(edge, total)
+    return d, sums, _exchange_tail(state, model, d_half, taus), norm
+
+
+def _contract(taus: list, d: np.ndarray, sums: np.ndarray, tails: list, norm: float) -> List[QuadratureResult]:
+    """One ``QuadratureResult`` per tau from the p-summed stride sums on the d axis.
+
+    The stride-k trapezoid sum of G(p, d) exp(-i d tau) is
+    ``(sums[k] * phase)[::k] @ wd_k``; Richardson's step on strides 1 and
+    2 gives the value, and its distance from the step on 2 and 4 the
+    estimate.  That estimate can vanish below the rounding of the sums,
+    so the error also carries eps (n_d + |tau| d_half) times the absolute
+    sum (the rounding of n_d terms and of the phase d tau) and a floor of
+    8 eps |R|.
+    """
+    wd = _stride_weights(d)
+    eps = np.finfo(float).eps
+    mass = float(np.abs(sums[0]) @ wd[0])
+    results = []
+    for tau, tail in zip(taus, tails):
+        phase = np.exp(-1j * d * tau)
+        s1, s2, s4 = (complex((row[::k] * phase[::k]) @ w[::k]) for k, row, w in zip((1, 2, 4), sums, wd))
+        r1 = (4.0 * s1 - s2) / 3.0
+        err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0 + eps * (d.size + abs(tau) * d[-1]) * mass
+        # 0.5 is the Jacobian of (w1, w2) -> (p, d)
+        value = 1.0 + 0.5 * (r1.real + tail.value) / norm
+        results.append(QuadratureResult(value, 0.5 * (err + tail.error) / norm + 8.0 * eps * abs(value)))
+    return results
+
+
 def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence[float]) -> List[QuadratureResult]:
     """Rates at every tau by tensor-product quadrature of the double frequency integral.
 
     Integration runs in rotated coordinates p = w1 + w2 - 2 wbar (pump
     detuning) and d = w1 - w2 (kernel argument); the |d| kink of |C|^2
     sits on a grid line, so one Richardson step cleans the trapezoid
-    error to O(h^4).  The axes follow from the state, the model and the
-    batch's largest |tau|: ``QUADRATURE_POINTS_GAUSS`` points per axis for
-    the Fock and coherent states, ``QUADRATURE_POINTS_SINC`` for the
-    entangled and symmetrized ones.
-
-    The delay enters only through a phase of d, so the field G(p, d) (the
-    integrand without that phase) is built, edge-checked and reduced over
-    p once per Richardson stride, for all taus at once; each tau then
-    costs O(n) plus, for the entangled and symmetrized states, the
-    analytic exchange tail beyond the d axis.  The field is never held
-    whole: it is built in blocks of ``_BLOCK_VALUES // n`` pump-axis rows
-    (42 rows, 1 MB of complex values at n = 1537), and each block adds to
-    the mass totals and to the stride sums before the next is built.
-    Every d axis resolves the delay phase tau d, and the sinc states' axis
-    also the sinc arguments eta_- d / 2: one cell spans at most 0.7 rad of
-    ``max |tau| d`` (and of ``|eta_-| d``), so the axis follows the batch's
-    largest |tau|, and a one-tau call runs on its own axis past |tau| =
-    |eta_-| for the sinc states, and past 29.9 / delta at the latest for
-    the Fock and coherent states.
-    The coherent rate is R_F(0) + R_F(tau) of the Fock state with the same
-    envelope, from one Fock batch over [0] + taus, with the two errors
-    summed.  Each error carries a roundoff floor of 8 eps |R|, because the
-    Richardson estimate cannot resolve the rounding of the sums.
+    error to O(h^4).  The delay enters only through a phase of d, so the
+    field G(p, d) (the integrand without that phase) is summed over p once
+    per Richardson stride for all taus at once, and each tau then costs
+    one O(n_d) contraction.  The state kind picks how those sums are
+    built, once: the Fock field (``_gaussian_sums``) factorises into two
+    1-D sums on a d axis whose width does not depend on the delay, and
+    the entangled and symmetrized fields (``_sinc_sums``) are built in
+    blocks of pump-axis rows, with the analytic exchange tail past their
+    d axis.  The coherent rate is R_F(0) + R_F(tau) of the Fock state
+    with the same envelope, from one Fock batch over [0] + taus, with the
+    two errors summed.
 
     Returns one ``QuadratureResult(value, error)`` per tau.  Before it
     builds anything it raises ``TypeError`` for a model that is not a
-    ``ModelI`` or a ``ModelII`` and ``ValueError`` for a tau that is not
-    finite; a model at infinite scale is flat transmission.  It raises
+    ``ModelI`` or a ``ModelII``, ``ValueError`` for a tau that is not
+    finite, ``MonochromaticPumpError`` for a cw pump and
+    ``DegenerateStateError`` for a degenerate symmetrized state; a model
+    at infinite scale is flat transmission.  It raises
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
-    ``QUADRATURE_ERROR_GATE``, or ``GridTooNarrowError`` when the
+    ``QUADRATURE_ERROR_GATE`` or the Fock d axis would need more than
+    ``_BLOCK_VALUES`` points, and ``GridTooNarrowError`` when the
     outermost cells carry more than ``EDGE_MASS_BUDGET`` of the integrand
-    mass: the whole ring for the Fock and coherent states, and the two
-    pump-axis edges for the entangled and symmetrized states, whose
-    |d| > d_half part is the exchange tail.  A degenerate symmetrized
-    state raises ``DegenerateStateError``.
+    mass: the whole ring for the Fock field, and the two pump-axis edges
+    for the sinc-tailed ones.
     """
     support = _model_d_support(model)
     taus = [float(tau) for tau in taus]
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError("rate_numeric needs finite taus")
-    coherent = isinstance(state, CoherentState)
-    gauss = coherent or isinstance(state, FockState)
-    if coherent:
-        taus = [0.0] + taus
-    if gauss:
-        n = QUADRATURE_POINTS_GAUSS
-        width = state.delta
-        p_half = 12.0 * width
-        d_half = min(12.0 * width, max(support, 0.5 * width))
-    else:
-        denom = _continuum_norm(state)
-        n = QUADRATURE_POINTS_SINC
-        p_half = 8.0 * state.pump.sigma
-        d_half = min(support, 0.35 * (n - 1) / abs(state.crystal.eta_minus))
-    # one d cell spans at most 0.7 rad of the delay phase, or the Richardson
-    # strides alias it (at hd |tau| = 2 pi every stride sees the phase 1)
-    tau_max = max((abs(tau) for tau in taus), default=0.0)
-    if tau_max > 0.0:
-        d_half = min(d_half, 0.35 * (n - 1) / tau_max)
-
-    p = np.linspace(-p_half, p_half, n)
-    d = np.linspace(-d_half, d_half, n)
-    hp = p[1] - p[0]
-    hd = d[1] - d[0]
-    csq = correlation_sq_magnitude(d, model)
-    numerator_scale = 0.5  # Jacobian of (w1, w2) -> (p, d)
-
-    if gauss:
-        # the Gaussian envelopes of p and d factor the field into two axes
-        envelope = np.exp(-0.5 * (p / state.delta) ** 2)
-        kernel = np.exp(-0.5 * (d / state.delta) ** 2) / (math.pi * state.delta**2) * csq
-
-        def field(rows):
-            return envelope[rows, None] * kernel
-
-        denom = 1.0  # analytically normalized Gaussian envelopes
-    else:
-        crystal = state.crystal
-        alpha2 = np.exp(-((p / state.pump.sigma) ** 2))
-
-        def field(rows):
-            s_plus = sinc(0.5 * (crystal.eta_plus * p[rows, None] + crystal.eta_minus * d[None, :]))
-            s_minus = sinc(0.5 * (crystal.eta_plus * p[rows, None] - crystal.eta_minus * d[None, :]))
-            if isinstance(state, EntangledState):
-                exchange = s_plus * s_minus  # real: the field stays a real array
-            else:
-                exchange = (
-                    2.0 * s_plus * s_minus
-                    + np.exp(1j * state.theta) * s_plus**2
-                    + np.exp(-1j * state.theta) * s_minus**2
-                )
-            return exchange * (alpha2[rows, None] * csq[None, :])
-
-    # The stride-k trapezoid sum of G(p, d) phase(d) is
-    # ((wp_k @ G)[::k] * phase[::k]) @ wd_k for the Richardson strides k,
-    # wp_k the stride-k weights of the p axis (0 off its rows, halves on
-    # rows 0 and n - 1); ``sums`` gathers wp_k @ G block by block
-    strides = (1, 2, 4)
-    wp = np.zeros((len(strides), n))
-    wd = []
-    for i, k in enumerate(strides):
-        wp[i, ::k] = hp * k
-        wp[i, [0, -1]] = 0.5 * hp * k
-        wd.append(np.full(d[::k].size, hd * k))
-        wd[-1][0] = wd[-1][-1] = 0.5 * hd * k
-    sums = total = edge = 0.0
-    rows_per_block = max(1, _BLOCK_VALUES // n)
-    for lo in range(0, n, rows_per_block):
-        rows = np.arange(lo, min(lo + rows_per_block, n))
-        block = field(rows)
-        mass = np.abs(block)
-        total += float(mass.sum())
-        # a sinc field continues past |d| = d_half in the exchange tail, so
-        # only its pump axis may clip; a Gaussian field counts its whole ring
-        outer = (rows == 0) | (rows == n - 1)
-        edge += float(mass[outer].sum())
-        if gauss:
-            edge += float(mass[:, [0, -1]][~outer].sum())
-        sums = sums + wp[:, rows] @ block
-    if edge > EDGE_MASS_BUDGET * total:
-        raise GridTooNarrowError(
-            f"grid too narrow for rate_numeric: outermost cells carry {edge / total:.2e} of the integrand"
-        )
-
-    # analytic |d| > d_half remainder of the sinc-tailed exchange term
-    tails = [QuadratureResult(0.0, 0.0)] * len(taus) if gauss else _exchange_tail(state, model, d_half, taus)
-    results = []
-    for tau, tail in zip(taus, tails):
-        phase = np.exp(-1j * d * tau)
-        s1, s2, s4 = (complex((row[::k] * phase[::k]) @ wdk) for k, row, wdk in zip(strides, sums, wd))
-        r1 = (4.0 * s1 - s2) / 3.0
-        err = abs(r1 - (4.0 * s2 - s4) / 3.0) / 8.0
-        numerator = numerator_scale * (r1.real + tail.value)
-        value = 1.0 + numerator / denom
-        # the Richardson estimate can vanish below the rounding of the sums
-        floor = 8.0 * np.finfo(float).eps * abs(value)
-        results.append(QuadratureResult(value, numerator_scale * (err + tail.error) / denom + floor))
-    if coherent:
-        zero = results.pop(0)
+    if isinstance(state, CoherentState):
+        zero, *results = _contract([0.0] + taus, *_gaussian_sums(state, model, support, [0.0] + taus))
         results = [QuadratureResult(zero.value + res.value, zero.error + res.error) for res in results]
+    elif isinstance(state, FockState):
+        results = _contract(taus, *_gaussian_sums(state, model, support, taus))
+    else:
+        results = _contract(taus, *_sinc_sums(state, model, support, taus))
     for res in results:
         if not res.error <= QUADRATURE_ERROR_GATE:
             raise QuadratureNotConvergedError(

@@ -86,12 +86,14 @@ def test_rate_quadrature_cw_model(tmp_path):
 
 
 def test_rate_quadrature_huge_delay_exits_numerical(tmp_path, capsys):
-    # |tau| = 1e300 cuts the d axis to 5e-298: the run fails the error gate
+    # |tau| = 1e300 cuts the entangled d axis to 5e-298, and the run fails
+    # the error gate; the Fock d axis would need more than 2^16 points
     out = tmp_path / "q.csv"
-    assert main(["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1e300",
-                 "--tau-n", "2", "--method", "quadrature", "--out", str(out)]) == 3
-    assert "Traceback" not in capsys.readouterr().err
-    assert not out.exists()
+    for state in (ENT_STATE, FOCK_STATE):
+        assert main(["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1e300",
+                     "--tau-n", "2", "--method", "quadrature", "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_underflowing_width_is_full_suppression(tmp_path):
@@ -181,6 +183,17 @@ def test_figure_7_antisymmetric_suppression(tmp_path):
     t = data[:, 0]
     col = names.index("r_theta=3.141593_w=inf")
     assert abs(data[np.flatnonzero(t == 0.0)[0], col]) < 1e-9
+
+
+@pytest.mark.parametrize("model", ["I", "II"])
+def test_figure_8_writes_no_negative_roundoff(tmp_path, model):
+    # the theta = pi, w = inf column is a suppressed zero at every s, which
+    # rounds to +-2.2e-16 at some of them
+    out = tmp_path / "fig8.csv"
+    assert main(["figure", "--id", "8", "--model", model, "--out", str(out)]) == 0
+    names, data = read_curve_csv(str(out))
+    assert np.all(data >= 0.0)
+    assert np.all(data[:, names.index("r_theta=3.141593_w=inf")] < 1e-15)
 
 
 def test_figure_2_requires_crystal(tmp_path):
@@ -300,6 +313,19 @@ def test_sweep_varies_model_scale(tmp_path):
         rows = data[data[:, 0] == scale]
         assert np.array_equal(rows[:, 1], taus)
         assert np.array_equal(rows[:, 2], rate_closed_form(state, ModelII(omega_th=scale), taus))
+
+
+def test_antisymmetric_cw_sweep_writes_no_negative_roundoff(tmp_path):
+    # R(0) of the theta = pi state under flat transmission is 0 at every
+    # pump width; sweep writes what rate_closed_form returns, unclamped
+    s = np.linspace(0.0, 8.0, 401)[1:]
+    state = {"state": "symmetrized", "omega_bar": 100.0, "sigma": 1.0, "nu_o": 1.5, "nu_e": 0.5, "theta": math.pi}
+    cfg = {"state": state, "model": "cw", "vary": {"sigma": (s / 2.0).tolist()}, "tau": [0.0]}
+    out = tmp_path / "anti.csv"
+    assert main(["sweep", "--config", json.dumps(cfg), "--out", str(out)]) == 0
+    r = read_curve_csv(str(out))[1][:, -1]
+    assert r.size == s.size
+    assert np.all((r >= 0.0) & (r < 1e-15))
 
 
 def test_sweep_deterministic(tmp_path):
@@ -656,6 +682,18 @@ def test_non_finite_rate_exits_numerical(tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_out_of_memory_exits_numerical(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "mc_correlator_batch", exhausted)
+    out = tmp_path / "mc.csv"
+    assert main(["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                 "--tau-n", "2", "--method", "monte-carlo", "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value, code", [(-1e-12, 0), (-1e-9, 3), (-0.5, 3)])
 def test_negative_rate_past_roundoff_exits_numerical(tmp_path, capsys, monkeypatch, value, code):
     # a rate in (-1e-9, 0) is roundoff of a suppressed zero and is written
@@ -735,6 +773,8 @@ _BAD_CONFIGS = {
                             "--tau-n", "3"],
     "rate-tau-n-1": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
                      "--tau-n", "1"],
+    "rate-tau-n-2**64": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                         "--tau-n", str(2**64)],
     "state-file-key-foreign": _rate_from("<state file: key-foreign>"),
     "state-file-not-json": _rate_from("<state file: not-json>"),
     # every frequency of a cw ensemble would share one draw
@@ -744,6 +784,9 @@ _BAD_CONFIGS = {
     "ensemble-seed-2**128": _mc_rate('{"n_realizations": 10, "seed": %d}' % 2**128),
     "rate-seed-2**128": ["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
                          "--tau-n", "2", "--method", "monte-carlo", "--seed", str(2**128)],
+    # no numpy axis is longer than np.iinfo(np.intp).max
+    "ensemble-n_realizations-2**64": _mc_rate('{"n_realizations": %d}' % 2**64),
+    "ensemble-grid-n-2**64": _mc_rate(_ENSEMBLE % ('{"half_width": 8, "n": %d}' % 2**64)),
     "ensemble-key-misspelt": _mc_rate('{"grid": {"half_width": 8, "n": 64}, "model": {"model": "I", "scale": 1.0}, '
                                       '"t_bar": 0.01, "n_realizations": 10, "seeds": 3}'),
     "ensemble-grid-key-misspelt": _mc_rate(_ENSEMBLE % '{"centre": 99.0, "half_width": 8, "n": 64}'),

@@ -227,17 +227,39 @@ def test_huge_delay_fails_the_gate_before_the_tail_integrals(monkeypatch, state,
     assert calls == []
 
 
-@pytest.mark.parametrize("state", [FockState(100.0, 1.0), CoherentState(100.0, 1.0)], ids=["fock", "coherent"])
-@pytest.mark.parametrize("model", [M_I, ModelII(omega_th=1.0), ModelI(math.inf)], ids=["I", "II", "cw"])
+_GAUSSIAN_STATES = [FockState(100.0, 1.0), CoherentState(100.0, 1.0)]
+_GAUSSIAN_MODELS = [M_I, ModelII(omega_th=1.0), ModelI(math.inf)]
+
+
+@pytest.mark.parametrize("state", _GAUSSIAN_STATES, ids=["fock", "coherent"])
+@pytest.mark.parametrize("model", _GAUSSIAN_MODELS, ids=["I", "II", "cw"])
 def test_gaussian_axis_follows_the_delay(state, model):
-    # on an axis blind to the delay (24 delta over 1024 cells), every
-    # Richardson stride sees the delay phase 1 at tau = 2 pi / hd, and the
-    # batch would return R(0) with a roundoff-sized error; the axis follows
-    # |tau|, and at these taus is too narrow for the Gaussian envelope
+    # a d axis narrowed to 0.35 * 1024 / 86 = 4.2 delta would cut off about
+    # 2.7e-5 of the Gaussian mass, which no error term counts; on an axis
+    # blind to the delay (24 delta over 1024 cells) every Richardson stride
+    # sees the phase 1 at tau = 2 pi / hd and returns R(0).  The axis keeps
+    # its width and takes one cell per 0.35 rad of the delay phase, up to
+    # 2^16 points: 4 times that tau (|tau| delta = 1072) needs 73 537
     alias = 2.0 * math.pi * 1024 / 24.0
-    for tau in (alias, 4.0 * alias):
-        with pytest.raises(GridTooNarrowError):
-            rate_numeric_batch(state, model, [0.0, tau])
+    for taus in ([0.0, 86.0], [0.0, alias, 2.0 * alias]):
+        for res, closed in zip(rate_numeric_batch(state, model, taus), rate_closed_form(state, model, taus)):
+            assert abs(res.value - closed) <= res.error
+    with pytest.raises(QuadratureNotConvergedError, match="points"):
+        rate_numeric_batch(state, model, [0.0, 4.0 * alias])
+
+
+@pytest.mark.parametrize("state", _GAUSSIAN_STATES, ids=["fock", "coherent"])
+def test_gaussian_huge_delay_is_refused_before_any_array(state):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNotConvergedError, match="points"):
+            rate_numeric_batch(state, M_I, [0.0, 1e300])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1025  # one axis of the smallest field
 
 
 def test_tail_integral_error_estimate_is_checked(monkeypatch):
@@ -351,6 +373,11 @@ def test_grid_too_narrow_error_in_small_blocks(monkeypatch):
         rate_numeric_batch(FockState(100.0, 1.0), M_I, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("name", list(_BATCH_STATES))
+def test_empty_batch_has_no_rates(name):
+    assert rate_numeric_batch(_BATCH_STATES[name], M_I, []) == []
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
 def test_non_finite_tau_is_refused(name, bad):
@@ -419,3 +446,39 @@ def test_flat_model_i_kernel_keeps_the_tail_integrals(monkeypatch):
     res = rate_numeric_batch(state, model, [0.0])[0]
     assert len(calls) == 4
     assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
+
+
+# --- a seeded random scan over states, models and delays
+
+
+def _random_batch(rng):
+    kind = rng.integers(4)
+    width = 10.0 ** rng.uniform(-1.0, math.log10(5.0))
+    if kind >= 2:
+        state = (FockState if kind == 2 else CoherentState)(100.0, width)
+    else:
+        pump, crystal = PumpParams(100.0, width), CrystalParams(1.5, rng.uniform(-1.0, 1.0))
+        theta = rng.uniform(0.0, math.pi)
+        state = EntangledState(pump, crystal) if kind == 0 else SymmetrizedState(pump, crystal, theta)
+    scale = math.inf if rng.random() < 0.2 else 10.0 ** rng.uniform(-1.0, 3.0)
+    model = (ModelI if rng.random() < 0.5 else ModelII)(scale)
+    return state, model, np.sort(rng.uniform(-20.0, 20.0, 5)).tolist()
+
+
+def test_seeded_scan_values_lie_within_their_error():
+    # random state (width 0.1 to 5, nu_e, theta), Model I or II at scale 0.1
+    # to 1e3 or inf, and 5 taus up to |tau| = 20: every value the route
+    # returns lies within its reported error of the closed form; a refusal
+    # (exit 3) is no wrong value, so refusals are counted, not failed
+    rng = np.random.default_rng(1)
+    refused = 0
+    for _ in range(150):
+        state, model, taus = _random_batch(rng)
+        try:
+            results = rate_numeric_batch(state, model, taus)
+        except (QuadratureNotConvergedError, GridTooNarrowError, DegenerateStateError):
+            refused += 1
+            continue
+        for res, closed in zip(results, rate_closed_form(state, model, taus)):
+            assert abs(res.value - closed) <= res.error, (state, model, taus)
+    print(f"seeded scan: {refused} of 150 batches refused")
