@@ -20,7 +20,6 @@ from .correlation import (
 )
 from .errors import (
     DegenerateStateError,
-    GridTooNarrowError,
     MonochromaticPumpError,
     NonFiniteValueError,
     NotPositiveSemidefiniteError,

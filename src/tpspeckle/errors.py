@@ -13,11 +13,6 @@ class MonochromaticPumpError(TpspeckleError):
     """
 
 
-class GridTooNarrowError(TpspeckleError):
-    """The quadrature field's outermost cells carry more than
-    ``rates.EDGE_MASS_BUDGET`` of the integrand mass."""
-
-
 class DegenerateStateError(TpspeckleError):
     """The symmetrized-state norm vanishes (theta near pi with s near 0)."""
 
@@ -27,9 +22,9 @@ class NotPositiveSemidefiniteError(TpspeckleError):
 
 
 class QuadratureNotConvergedError(TpspeckleError):
-    """A rate integral's error estimate exceeds its gate: the Richardson
-    estimate of the direct quadrature, or the embedded-rule estimate of a
-    reduced closed-form integral."""
+    """A rate integral's error estimate or bound exceeds its gate (direct
+    quadrature, its exchange tail, or a reduced closed form), or the direct
+    quadrature's d axis or tail would not fit in memory or double range."""
 
 
 class TailNotConvergedError(TpspeckleError):

@@ -56,12 +56,13 @@ to ``_BLOCK_VALUES`` points).  The coherent rate is R_F(0) + R_F(tau) of
 that field, as in the closed form.  The entangled and symmetrized fields
 are built in blocks of pump-axis rows under the ``_BLOCK_VALUES`` budget
 of the reduced forms, so no n x n array is held, and their part past the
-d axis is the analytic exchange tail, or under Model I, where that tail
-is negligible, its analytic bound.  ``rate_numeric`` is the one-tau
-call; both take their axes from the state, the model and the batch's
-largest |tau|, a model at infinite scale (the cw limit) included.  Every
-value comes with its error estimate; ``rate --method quadrature`` writes
-the worst one over its curve into the CSV header.
+d axis is the analytic exchange tail, or its bound where |C|^2 has
+decayed there; every other axis ends where the integrand is negligible.
+``rate_numeric`` is the one-tau call; both take their axes from the
+state, the model and the batch's largest |tau|, a model at infinite
+scale (the cw limit) included.  Every value comes with its error
+estimate; ``rate --method quadrature`` writes the worst one over its
+curve into the CSV header.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from scipy.special import erfcx as _scipy_erfcx
 from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
 from .correlation import CorrelationModel, ModelI, ModelII, _model_scale, correlation_sq_magnitude
 from .errors import (
-    GridTooNarrowError,
     NonFiniteValueError,
     QuadratureNotConvergedError,
     TailNotConvergedError,
@@ -246,7 +246,12 @@ def _reduced_block(kernel, t, w: float, s, kind: str, lower, upper):
     half = 0.5 * (upper - lower)
     d = mid[..., None] + half[..., None] * _GL_NODES
     xi = np.abs(w * d)
-    g = 2.0 / (4.0 + xi * xi) if kind == "I" else _pole_sum(xi)
+    if kind == "II":
+        g = _pole_sum(xi)
+    else:
+        # xi^2 overflows past sqrt(max float), where g is 0 anyway; inf squares silently
+        xi[xi > math.sqrt(np.finfo(float).max)] = np.inf
+        g = 2.0 / (4.0 + xi * xi)
     y = kernel(s[:, None, None], t[:, None, None] + d) * (w * g) * half[..., None]
     n = _GL_FINE[0].size
     fine = y[..., :n] @ _GL_FINE[1]
@@ -514,11 +519,15 @@ def visibility(taus, rs) -> float:
 QUADRATURE_POINTS_GAUSS = 1025
 QUADRATURE_POINTS_SINC = 1537
 QUADRATURE_ERROR_GATE = 1e-5
-# Share of the integrand mass allowed on the quadrature field's outermost cells.
-EDGE_MASS_BUDGET = 1e-6
 
 
 def _model_d_support(model: CorrelationModel) -> float:
+    """|d| where |C|^2 is e^-38 (Model I) or 2.2e-12 (Model II).  As |C|^2
+    falls with |d| under both models, every quadrature axis ends where the
+    integrand is at most 2.2e-12 of its peak, so none checks its edge mass:
+    the sinc pump axis at +-8 sigma (e^-64), the Fock axes at 12 delta
+    (e^-72) or at or past this; the sinc d axis leaves the rest to
+    ``_exchange_tail``."""
     return (19.0 if isinstance(model, ModelI) else 600.0) * _model_scale(model)
 
 
@@ -532,24 +541,13 @@ def quad(*args, **kwargs):
 
 def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
     """Int_a^inf f(d) w(freq d) dd, w = cos or sin, for decaying f (QUADPACK
-    Fourier rule), with its error estimate."""
+    Fourier rule), with its error estimate; at freq ~ 0, a plain integral
+    held to a relative tolerance, as the default absolute 1.5e-8 is loose."""
     if abs(freq) < 1e-12:
-        return QuadratureResult(*quad(f, a, np.inf, limit=200)) if weight == "cos" else QuadratureResult(0.0, 0.0)
+        flat = quad(f, a, np.inf, epsabs=0.0, limit=200) if weight == "cos" else (0.0, 0.0)
+        return QuadratureResult(*flat)
     value, error = quad(f, a, np.inf, weight=weight, wvar=abs(freq), limit=200)
     return QuadratureResult(-value if weight == "sin" and freq < 0 else value, error)
-
-
-def _tail_bound(model: CorrelationModel, d_half: float, power: int) -> float:
-    """Bound on |Int_{d_half}^inf |C|^2 / d^power w(d) dd| for any |w| <= 1.
-
-    Under Model I |C|^2 = exp(-2|d|/omega_corr), so the integral is at most
-    (omega_corr / 2) exp(-2 d_half / omega_corr) / d_half^power; under
-    Model II no bound is taken (inf).
-    """
-    if not isinstance(model, ModelI):
-        return math.inf
-    omega = model.omega_corr
-    return 0.5 * omega * math.exp(-2.0 * d_half / omega) / d_half**power
 
 
 def _exchange_tail(
@@ -577,22 +575,23 @@ def _exchange_tail(
     (symmetrized).  As |C| falls with |d|, H >= |C(2 d_half)|^2 7 / (24
     d_half^3); where that alone fails the gate (a huge |tau| cuts d_half
     short), ``QuadratureNotConvergedError`` is raised before any integral
-    divides by a power of d that rounds to 0.
+    runs, and so it is where the coefficients or powers of d_half leave
+    the double range (a huge s, an eta_- or d_half far from 1).
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
-    coefficients.  Where the same weights on ``_tail_bound`` give under
-    1e-3 of ``QUADRATURE_ERROR_GATE`` (Model I with d_half many omega_corr
-    wide), every tail is 0 with that bound as its error, and no integral
-    runs.  The coefficients, that decision and H do not depend on tau, so
-    they are worked out once per batch; each tau then costs 3 (entangled)
-    or 5 (symmetrized) QUADPACK integrals.  These are the package's only
-    use of ``scipy.integrate``, which ``quad`` imports on its first call.
+    coefficients.  The fall of |C| bounds each tail integral of |C|^2 / d^p
+    by |C(d_half)|^2 d_half^(1-p) / (p-1); where the same weights on these
+    give under 1e-3 of ``QUADRATURE_ERROR_GATE`` (|C|^2 decayed by d_half),
+    every tail is 0 with that bound as its error, and no integral runs.
+    The coefficients, that decision and H do not depend on tau, so they are
+    worked out once per batch; each tau then costs 3 (entangled) or 5
+    (symmetrized) QUADPACK integrals.  These are the package's only use
+    of ``scipy.integrate``, which ``quad`` imports on its first call.
     """
     pump, crystal = state.pump, state.crystal
     eta_m = crystal.eta_minus
     s = abs(pump.sigma * crystal.eta_plus)
-    scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
     damp = math.exp(-0.25 * s * s)
     a, b, c, k = damp, 1.0, 0.0, 1.0
     symmetrized = isinstance(state, SymmetrizedState)
@@ -601,19 +600,24 @@ def _exchange_tail(
         a, b = 2.0 * (damp + cos_theta), 2.0 * (1.0 + damp * cos_theta)
         c = -cos_theta * s * s * damp / eta_m
         k = 2.0 + 6.0 * abs(cos_theta)
-    m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
     # a tail error reaches the rate times 1/2 (the Jacobian) over the norm
     budget = 2.0 * QUADRATURE_ERROR_GATE * _continuum_norm(state)
-    if scale * m * correlation_sq_magnitude(2.0 * d_half, model) * 7.0 / 24.0 > budget * d_half**3:
-        raise QuadratureNotConvergedError(
-            f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves out "
-            f"more than the error gate {QUADRATURE_ERROR_GATE:.2e} admits"
+    try:
+        scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
+        m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
+        if scale * m * correlation_sq_magnitude(2.0 * d_half, model) * 7.0 / 24.0 > budget * d_half**3:
+            raise QuadratureNotConvergedError(
+                f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves out "
+                f"more than the error gate {QUADRATURE_ERROR_GATE:.2e} admits"
+            )
+        # the coefficients on |C(d_half)|^2 d_half^(1-p) / (p-1), p = 2, 3 (twice c), 4
+        bound = scale * correlation_sq_magnitude(d_half, model) * (
+            (abs(a) + abs(b)) / d_half + abs(c) / d_half**2 + m / (3.0 * d_half**3)
         )
-    bound = scale * (
-        (abs(a) + abs(b)) * _tail_bound(model, d_half, 2)
-        + 2.0 * abs(c) * _tail_bound(model, d_half, 3)
-        + m * _tail_bound(model, d_half, 4)
-    )
+    except (OverflowError, ZeroDivisionError):
+        raise QuadratureNotConvergedError(
+            f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves the double range"
+        ) from None
     if bound < 1e-3 * QUADRATURE_ERROR_GATE:
         return [QuadratureResult(0.0, bound)] * len(taus)
 
@@ -621,7 +625,7 @@ def _exchange_tail(
         return correlation_sq_magnitude(d, model) / (d * d)
 
     h = QuadratureResult(
-        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, limit=200)
+        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, epsabs=0.0, limit=200)
     )
     omitted = m * (h.value + h.error)
     results = []
@@ -662,14 +666,6 @@ def _stride_weights(axis: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _check_edge_mass(edge: float, total: float) -> None:
-    """``GridTooNarrowError`` when the outermost cells carry more than ``EDGE_MASS_BUDGET`` of the mass."""
-    if edge > EDGE_MASS_BUDGET * total:
-        raise GridTooNarrowError(
-            f"grid too narrow for rate_numeric: outermost cells carry {edge / total:.2e} of the integrand"
-        )
-
-
 def _gaussian_sums(state: Union[FockState, CoherentState], model: CorrelationModel, support: float, taus: list):
     """(d axis, p-summed stride sums, tails, norm) of the Fock field.
 
@@ -680,8 +676,9 @@ def _gaussian_sums(state: Union[FockState, CoherentState], model: CorrelationMod
     points, at least 1025, with one cell spanning at most 0.35 rad of
     ``max |tau| d`` (8k puts d = 0, Model I's kink, on the stride-4 grid).
     Past ``_BLOCK_VALUES`` points (|tau| delta above about 955) it raises
-    ``QuadratureNotConvergedError`` before any array is built.  The
-    Gaussian field has no tail past its axes.
+    ``QuadratureNotConvergedError`` before any array is built.  Both axes
+    end where the field is negligible (``_model_d_support``), so it has
+    no tail past them.
     """
     delta = state.delta
     d_half = min(12.0 * delta, max(support, 0.5 * delta))
@@ -695,9 +692,6 @@ def _gaussian_sums(state: Union[FockState, CoherentState], model: CorrelationMod
     d = np.linspace(-d_half, d_half, max(1024, cells) + 1)
     envelope = np.exp(-0.5 * (p / delta) ** 2)
     kernel = np.exp(-0.5 * (d / delta) ** 2) / (math.pi * delta**2) * correlation_sq_magnitude(d, model)
-    # the outer ring of cells: the end cells of either axis
-    ring = (envelope[0] + envelope[-1]) * kernel.sum() + envelope.sum() * (kernel[0] + kernel[-1])
-    _check_edge_mass(ring, envelope.sum() * kernel.sum())
     return d, (_stride_weights(p) @ envelope)[:, None] * kernel, [QuadratureResult(0.0, 0.0)] * len(taus), 1.0
 
 
@@ -708,9 +702,9 @@ def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: Correlatio
     |tau|))``: one cell spans at most 0.7 rad of the delay phase and 0.35
     rad of the sinc arguments ``eta_- d / 2``.  The field is built in
     blocks of ``_BLOCK_VALUES // n`` pump-axis rows, each summed over p
-    before the next, so no n x n array is held.  Its part past the d axis
-    is ``_exchange_tail``, so only the two pump-axis edges count toward
-    the edge mass.
+    before the next, so no n x n array is held.  The pump axis ends at
+    +-8 sigma, where alpha^2 = e^-64, and the part past the d axis is
+    ``_exchange_tail``.
     """
     norm = _continuum_norm(state)
     n = QUADRATURE_POINTS_SINC
@@ -721,7 +715,7 @@ def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: Correlatio
     csq = correlation_sq_magnitude(d, model)
     alpha2 = np.exp(-((p / state.pump.sigma) ** 2))
     wp = _stride_weights(p)
-    sums = total = edge = 0.0
+    sums = 0.0
     rows_per_block = max(1, _BLOCK_VALUES // n)
     for lo in range(0, n, rows_per_block):
         rows = np.arange(lo, min(lo + rows_per_block, n))
@@ -735,11 +729,7 @@ def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: Correlatio
                 + np.exp(1j * state.theta) * s_plus**2
                 + np.exp(-1j * state.theta) * s_minus**2
             )
-        block = exchange * (alpha2[rows, None] * csq[None, :])
-        total += float(np.abs(block).sum())
-        edge += float(np.abs(block[(rows == 0) | (rows == n - 1)]).sum())
-        sums = sums + wp[:, rows] @ block
-    _check_edge_mass(edge, total)
+        sums = sums + wp[:, rows] @ (exchange * (alpha2[rows, None] * csq[None, :]))
     return d, sums, _exchange_tail(state, model, d_half, taus), norm
 
 
@@ -794,11 +784,10 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
     ``DegenerateStateError`` for a degenerate symmetrized state; a model
     at infinite scale is flat transmission.  It raises
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
-    ``QUADRATURE_ERROR_GATE`` or the Fock d axis would need more than
-    ``_BLOCK_VALUES`` points, and ``GridTooNarrowError`` when the
-    outermost cells carry more than ``EDGE_MASS_BUDGET`` of the integrand
-    mass: the whole ring for the Fock field, and the two pump-axis edges
-    for the sinc-tailed ones.
+    ``QUADRATURE_ERROR_GATE``, when the Fock d axis would need more than
+    ``_BLOCK_VALUES`` points, or when the exchange tail cannot be bounded
+    within the gate or in double range.  Every axis ends where the field
+    is negligible (``_model_d_support``), so there is no edge-mass check.
     """
     support = _model_d_support(model)
     taus = [float(tau) for tau in taus]

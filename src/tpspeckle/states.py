@@ -270,7 +270,8 @@ def grid_amplitude_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     as 1/x^2, so a grid of half-width Y / |eta_-| clips about 1/(pi Y) of
     their |B|^2 mass.  The grid norm leaves that share out, and callers own
     the truncation: the Monte Carlo oracle rescales its exchange kernel to
-    the continuum norm, and the quadrature route checks its own edge mass.
+    the continuum norm, and the quadrature route ends its axes where the
+    field is negligible and adds the exchange tail past them.
     """
     if isinstance(state, CoherentState):
         raise TypeError("coherent state has no two-photon amplitude; use grid_envelope")

@@ -96,6 +96,23 @@ def test_rate_quadrature_huge_delay_exits_numerical(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "crystal",
+    [{"sigma": 1e300, "nu_o": 1.5, "nu_e": 0.5}, {"sigma": 1.0, "nu_o": 1e-300, "nu_e": 0.0},
+     {"sigma": 1.0, "nu_o": 1e300, "nu_e": -1e300}],
+    ids=["sigma-1e300", "eta-1e-300", "eta-2e300"],
+)
+def test_rate_quadrature_tail_out_of_double_range_exits_numerical(tmp_path, capsys, crystal):
+    # s^4, eta_-^2 or a power of d_half = 2.7e-298 leaves the double range
+    # in the exchange tail's coefficients: refused, not a traceback
+    state = json.dumps({"state": "entangled", "omega_bar": 100.0, **crystal})
+    out = tmp_path / "q.csv"
+    assert main(["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
+                 "--tau-n", "2", "--method", "quadrature", "--out", str(out)]) == 3
+    assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_underflowing_width_is_full_suppression(tmp_path):
     # w = scale / delta = 1e-300 / 1e300 rounds to 0, an ordinary value: R = 1
     state = {"state": "fock", "omega_bar": 100.0, "delta": 1e300}

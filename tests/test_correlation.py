@@ -96,6 +96,24 @@ def test_csq_monotone_decay():
         assert np.all(np.diff(vals) <= 1e-15)
 
 
+@pytest.mark.parametrize("kind", [ModelI, ModelII])
+def test_quadrature_axes_end_where_the_kernel_has_decayed(kind):
+    # what the quadrature route relies on instead of an edge-mass check:
+    # |C|^2 never rises with |d| (by at most 5 ulp, where Model II's series
+    # meets z / sinh z), so past an axis end it stays under its value
+    # there, and at the support that value is e^-38 (Model I) or 2.2e-12
+    # (Model II) at every scale
+    from tpspeckle.rates import _model_d_support
+
+    v = np.unique(np.concatenate([np.linspace(0.0, 2000.0, 200001), np.geomspace(1e-9, 1e6, 20001)]))
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        model = kind(scale)
+        vals = correlation_sq_magnitude(v * scale, model)
+        assert np.all(np.diff(vals) <= 8.0 * np.finfo(float).eps * vals[:-1])
+        assert np.array_equal(correlation_sq_magnitude(-v * scale, model), vals)
+        assert correlation_sq_magnitude(_model_d_support(model), model) <= 1e-11
+
+
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 @settings(max_examples=1000, deadline=None)
 def test_hermitian_symmetry(dw):

@@ -29,6 +29,9 @@ assert not loaded, f"import tpspeckle.cli loads {loaded}"
 from tpspeckle import CrystalParams, EntangledState, ModelII, PumpParams, rate_numeric_batch
 state = EntangledState(PumpParams(100.0, 1.0), CrystalParams(nu_o=1.5, nu_e=0.5))
 assert len(rate_numeric_batch(state, ModelII(1.0), [0.0, 0.5])) == 2
+assert "scipy.integrate" not in sys.modules, "a decayed exchange tail loads QUADPACK"
+# at omega_th = 30, |C|^2 is 0.2 at the d axis's end: the tail integrates
+assert len(rate_numeric_batch(state, ModelII(30.0), [0.0, 0.5])) == 2
 assert "scipy.integrate" in sys.modules, "the exchange tail ran no QUADPACK integral"
 """
     src = os.path.dirname(os.path.dirname(tpspeckle.__file__))

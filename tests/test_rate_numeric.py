@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,12 +10,12 @@ from tpspeckle import (
     EntangledState,
     DegenerateStateError,
     FockState,
-    GridTooNarrowError,
     ModelI,
     ModelII,
     PumpParams,
     QuadratureNotConvergedError,
     SymmetrizedState,
+    correlation_sq_magnitude,
     rate_closed_form,
     rate_coherent,
     rate_entangled,
@@ -165,25 +166,13 @@ def test_error_estimate_reported():
 
 
 def test_quadrature_not_converged_error(monkeypatch):
+    # a 33-point pump axis leaves a Richardson estimate of 3e-3, where
+    # 1025 points give 1.3e-9
     import tpspeckle.rates as rates
 
     monkeypatch.setattr(rates, "QUADRATURE_POINTS_GAUSS", 33)
-    monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1e-9)
     with pytest.raises(QuadratureNotConvergedError):
         rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5)
-
-
-def test_grid_too_narrow_error(monkeypatch):
-    # a kernel support far narrower than the Fock envelope cuts the d
-    # axis at half a width, where the Gaussian ring carries real mass
-    import tpspeckle.rates as rates
-
-    monkeypatch.setattr(rates, "_model_d_support", lambda model: 0.0)
-    state = FockState(100.0, 1.0)
-    with pytest.raises(GridTooNarrowError):
-        rate_numeric(state, M_I, tau=0.0)
-    with pytest.raises(GridTooNarrowError):
-        rate_numeric_batch(state, M_I, [0.0, 1.0])
 
 
 def test_quadrature_curve(entangled_s2):
@@ -350,27 +339,26 @@ def test_batch_memory_stays_bounded(state):
 @pytest.mark.parametrize("model", [M_I, ModelII(omega_th=1.0)], ids=["I", "II"])
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
 def test_batch_does_not_depend_on_the_block_size(monkeypatch, name, model):
-    # 7-row blocks are ragged against the Richardson strides 2 and 4; one
-    # block holding the whole field is the unblocked sum
+    # sinc fields: 7-row blocks are ragged against the Richardson strides 2
+    # and 4, and one block holding the whole field is the unblocked sum.
+    # The Fock field has no blocks: the budget only caps its d axis, whose
+    # delay phase over max |tau| = 1.6 and d_half = 12 takes 112 cells, so
+    # a budget of 113 leaves every rate as it was and one of 112 refuses
     import tpspeckle.rates as rates
 
     state = _BATCH_STATES[name]
-    n = rates.QUADRATURE_POINTS_GAUSS if name in ("fock", "coherent") else rates.QUADRATURE_POINTS_SINC
     default = rate_numeric_batch(state, model, _BATCH_TAUS)
-    for rows in (7, n):
-        monkeypatch.setattr(rates, "_BLOCK_VALUES", rows * n)
+    gaussian = name in ("fock", "coherent")
+    n = rates.QUADRATURE_POINTS_SINC
+    for budget in (113,) if gaussian else (7 * n, n * n):
+        monkeypatch.setattr(rates, "_BLOCK_VALUES", budget)
         for res, ref in zip(rate_numeric_batch(state, model, _BATCH_TAUS), default):
             assert abs(res.value - ref.value) <= 1e-15
             assert abs(res.error - ref.error) <= 1e-15
-
-
-def test_grid_too_narrow_error_in_small_blocks(monkeypatch):
-    import tpspeckle.rates as rates
-
-    monkeypatch.setattr(rates, "_model_d_support", lambda model: 0.0)
-    monkeypatch.setattr(rates, "_BLOCK_VALUES", 7 * rates.QUADRATURE_POINTS_GAUSS)
-    with pytest.raises(GridTooNarrowError):
-        rate_numeric_batch(FockState(100.0, 1.0), M_I, [0.0, 1.0])
+    if gaussian:
+        monkeypatch.setattr(rates, "_BLOCK_VALUES", 112)
+        with pytest.raises(QuadratureNotConvergedError, match="points"):
+            rate_numeric_batch(state, model, _BATCH_TAUS)
 
 
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
@@ -437,6 +425,33 @@ def test_model_i_tail_bound_replaces_the_tail_integrals(monkeypatch):
         assert abs(res.value - rate_entangled(tau, 2.0, 1.0)) <= res.error
 
 
+def test_decayed_model_ii_tail_is_its_bound(monkeypatch):
+    # |C_II|^2 falls with |d| as |C_I|^2 does: at omega_th = 0.3 the d axis
+    # ends at the support, 180 = 600 omega_th, where it is 2.2e-12, so the
+    # tail is its bound, with no QUADPACK call
+    calls = _counting_quad(monkeypatch)
+    state = _ent(2.0)
+    model = ModelII(omega_th=0.3)
+    taus = np.linspace(-1.0, 1.0, 13)
+    results = rate_numeric_batch(state, model, taus)
+    assert calls == []
+    for res, closed in zip(results, rate_closed_form(state, model, taus)):
+        assert abs(res.value - closed) <= res.error
+
+
+def test_flat_tail_integral_is_held_to_a_relative_tolerance():
+    # Int_{d_half}^inf exp(-2d/omega) / d^2 dd = E_2(2 d_half/omega) / d_half;
+    # under omega = 1e9 at d_half = 537.6 the default absolute tolerance
+    # of QUADPACK returned it 1.3e-8 off with an estimate of 1.07e-8
+    import tpspeckle.rates as rates
+
+    model = ModelI(omega_corr=1e9)
+    d_half = 537.6
+    res = rates._tail_integral(lambda d: correlation_sq_magnitude(d, model) / (d * d), d_half, 0.0)
+    exact = float(mpmath.expint(2, mpmath.mpf(2.0 * d_half / model.omega_corr)) / d_half)
+    assert abs(res.value - exact) <= res.error
+
+
 def test_flat_model_i_kernel_keeps_the_tail_integrals(monkeypatch):
     # omega_corr = 1e3 leaves |C|^2 near 1 past the d axis: the bound is
     # not negligible and the tail is integrated (3 calls and the H integral)
@@ -476,7 +491,7 @@ def test_seeded_scan_values_lie_within_their_error():
         state, model, taus = _random_batch(rng)
         try:
             results = rate_numeric_batch(state, model, taus)
-        except (QuadratureNotConvergedError, GridTooNarrowError, DegenerateStateError):
+        except (QuadratureNotConvergedError, DegenerateStateError):
             refused += 1
             continue
         for res, closed in zip(results, rate_closed_form(state, model, taus)):

@@ -454,6 +454,15 @@ def test_flat_limit_does_not_depend_on_kind(name):
     assert np.array_equal(rate("I"), rate("II"))
 
 
+def test_model_i_huge_width_does_not_overflow():
+    # w |x - t| past 1.3e154 would square to inf in the Lorentzian (a
+    # RuntimeWarning, an error in this suite); the rate is the flat one
+    assert rate_entangled(0.0, 0.0, 1e200, "I") == pytest.approx(2.0, abs=1e-15)
+    t = np.linspace(-2.0, 2.0, 41)
+    for rate in (lambda w: rate_entangled(t, 2.0, w, "I"), lambda w: rate_theta(t, 2.0, w, 1.0, "I")):
+        assert np.abs(rate(1e200) - rate(INF)).max() <= 1e-15
+
+
 # every reduced form at (t, s); those with a w at finite w and at w = inf
 _T_S_FORMS = {
     "entangled_cw_limit": lambda t, s: rate_entangled_cw_limit(t, s),
