@@ -40,7 +40,9 @@ complementary error function: the textbook grouping multiplies
 ``exp(-t^2/2)`` by an Erf term growing like ``exp(+t^2/2)`` and loses all
 precision beyond |t| ~ 6, while ``Re erfcx(z)`` with
 ``z = sqrt(2)/w + i|t|/sqrt(2)`` is the same quantity evaluated as a single
-decaying factor.
+decaying factor.  ``erfcx`` is Weideman's rational series and ``erf`` the
+Cephes rational forms, both in numpy (``_special``), so the closed forms
+load no scipy; ``quad`` imports ``scipy.integrate`` on its first call.
 
 ``rate_numeric_batch`` is the independent verification route: a
 tensor-product trapezoid quadrature (in rotated sum/difference frequency
@@ -73,9 +75,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.special import erfcx as _scipy_erfcx
 
-from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, one_minus_erf_ratio, sinc
+from ._special import SQRT_PI, UNIT_BELOW, erf_ratio, erfcx, one_minus_erf_ratio, sinc
 from .correlation import CorrelationModel, ModelI, ModelII, _model_scale, correlation_sq_magnitude
 from .errors import (
     NonFiniteValueError,
@@ -389,14 +390,14 @@ def _gauss_kernel_avg(t: np.ndarray, w: float, kind: str) -> np.ndarray:
     elif math.isinf(w):
         avg = np.exp(-0.5 * t * t)
     elif kind == "I":
-        avg = _scipy_erfcx(math.sqrt(2.0) / w + 1j * (t / math.sqrt(2.0))).real
+        avg = erfcx(math.sqrt(2.0) / w + 1j * (t / math.sqrt(2.0))).real
     else:
         gauss = np.exp(-0.5 * t * t)[:, None]
         t = t[:, None]
         q = w * _POLE_B
         a = (q - t) / math.sqrt(2.0)
         below = a < 0.0
-        near = _scipy_erfcx((q + t) / math.sqrt(2.0)) + np.where(below, -1.0, 1.0) * _scipy_erfcx(np.abs(a))
+        near = erfcx((q + t) / math.sqrt(2.0)) + np.where(below, -1.0, 1.0) * erfcx(np.abs(a))
         far = np.where(below, 2.0 * np.exp(np.minimum(q * (0.5 * q - t), 0.0)), 0.0)
         voigt = gauss * near + far
         avg = math.sqrt(math.pi / 8.0) * w * (voigt @ (_POLE_C / _POLE_B))
@@ -576,7 +577,8 @@ def _exchange_tail(
     d_half^3); where that alone fails the gate (a huge |tau| cuts d_half
     short), ``QuadratureNotConvergedError`` is raised before any integral
     runs, and so it is where the coefficients or powers of d_half leave
-    the double range (a huge s, an eta_- or d_half far from 1).
+    the double range (a huge s, an eta_- or d_half far from 1), or where a
+    QUADPACK node rounds to d = 0 (d_half far below the node spacing).
     Without the tail, an undamped kernel (|C| ~ 1) loses a 1/(pi Y)
     fraction of the exchange mass, Y = |eta_-| d_half / 2.  The error is
     that bound plus the QUADPACK estimates weighted by the absolute
@@ -602,6 +604,9 @@ def _exchange_tail(
         k = 2.0 + 6.0 * abs(cos_theta)
     # a tail error reaches the rate times 1/2 (the Jacobian) over the norm
     budget = 2.0 * QUADRATURE_ERROR_GATE * _continuum_norm(state)
+    out_of_range = QuadratureNotConvergedError(
+        f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves the double range"
+    )
     try:
         scale = 2.0 * pump.sigma * SQRT_PI / (eta_m * eta_m) * 2.0
         m = k * (0.5 * s * s + abs(0.5 * s * s - 0.25 * s**4) * damp) / (eta_m * eta_m)
@@ -615,42 +620,45 @@ def _exchange_tail(
             (abs(a) + abs(b)) / d_half + abs(c) / d_half**2 + m / (3.0 * d_half**3)
         )
     except (OverflowError, ZeroDivisionError):
-        raise QuadratureNotConvergedError(
-            f"quadrature not converged: the exchange tail past |d| = {d_half:.3g} leaves the double range"
-        ) from None
+        raise out_of_range from None
+    if math.isnan(bound):  # an infinite s, or 0 times an infinite coefficient
+        raise out_of_range
     if bound < 1e-3 * QUADRATURE_ERROR_GATE:
         return [QuadratureResult(0.0, bound)] * len(taus)
 
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
 
-    h = QuadratureResult(
-        *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, epsabs=0.0, limit=200)
-    )
-    omitted = m * (h.value + h.error)
     results = []
-    for tau in taus:
-        flat = _tail_integral(csq_over_d2, d_half, tau)
-        osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
-        sines = [QuadratureResult(0.0, 0.0)] * 2
-        if symmetrized:
-            sines = [
-                _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
-                for sign in (1, -1)
-            ]
-        results.append(
-            QuadratureResult(
-                value=scale
-                * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
-                error=scale
-                * (
-                    abs(a) * flat.error
-                    + abs(b) * 0.5 * (osc[0].error + osc[1].error)
-                    + abs(c) * (sines[0].error + sines[1].error)
-                    + omitted
-                ),
-            )
+    try:
+        h = QuadratureResult(
+            *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, epsabs=0.0, limit=200)
         )
+        omitted = m * (h.value + h.error)
+        for tau in taus:
+            flat = _tail_integral(csq_over_d2, d_half, tau)
+            osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
+            sines = [QuadratureResult(0.0, 0.0)] * 2
+            if symmetrized:
+                sines = [
+                    _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
+                    for sign in (1, -1)
+                ]
+            results.append(
+                QuadratureResult(
+                    value=scale
+                    * (a * flat.value - b * 0.5 * (osc[0].value + osc[1].value) + c * (sines[0].value + sines[1].value)),
+                    error=scale
+                    * (
+                        abs(a) * flat.error
+                        + abs(b) * 0.5 * (osc[0].error + osc[1].error)
+                        + abs(c) * (sines[0].error + sines[1].error)
+                        + omitted
+                    ),
+                )
+            )
+    except ZeroDivisionError:  # a QUADPACK node rounds to d = 0: d_half is far below its cell
+        raise out_of_range from None
     return results
 
 
@@ -675,12 +683,17 @@ def _gaussian_sums(state: Union[FockState, CoherentState], model: CorrelationMod
     |tau|, and the batch's largest |tau| sets only its point count: 8k + 1
     points, at least 1025, with one cell spanning at most 0.35 rad of
     ``max |tau| d`` (8k puts d = 0, Model I's kink, on the stride-4 grid).
-    Past ``_BLOCK_VALUES`` points (|tau| delta above about 955) it raises
+    Past ``_BLOCK_VALUES`` points (|tau| delta above about 955), or where
+    the field's normalisation 1/(pi delta^2) overflows, it raises
     ``QuadratureNotConvergedError`` before any array is built.  Both axes
     end where the field is negligible (``_model_d_support``), so it has
     no tail past them.
     """
     delta = state.delta
+    if not math.pi * delta * delta >= np.finfo(float).tiny:
+        raise QuadratureNotConvergedError(
+            f"quadrature not converged: the Fock field's 1/(pi delta^2) overflows at delta = {delta:.3g}"
+        )
     d_half = min(12.0 * delta, max(support, 0.5 * delta))
     cells = 8 * math.ceil(min(d_half * max(map(abs, taus), default=0.0) / 1.4, _BLOCK_VALUES))
     if cells >= _BLOCK_VALUES:
@@ -704,14 +717,19 @@ def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: Correlatio
     blocks of ``_BLOCK_VALUES // n`` pump-axis rows, each summed over p
     before the next, so no n x n array is held.  The pump axis ends at
     +-8 sigma, where alpha^2 = e^-64, and the part past the d axis is
-    ``_exchange_tail``.
+    ``_exchange_tail``, worked out first: a tail it refuses (a pump width
+    whose sinc arguments leave the double range among them) stops the
+    batch before any field is built, as does a norm that overflows.
     """
     norm = _continuum_norm(state)
+    if not math.isfinite(norm):
+        raise QuadratureNotConvergedError(f"quadrature not converged: the state's norm {norm} leaves the double range")
     n = QUADRATURE_POINTS_SINC
     crystal = state.crystal
     d_half = min(support, 0.35 * (n - 1) / max([abs(crystal.eta_minus), *map(abs, taus)]))
     p = np.linspace(-8.0 * state.pump.sigma, 8.0 * state.pump.sigma, n)
     d = np.linspace(-d_half, d_half, n)
+    tails = _exchange_tail(state, model, d_half, taus)
     csq = correlation_sq_magnitude(d, model)
     alpha2 = np.exp(-((p / state.pump.sigma) ** 2))
     wp = _stride_weights(p)
@@ -730,7 +748,7 @@ def _sinc_sums(state: Union[EntangledState, SymmetrizedState], model: Correlatio
                 + np.exp(-1j * state.theta) * s_minus**2
             )
         sums = sums + wp[:, rows] @ (exchange * (alpha2[rows, None] * csq[None, :]))
-    return d, sums, _exchange_tail(state, model, d_half, taus), norm
+    return d, sums, tails, norm
 
 
 def _contract(taus: list, d: np.ndarray, sums: np.ndarray, tails: list, norm: float) -> List[QuadratureResult]:

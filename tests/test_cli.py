@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tpspeckle
 from tpspeckle import cli
 from tpspeckle.cli import main, read_curve_csv
 
@@ -110,6 +114,48 @@ def test_rate_quadrature_tail_out_of_double_range_exits_numerical(tmp_path, caps
     assert main(["rate", "--state", state, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
                  "--tau-n", "2", "--method", "quadrature", "--out", str(out)]) == 3
     assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EXTREME_QUADRATURE = {
+    # d_half = 1.9e-19 under a QUADPACK cycle of 3 pi: a node rounds to d = 0
+    "tail-node-at-zero": (
+        {"state": "entangled", "omega_bar": 100.0, "sigma": 1e-20, "nu_o": 1e-150, "nu_e": 0.0},
+        {"model": "I", "scale": 1e-20},
+    ),
+    # s = sigma eta_+ overflows: the sinc arguments would leave the double
+    # range; d_half^3 underflows (eta_- = 1e150) or the tail bound is NaN
+    "sinc-past-double-range": (
+        {"state": "entangled", "omega_bar": 100.0, "sigma": 1e300, "nu_o": 1e150, "nu_e": 0.0},
+        {"model": "I", "scale": 1.0},
+    ),
+    "sinc-past-double-range-nan-bound": (
+        {"state": "entangled", "omega_bar": 100.0, "sigma": 1e300, "nu_o": 1e10, "nu_e": 0.0},
+        {"model": "I", "scale": 1.0},
+    ),
+    # eta_+ = 0 and sigma / eta_- overflows the norm
+    "norm-past-double-range": (
+        {"state": "entangled", "omega_bar": 100.0, "sigma": 1e300, "nu_o": 1e-150, "nu_e": -1e-150},
+        {"model": "I", "scale": 1.0},
+    ),
+    # 1 / (pi delta^2) overflows
+    "fock-delta-1e-300": ({"state": "fock", "omega_bar": 100.0, "delta": 1e-300}, {"model": "I", "scale": 1.0}),
+}
+
+
+@pytest.mark.parametrize("state, model", list(_EXTREME_QUADRATURE.values()), ids=list(_EXTREME_QUADRATURE))
+def test_rate_quadrature_extreme_input_exits_numerical_quietly(tmp_path, state, model):
+    # refused with one error line and no file; a fresh interpreter, where a
+    # RuntimeWarning is printed rather than raised, shows any on stderr
+    out = tmp_path / "q.csv"
+    src = os.path.dirname(os.path.dirname(tpspeckle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["rate", "--state", json.dumps(state), "--model", json.dumps(model), "--tau-min", "0",
+            "--tau-max", "1", "--tau-n", "2", "--method", "quadrature", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "tpspeckle.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: quadrature not converged") and proc.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 
-from tpspeckle._special import erf_ratio, one_minus_erf_ratio, sinc
+from tpspeckle._special import erf, erf_ratio, erfcx, one_minus_erf_ratio, sinc
 
 # 0, +-1e-12..1e-1, both sides of the 1e-8 guard, and the subnormal end,
 # where erf(x/2) itself underflows
@@ -42,3 +45,81 @@ def test_one_minus_erf_ratio_keeps_relative_accuracy():
             assert abs(value - ref) <= 1e-15 * ref
             assert one_minus_erf_ratio(float(x)) == value
     assert one_minus_erf_ratio(0.0) == 0.0
+
+
+# [-30, 30], both sides of the branch edges 1 and 6 (from where erf is +-1)
+# and of 8 (Cephes' erfc edge), and tiny and subnormal arguments
+_ERF_X = np.concatenate(
+    [
+        np.linspace(-30.0, 30.0, 2401),
+        np.nextafter([1.0, 6.0, 8.0], 0.0),
+        [1.0, 6.0, 8.0],
+        np.nextafter([1.0, 6.0, 8.0], 9.0),
+        [1e-8, 1e-20, 1e-300, 2.2250738585072014e-308, 5e-324],
+    ]
+)
+_ERF_X = np.concatenate([_ERF_X, -_ERF_X])
+
+# x = sqrt(2)/w of the Fock and coherent forms over w in [1e-3, 1e4], and
+# the delay y = |t|/sqrt(2)
+_ERFCX_X = np.logspace(-4.0, 3.0, 29)
+_ERFCX_Y = np.concatenate([[0.0], np.logspace(-4.0, 3.0, 29)])
+
+
+def _erfcx_ref(x):
+    # mpmath's erfc stops near 1e300; past 1e5 the asymptotic series'
+    # eighth term is under 1e-80 of the first
+    x = mpmath.mpf(x)
+    if x < 1e5:
+        return mpmath.exp(x * x) * mpmath.erfc(x)
+    total, term = mpmath.mpf(0), mpmath.mpf(1)
+    for n in range(8):
+        total += term
+        term *= -(2 * n + 1) / (2 * x * x)
+    return total / (x * mpmath.sqrt(mpmath.pi))
+
+
+def test_erf_matches_mpmath():
+    got = erf(_ERF_X)
+    with mpmath.workdps(40):
+        for x, value in zip(_ERF_X, got):
+            ref = mpmath.erf(mpmath.mpf(float(x)))
+            # a subnormal erf keeps only its absolute spacing
+            assert abs(value - ref) <= 4e-16 * abs(ref) + 2.0**-1074
+            assert erf(float(x)) == value  # scalar and array calls agree
+    assert np.array_equal(erf(-_ERF_X), -got)
+    assert erf(0.0) == 0.0 and np.all(np.abs(erf(np.array([6.0, 30.0, 1e300]))) == 1.0)
+
+
+def test_real_erfcx_matches_mpmath():
+    x = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 121), np.linspace(0.0, 30.0, 121)])
+    got = erfcx(x)
+    assert got[0] == 1.0
+    with mpmath.workdps(40):
+        for value, u in zip(got, x):
+            assert abs(value - _erfcx_ref(float(u))) <= 1e-15 * _erfcx_ref(float(u))
+            assert erfcx(float(u)) == value
+
+
+def test_complex_erfcx_matches_mpmath():
+    z = (_ERFCX_X[:, None] + 1j * _ERFCX_Y).ravel()
+    got = erfcx(z)
+    with mpmath.workdps(40):
+        for value, u in zip(got, z):
+            zm = mpmath.mpc(complex(u))
+            ref = mpmath.exp(zm * zm) * mpmath.erfc(zm)
+            assert abs(value - ref) <= 2e-15 * abs(ref)
+            assert erfcx(complex(u)) == value
+
+
+def test_special_functions_warn_at_no_finite_argument():
+    big = np.finfo(float).max
+    real = np.array([0.0, 5e-324, 1e-300, 1.0, 1e154, 1e300, big])
+    parts = np.concatenate([real, -real])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [erf(parts), erfcx(real), erfcx(real[:, None] + 1j * parts), erf_ratio(parts), one_minus_erf_ratio(parts)]
+    assert all(np.all(np.isfinite(v)) for v in values)
+    # the 1 / (sqrt(pi) x) asymptote, not an overflow, from 1e154 up
+    assert erfcx(1e300) == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300), rel=1e-15)
+    assert erfcx(1e300 + 1e300j) == pytest.approx(1.0 / (math.sqrt(math.pi) * (1e300 + 1e300j)), rel=1e-15)
