@@ -42,7 +42,8 @@ precision beyond |t| ~ 6, while ``Re erfcx(z)`` with
 ``z = sqrt(2)/w + i|t|/sqrt(2)`` is the same quantity evaluated as a single
 decaying factor.  ``erfcx`` is Weideman's rational series and ``erf`` the
 Cephes rational forms, both in numpy (``_special``), so the closed forms
-load no scipy; ``quad`` imports ``scipy.integrate`` on its first call.
+load no scipy; ``quad``, the one QUADPACK call of the exchange tail,
+imports ``scipy.integrate`` on its first call.
 
 ``rate_numeric_batch`` is the independent verification route: a
 tensor-product trapezoid quadrature (in rotated sum/difference frequency
@@ -69,9 +70,9 @@ curve into the CSV header.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -193,15 +194,6 @@ def _graded(smallest) -> np.ndarray:
     return steps
 
 
-@functools.lru_cache(maxsize=64)
-def _peak_offsets(w: float) -> np.ndarray:
-    """0 and +-0.25 / (pi^2 w) * 4^j below 2: the edges around the kernel peak, relative to it."""
-    steps = _graded(0.25 / (math.pi**2 * w))
-    offsets = np.concatenate([[0.0], -steps, steps])
-    offsets.flags.writeable = False
-    return offsets
-
-
 def _panel_edges(t: np.ndarray, w: float, s: np.ndarray) -> np.ndarray:
     """Panel edges on [-1, 1] as offsets d = x - t from the kernel peak, one sorted row per point (t, s).
 
@@ -218,7 +210,8 @@ def _panel_edges(t: np.ndarray, w: float, s: np.ndarray) -> np.ndarray:
     t = t[:, None]
     lo, x0, hi = -1.0 - t, -t, 1.0 - t
     peak = np.minimum(np.maximum(0.0, lo), hi)
-    parts = [lo, x0, hi, peak + _peak_offsets(w)]
+    steps = _graded(0.25 / (math.pi**2 * w))
+    parts = [lo, x0, hi, peak, peak - steps, peak + steps]
     wide = s > 4.0
     if wide.any():
         steps = _graded(np.divide(1.0, s, out=np.full_like(s, 2.0), where=wide))
@@ -532,22 +525,18 @@ def _model_d_support(model: CorrelationModel) -> float:
     return (19.0 if isinstance(model, ModelI) else 600.0) * _model_scale(model)
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on its first call: only the
-    exchange tail integrates with QUADPACK, and most commands never reach it."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
-
-
-def _tail_integral(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
+def quad(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
     """Int_a^inf f(d) w(freq d) dd, w = cos or sin, for decaying f (QUADPACK
     Fourier rule), with its error estimate; at freq ~ 0, a plain integral
-    held to a relative tolerance, as the default absolute 1.5e-8 is loose."""
+    held to a relative tolerance, as the default absolute 1.5e-8 is loose.
+    Only the exchange tail integrates with QUADPACK, and most commands
+    never reach it, so ``scipy.integrate`` is imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
     if abs(freq) < 1e-12:
-        flat = quad(f, a, np.inf, epsabs=0.0, limit=200) if weight == "cos" else (0.0, 0.0)
+        flat = scipy_quad(f, a, np.inf, epsabs=0.0, limit=200) if weight == "cos" else (0.0, 0.0)
         return QuadratureResult(*flat)
-    value, error = quad(f, a, np.inf, weight=weight, wvar=abs(freq), limit=200)
+    value, error = scipy_quad(f, a, np.inf, weight=weight, wvar=abs(freq), limit=200)
     return QuadratureResult(-value if weight == "sin" and freq < 0 else value, error)
 
 
@@ -587,9 +576,12 @@ def _exchange_tail(
     give under 1e-3 of ``QUADRATURE_ERROR_GATE`` (|C|^2 decayed by d_half),
     every tail is 0 with that bound as its error, and no integral runs.
     The coefficients, that decision and H do not depend on tau, so they are
-    worked out once per batch; each tau then costs 3 (entangled) or 5
-    (symmetrized) QUADPACK integrals.  These are the package's only use
-    of ``scipy.integrate``, which ``quad`` imports on its first call.
+    worked out once per batch, and so is each tail integral: one cosine
+    integral per distinct frequency among |tau| and |eta_- +- tau| (F and
+    O_pm share them, as does a +-tau pair) and, for a symmetrized state,
+    one sine integral per distinct signed eta_- +- tau.  Each tau's value
+    and error are then sums of those.  ``quad`` runs every integral; it is
+    the package's only use of ``scipy.integrate``.
     """
     pump, crystal = state.pump, state.crystal
     eta_m = crystal.eta_minus
@@ -629,21 +621,19 @@ def _exchange_tail(
     def csq_over_d2(d):
         return correlation_sq_magnitude(d, model) / (d * d)
 
+    shifted = [(eta_m + tau, eta_m - tau) for tau in taus]
     results = []
     try:
-        h = QuadratureResult(
-            *quad(lambda d: correlation_sq_magnitude(d, model) / (d * d) / (d * d), d_half, np.inf, epsabs=0.0, limit=200)
-        )
+        h = quad(lambda d: csq_over_d2(d) / (d * d), d_half, 0.0)
         omitted = m * (h.value + h.error)
-        for tau in taus:
-            flat = _tail_integral(csq_over_d2, d_half, tau)
-            osc = [_tail_integral(csq_over_d2, d_half, eta_m + sign * tau) for sign in (1, -1)]
-            sines = [QuadratureResult(0.0, 0.0)] * 2
-            if symmetrized:
-                sines = [
-                    _tail_integral(lambda d: csq_over_d2(d) / d, d_half, eta_m + sign * tau, "sin")
-                    for sign in (1, -1)
-                ]
+        cos_at = {f: quad(csq_over_d2, d_half, f) for f in dict.fromkeys(map(abs, [*taus, *chain(*shifted)]))}
+        sin_at = {}
+        if symmetrized:
+            sin_at = {f: quad(lambda d: csq_over_d2(d) / d, d_half, f, "sin") for f in dict.fromkeys(chain(*shifted))}
+        for tau, pair in zip(taus, shifted):
+            flat = cos_at[abs(tau)]
+            osc = [cos_at[abs(f)] for f in pair]
+            sines = [sin_at.get(f, QuadratureResult(0.0, 0.0)) for f in pair]
             results.append(
                 QuadratureResult(
                     value=scale

@@ -261,7 +261,9 @@ def test_tail_integral_error_estimate_is_checked(monkeypatch):
     model = ModelI(omega_corr=1e3)
     healthy = rate_numeric(state, model, tau=0.5)
     quad = rates.quad
-    monkeypatch.setattr(rates, "quad", lambda *a, **k: (quad(*a, **k)[0], 1e-3))
+    monkeypatch.setattr(
+        rates, "quad", lambda f, a, freq, weight="cos": rates.QuadratureResult(quad(f, a, freq, weight).value, 1e-3)
+    )
     with pytest.raises(QuadratureNotConvergedError):
         rate_numeric(state, model, tau=0.5)
     monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1.0)
@@ -447,20 +449,53 @@ def test_flat_tail_integral_is_held_to_a_relative_tolerance():
 
     model = ModelI(omega_corr=1e9)
     d_half = 537.6
-    res = rates._tail_integral(lambda d: correlation_sq_magnitude(d, model) / (d * d), d_half, 0.0)
+    res = rates.quad(lambda d: correlation_sq_magnitude(d, model) / (d * d), d_half, 0.0)
     exact = float(mpmath.expint(2, mpmath.mpf(2.0 * d_half / model.omega_corr)) / d_half)
     assert abs(res.value - exact) <= res.error
 
 
 def test_flat_model_i_kernel_keeps_the_tail_integrals(monkeypatch):
     # omega_corr = 1e3 leaves |C|^2 near 1 past the d axis: the bound is
-    # not negligible and the tail is integrated (3 calls and the H integral)
+    # not negligible and the tail is integrated (F(0), one O_pm for both
+    # signs of eta_- +- 0, and the H integral)
     calls = _counting_quad(monkeypatch)
     state = _ent(2.0)
     model = ModelI(omega_corr=1e3)
     res = rate_numeric_batch(state, model, [0.0])[0]
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
+
+
+# values and errors of the batch below, as the route gave them when every
+# tau ran its own five tail integrals (64 calls in all)
+_SHARED_TAIL_BATCH = [
+    (1.0003292149164302, 4.093062566445465e-06),
+    (1.0005825077870936, 2.4370630169088346e-06),
+    (1.0040271095868443, 1.4217384506141584e-06),
+    (1.244791362659888, 8.004378786331002e-07),
+    (1.4603413884491465, 4.269069903040953e-07),
+    (1.6286781018891539, 2.320640062171265e-07),
+    (1.742460611439631, 1.6501816270901505e-07),
+    (1.628678101889154, 2.3206400625700285e-07),
+    (1.4603413884491465, 4.269069902941262e-07),
+    (1.2447913626598879, 8.004378786281158e-07),
+    (1.0040271095868443, 1.421738450601697e-06),
+    (1.0005825077870936, 2.4370630169030223e-06),
+    (1.0003292149164302, 4.093062566454602e-06),
+]
+
+
+def test_each_tail_frequency_is_integrated_once_per_batch(monkeypatch):
+    # a flat kernel keeps the tail integrals; over 13 taus symmetric about
+    # 0 (eta_- = 1) the cosine frequencies |tau| and |1 +- tau| take 11
+    # distinct values and the signed sine frequencies 1 +- tau 13, so with
+    # the H integral the batch makes 25 calls, and each value and error is
+    # the one of 5 integrals per tau
+    calls = _counting_quad(monkeypatch)
+    state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.5 * math.pi)
+    results = rate_numeric_batch(state, ModelI(omega_corr=1e3), np.linspace(-1.5, 1.5, 13))
+    assert len(calls) == 25
+    assert [(float(res.value), float(res.error)) for res in results] == _SHARED_TAIL_BATCH
 
 
 # --- a seeded random scan over states, models and delays
