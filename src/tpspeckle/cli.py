@@ -366,18 +366,31 @@ def _figure_dataset(figure_id, kind, args):
         notes.append("nu_o, nu_e are user inputs; literature-style placeholders, not source values")
         return "sigma_over_dw_cw", sig, ["ratio_o", "ratio_e"], [ratios[:, 0], ratios[:, 1]], notes
 
-    xname, x, columns = _figure_columns(figure_id, kind, args, notes)
-    cols = [rate(x) for _, rate in columns]
-    return xname, x, [name for name, _ in columns], cols, notes
+    xname, x, names, groups = _figure_columns(figure_id, kind, args, notes)
+    columns = {}
+    for group, rate in groups:
+        columns.update(zip(group, np.atleast_2d(rate(x))))
+    return xname, x, names, [columns[name] for name in names], notes
+
+
+def _one_call_per_column(xname, x, columns):
+    """``_figure_columns``' return for [(column name, rate over the abscissa)]."""
+    return xname, x, [name for name, _ in columns], [([name], rate) for name, rate in columns]
 
 
 def _figure_columns(figure_id, kind, args, notes):
-    """(abscissa name, abscissa, [(column name, rate over the abscissa array)]) of figures 3..10.
+    """(abscissa name, abscissa, column names, groups) of figures 3..10.
 
-    The rate functions are looked up in this module's namespace during the
-    call, not bound at import, because the benchmark's tracer
-    (``perfbench/tracer.py``) wraps the ``cli.rate_*`` attributes to time
-    them; each is evaluated once per column, with the whole abscissa array.
+    The names are the CSV's columns in order.  Each group is (its column
+    names, a rate over the abscissa array) whose call gives those columns,
+    one row each (or the one column itself).  A symmetrized figure makes
+    one ``rate_theta`` call per (s, w) with a column of its theta values,
+    so the theta columns share their integrals; every other column is a
+    call of its own.  The rate functions are looked up in this module's
+    namespace during the call, not bound at import, because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps the ``cli.rate_*``
+    attributes to time them; each is evaluated once per group, with the
+    whole abscissa array.
     """
     t = np.linspace(-3.0, 3.0, 241)
     if figure_id == 3:
@@ -386,32 +399,50 @@ def _figure_columns(figure_id, kind, args, notes):
             raise ConfigError(f"--s-values must be finite and >= 0, got {svals}")
         if args.s_values is None:
             notes.append("s values are placeholders (figure shows them graphically); override with --s-values")
-        return "t", t, [(f"r_s={_fmt(float(s))}", lambda x, s=s: rate_entangled_cw_limit(x, s)) for s in svals]
+        return _one_call_per_column(
+            "t", t, [(f"r_s={_fmt(float(s))}", lambda x, s=s: rate_entangled_cw_limit(x, s)) for s in svals]
+        )
     if not 4 <= figure_id <= 10:
         raise ConfigError(f"unknown figure id {figure_id} (valid: 2..10)")
 
     notes.append(f"correlation model: {kind} (captions leave it implicit; --model overrides)")
     if figure_id == 4:
-        return "t", t, [(f"r_w={_w_label(w)}", lambda x, w=w: rate_entangled(x, 0.0, w, kind)) for w in _W_SET]
+        return _one_call_per_column(
+            "t", t, [(f"r_w={_w_label(w)}", lambda x, w=w: rate_entangled(x, 0.0, w, kind)) for w in _W_SET]
+        )
     if figure_id in (5, 6):
         rate = rate_fock if figure_id == 5 else rate_coherent
         columns = [(f"r_w={_w_label(w)}", lambda x, w=w: rate(x, w, kind)) for w in _W_SET]
-        return "t", np.linspace(-5.0, 5.0, 241), columns
+        return _one_call_per_column("t", np.linspace(-5.0, 5.0, 241), columns)
 
-    def name(theta, w, s=""):
-        return f"r_theta={_fmt(round(theta, 6))}{s}_w={_w_label(w)}"
+    def name(theta, s, w):
+        s_part = f"_s={_fmt(s)}" if figure_id in (9, 10) else ""
+        return f"r_theta={_fmt(round(theta, 6))}{s_part}_w={_w_label(w)}"
+
+    def theta_columns(xname, x, pairs, ws, rate):
+        """Columns theta-major over the (theta, s) pairs and the ws, in one
+        group per (s, w) over a column of its theta values."""
+        names = [name(theta, s, w) for theta, s in pairs for w in ws]
+        groups = []
+        for s in dict.fromkeys(s for _, s in pairs):
+            thetas = [theta for theta, other in pairs if other == s]
+            column = np.array(thetas)[:, None]
+            for w in ws:
+                groups.append(([name(theta, s, w) for theta in thetas],
+                               lambda x, s=s, w=w, column=column: rate(x, s, w, column)))
+        return xname, x, names, groups
+
+    def over_t(x, s, w, theta):
+        return rate_theta(x, s, w, theta, kind)
 
     if figure_id == 7:
-        return "t", t, [(name(theta, w), lambda x, theta=theta, w=w: rate_theta(x, 0.0, w, theta, kind))
-                        for theta in (0.0, math.pi) for w in (math.inf, 0.3)]
+        return theta_columns("t", t, [(0.0, 0.0), (math.pi, 0.0)], (math.inf, 0.3), over_t)
     if figure_id == 8:
-        return "s", np.linspace(0.0, 8.0, 161), [
-            (name(theta, w), lambda x, theta=theta, w=w: rate_theta(0.0, x, w, theta, kind))
-            for theta in (0.0, math.pi / 2, math.pi) for w in _W_SET
-        ]
+        pairs = [(theta, None) for theta in (0.0, math.pi / 2, math.pi)]
+        return theta_columns("s", np.linspace(0.0, 8.0, 161), pairs, _W_SET,
+                             lambda x, s, w, theta: rate_theta(0.0, x, w, theta, kind))
     pairs = [(0.0, 4.0), (math.pi / 2, 4.0)] if figure_id == 9 else [(0.0, 4.0), (math.pi / 2, 0.0)]
-    return "t", t, [(name(theta, w, f"_s={_fmt(s)}"), lambda x, theta=theta, s=s, w=w: rate_theta(x, s, w, theta, kind))
-                    for theta, s in pairs for w in _W_SET]
+    return theta_columns("t", t, pairs, _W_SET, over_t)
 
 
 def cmd_figure(args) -> int:

@@ -16,8 +16,11 @@ the Lorentzian ``2w / (4 + w^2 (x + t)^2)``.  For the diffusive Model II
 the exact pole expansion of |C_II|^2 makes ``f`` a short sum of
 exponentials and the Fock/coherent averages short sums of the
 Gaussian x Lorentzian closed form.  The x-integrals of both models use one
-composite Gauss-Legendre rule, evaluated as numpy arrays, whose embedded
-lower-order rule checks every value.
+composite 21-point Gauss-Kronrod rule, evaluated as numpy arrays.  Each
+node is evaluated once and serves both the value and its error estimate
+(against the embedded 10-point Gauss rule) and, in a symmetrized call,
+every theta: that kernel is (1 + cos theta) J - K, with J and K free of
+theta.
 
 Every form takes w in [0, inf].  Frequency-flat transmission (the cw
 limit, a model at infinite scale) is w = inf of the same forms, for
@@ -30,10 +33,11 @@ each is O(s^2).  Where 1 + cos(theta) rounds to 0, s = 0 is a 0/0 limit,
 and s is raised to 1e-8, below which the ratio no longer moves in double
 precision; the closed form raises no degenerate-state error.
 
-The reduced forms take numbers or arrays of t (and s), so a figure column
-or a closed-form curve is one call over its abscissa, once per column
-rather than once per point; a call with numbers is the size-1 case of the
-same code and returns a float.
+The reduced forms take numbers or arrays of t (and s, and theta), so a
+figure column or a closed-form curve is one call over its abscissa, once
+per column rather than once per point, and a figure's theta columns at one
+(s, w) are one call over a column of theta; a call with numbers is the
+size-1 case of the same code and returns a float.
 
 The Fock/coherent closed forms are evaluated through the scaled
 complementary error function: the textbook grouping multiplies
@@ -164,11 +168,46 @@ _POLE_A = 0.5 * math.pi * _POLE_C / _POLE_B
 # integral of G) and skips numpy's slow subnormal path of exp.
 _EXP_FLOOR = -708.0
 
-# Composite Gauss-Legendre rule of the reduced integrals: 20 nodes per
-# panel, with the embedded 10-node rule as the error estimate.
-_GL_FINE = np.polynomial.legendre.leggauss(20)
-_GL_COARSE = np.polynomial.legendre.leggauss(10)
-_GL_NODES = np.concatenate([_GL_FINE[0], _GL_COARSE[0]])
+# The 21-point Gauss-Kronrod rule of the reduced integrals (QUADPACK's
+# dqk21) on its 11 nonnegative nodes: the Kronrod weights, and the weights
+# of the embedded 10-point Gauss rule, whose nodes are every other one (0
+# at the rest).  One evaluation per node gives both sums: the K21 sum is a
+# panel's value and |K21 - G10| its error estimate.
+_GK21_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_GK21_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GK21_WG = (
+    0.0, 0.066671344308688137593568809893332,
+    0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163,
+    0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338,
+    0.0,
+)
+
+
+def _mirrored(half, sign: float = 1.0) -> np.ndarray:
+    """Values at the nonnegative nodes, continued onto the negative ones times ``sign``."""
+    half = np.asarray(half)
+    return np.concatenate([half, sign * half[-2::-1]])
+
+
+_GK_NODES = _mirrored(_GK21_X, -1.0)
+# one column per sum: K21, G10
+_GK_WEIGHTS = np.stack([_mirrored(_GK21_WK), _mirrored(_GK21_WG)], axis=1)
 REDUCED_ERROR_GATE = 1e-7
 # float64 values (512 kB) of one block of points of ``_integrate_reduced``,
 # counted per quadrature node as its Model II pole terms; unblocked, a
@@ -238,43 +277,54 @@ def _reduced_block(kernel, t, w: float, s, kind: str, lower, upper):
     points, whose panels run from ``lower`` to ``upper`` (one row each)."""
     mid = 0.5 * (upper + lower)
     half = 0.5 * (upper - lower)
-    d = mid[..., None] + half[..., None] * _GL_NODES
+    d = mid[..., None] + half[..., None] * _GK_NODES
     xi = np.abs(w * d)
     if kind == "II":
         g = _pole_sum(xi)
     else:
         # xi^2 overflows past sqrt(max float), where g is 0 anyway; inf squares silently
         xi[xi > math.sqrt(np.finfo(float).max)] = np.inf
-        g = 2.0 / (4.0 + xi * xi)
-    y = kernel(s[:, None, None], t[:, None, None] + d) * (w * g) * half[..., None]
-    n = _GL_FINE[0].size
-    fine = y[..., :n] @ _GL_FINE[1]
-    coarse = y[..., n:] @ _GL_COARSE[1]
-    return fine.sum(axis=1), np.abs(fine - coarse).sum(axis=1)
+        g = np.square(xi, out=xi)
+        g += 4.0
+        np.divide(2.0, g, out=g)
+    g *= w
+    g *= half[..., None]
+    x = np.add(d, t[:, None, None], out=d)
+    y = kernel(s[:, None, None], x)
+    y *= g
+    sums = y @ _GK_WEIGHTS
+    fine, coarse = sums[..., 0], sums[..., 1]
+    return fine.sum(axis=-1), np.abs(fine - coarse).sum(axis=-1)
 
 
-def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str) -> np.ndarray:
-    """Int_{-1}^{1} kernel(s, x) * w * G(w (x - t)) dx at every point (t, s) by the composite Gauss-Legendre rule.
+def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str):
+    """(values, error estimates) of Int_{-1}^{1} kernel(s, x) * w * G(w (x - t)) dx at every point (t, s).
 
     ``t`` and ``s`` are 1-D arrays of one length and ``w`` is a number.  G
     is the Lorentzian 2 / (4 + xi^2) for model I and the exponential sum
     of the Model II pole expansion.  ``kernel`` takes broadcasting arrays
-    of s and x.  Both G integrate to pi over the real line, so at w = inf
-    (flat transmission) w G(w d) is pi times the delta at d = 0 and the
-    value is pi * kernel(s, t) on |t| < 1, 0 elsewhere, for either
-    ``kind``; at w = 0 it is 0.  A repeated edge of ``_panel_edges``
-    drops out, and the points with equal panel counts run together, in
-    blocks of at most ``_BLOCK_VALUES`` values, 20 per node for Model II
-    and 8 for Model I: each point's value is the one it has on its own.
-    For each point the sum over panels of |20-node - 10-node| bounds the
-    error and must stay under ``REDUCED_ERROR_GATE``; otherwise
-    ``QuadratureNotConvergedError`` names the worst point.
+    of s and x and returns one array of their shape or several stacked on
+    a leading axis, its channels: every channel is integrated on the same
+    nodes, so each evaluation of G and of the kernel serves them all, and
+    both returned arrays have the shape (channels..., points).  Both G
+    integrate to pi over the real line, so at w = inf (flat transmission)
+    w G(w d) is pi times the delta at d = 0 and the value is
+    pi * kernel(s, t) on |t| < 1, 0 elsewhere, for either ``kind``; at
+    w = 0 it is 0; both limits are exact, with estimate 0.  Otherwise each
+    panel of ``_panel_edges`` takes the 21-point Gauss-Kronrod rule: its
+    value is the K21 sum and its estimate |K21 - G10|, with the embedded
+    10-point Gauss rule, summed over the panels.  A repeated edge drops
+    out, and the points with equal panel counts run together, in blocks of
+    at most ``_BLOCK_VALUES`` values, 20 per node for Model II and 8 for
+    Model I: each point's value is the one it has on its own.  The caller
+    gates the estimates (``_check_reduced``).
     """
+    shape = np.shape(kernel(s[:0], t[:0]))[:-1] + t.shape  # the kernel at no point gives its channels
     if w == 0.0:
-        return np.zeros(t.size)
+        return np.zeros(shape), np.zeros(shape)
     if math.isinf(w):
         inside = np.abs(t) < 1.0
-        return np.where(inside, math.pi * kernel(s, np.where(inside, t, 0.0)), 0.0)
+        return np.where(inside, math.pi * kernel(s, np.where(inside, t, 0.0)), 0.0), np.zeros(shape)
     edges = _panel_edges(t, w, s)
     lower, upper = edges[:, :-1], edges[:, 1:]
     real = upper > lower
@@ -283,25 +333,31 @@ def _integrate_reduced(kernel, t: np.ndarray, w: float, s: np.ndarray, kind: str
     # value per node alive at once: its figure columns ran fastest in blocks
     # of 2^13 nodes, about 30% faster than 2^16, which spill the CPU cache
     per_node = _POLE_B.size if kind == "II" else 8
-    value = np.empty(t.size)
-    error = np.empty(t.size)
+    value = np.empty(shape)
+    error = np.empty(shape)
     for panels in sorted(set(count.tolist())):
         rows = np.flatnonzero(count == panels)
-        size = max(1, _BLOCK_VALUES // (max(panels, 1) * _GL_NODES.size * per_node))
+        size = max(1, _BLOCK_VALUES // (max(panels, 1) * _GK_NODES.size * per_node))
         for start in range(0, rows.size, size):
             block = rows[start : start + size]
             keep = real[block]
-            value[block], error[block] = _reduced_block(
+            value[..., block], error[..., block] = _reduced_block(
                 kernel, t[block], w, s[block], kind,
                 lower[block][keep].reshape(block.size, panels), upper[block][keep].reshape(block.size, panels),
             )
+    return value, error
+
+
+def _check_reduced(error: np.ndarray, w: float, **where) -> None:
+    """``QuadratureNotConvergedError`` naming the worst point unless every
+    estimate is within ``REDUCED_ERROR_GATE``; ``where`` holds the points'
+    coordinates, one array each, in the order the message gives them."""
     if not (error <= REDUCED_ERROR_GATE).all():
         worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
+        at = "".join(f"{name}={coord[worst]:.6g}, " for name, coord in where.items())
         raise QuadratureNotConvergedError(
-            f"reduced rate integral did not converge: estimate {error[worst]:.2e} "
-            f"at t={t[worst]:.6g}, s={s[worst]:.6g}, w={w:.6g}"
+            f"reduced rate integral did not converge: estimate {error[worst]:.2e} at {at}w={w:.6g}"
         )
-    return value
 
 
 def _points(*coords):
@@ -322,14 +378,16 @@ def _shaped(values, shape):
     return float(values) if values.ndim == 0 else values
 
 
-def _check_args(t, w: float, kind: str, s=None) -> None:
+def _check_args(t, w: float, kind: str, s=None, theta=None) -> None:
     """The one argument check of the reduced forms, at every w, both
-    limits included: no t is NaN; every s is finite and >= 0; w in
-    [0, inf]; and ``kind`` "I" or "II"; else ``ValueError``."""
+    limits included: no t is NaN; every s is finite and >= 0; every theta
+    is finite; w in [0, inf]; and ``kind`` "I" or "II"; else ``ValueError``."""
     if np.isnan(t).any():
         raise ValueError("t must not be NaN")
     if s is not None and not (np.isfinite(s) & (s >= 0.0)).all():
         raise ValueError("s must be finite and >= 0")
+    if theta is not None and not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     if not w >= 0.0:
         raise ValueError(f"w must lie in [0, inf], got {w!r}")
     if kind not in ("I", "II"):
@@ -339,8 +397,8 @@ def _check_args(t, w: float, kind: str, s=None) -> None:
 # ---------------------------------------------------------------------------
 # Entangled state
 #
-# Every rate below takes numbers or arrays of t (and s), which broadcast
-# against each other; w, theta and kind are numbers.  An array call
+# Every rate below takes numbers or arrays of t (and s, and theta), which
+# broadcast against each other; w and kind are numbers.  An array call
 # returns an array of the broadcast shape, a call with numbers a float.
 
 def rate_entangled_cw_limit(t, s):
@@ -357,7 +415,9 @@ def rate_entangled(t, s, w: float, kind: str = "I"):
     """Entangled-state rate at dimensionless (t, s, w) for model ``kind``; w = inf is flat transmission."""
     (t, s), shape = _points(t, s)
     _check_args(t, w, kind, s)
-    return _shaped(1.0 + _integrate_reduced(_i_kernel, t, w, s, kind), shape)
+    value, error = _integrate_reduced(_i_kernel, t, w, s, kind)
+    _check_reduced(error, w, t=t, s=s)
+    return _shaped(1.0 + value, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +474,49 @@ def rate_coherent(t, w: float, kind: str = "I"):
 # ---------------------------------------------------------------------------
 # Symmetrized states
 
-def rate_theta(t, s, w: float, theta: float, kind: str = "I"):
+def _theta_kernels(s, x):
+    """The channels J and K of the symmetrized kernel cpl J - K, stacked:
+    J = (1-|x|)/pi exp(-s^2 x^2/4) and
+    K = (1-|x|)/pi [(1 - erf_ratio(s (1-|x|))) + expm1(-s^2 x^2/4)]."""
+    u = 1.0 - np.abs(x)
+    su = s * u
+    channels = np.empty((2, *su.shape))
+    channels[1] = one_minus_erf_ratio(su)
+    np.expm1(-0.25 * s * s * x * x, out=channels[0])
+    channels[1] += channels[0]
+    channels[0] += 1.0
+    channels *= u / math.pi
+    return channels
+
+
+def rate_theta(t, s, w: float, theta, kind: str = "I"):
     """Rate for the symmetrized state B_theta (same-mode case).
 
-    R = 1 + 2 Int kernel * w G dx / _theta_norm_denominator(theta, s), one
-    ratio at every point.  The kernel I(s,x) + cos(theta) J(s,x),
-    J(s,x) = (1-|x|) exp(-s^2 x^2/4) / pi, is evaluated as
-    (1-|x|)/pi [cpl - (1 - erf_ratio(s (1-|x|))) + (cpl - 1) expm1(-s^2 x^2/4)],
-    cpl = 1 + cos(theta).  No term of the bracket or of the denominator
-    cancels, so where theta = pi makes both O(s^2) the ratio keeps its last
-    bits.  Where cpl rounds to 0 (theta = pi to double precision), s = 0 is
-    a 0/0 limit: s is raised to ``UNIT_BELOW``, under which the ratio's
-    O(s^2) departure from that limit is below half an ulp.  A rate in
-    (-1e-9, 0) is the roundoff of a suppressed zero and is returned as 0.
+    R = 1 + 2 Int kernel * w G dx / _theta_norm_denominator(cpl, s), one
+    ratio at every point, cpl = 1 + cos(theta).  theta broadcasts against
+    t and s as they do against each other, so a column of theta values
+    gives one row per theta.  The kernel I(s,x) + cos(theta) J(s,x),
+    J(s,x) = (1-|x|) exp(-s^2 x^2/4) / pi, is written cpl J - K with
+    K = (1-|x|)/pi [(1 - erf_ratio(s (1-|x|))) + expm1(-s^2 x^2/4)]
+    (``_theta_kernels``): J and K do not depend on theta, so they are
+    integrated once per distinct (t, s) and combined per theta, and each
+    (point, theta) is gated on cpl E_J + E_K, which bounds the estimate of
+    cpl J - K.  At theta = pi the value is -K, in which no term cancels, and
+    neither does the denominator, so where theta = pi makes both O(s^2)
+    the ratio keeps its last bits.  Where cpl rounds to 0 (theta = pi to
+    double precision), s = 0 is a 0/0 limit: s is raised to
+    ``UNIT_BELOW``, under which the ratio's O(s^2) departure from that
+    limit is below half an ulp.  A rate in (-1e-9, 0) is the roundoff of a
+    suppressed zero and is returned as 0.
     """
-    (t, s), shape = _points(t, s)
-    _check_args(t, w, kind, s)
-    cpl = 1.0 + math.cos(theta)
-    if cpl == 0.0:
-        s = np.maximum(s, UNIT_BELOW)
-
-    def kernel(s, x):
-        u = 1.0 - np.abs(x)
-        return u / math.pi * (cpl - one_minus_erf_ratio(s * u) + (cpl - 1.0) * np.expm1(-0.25 * s * s * x * x))
-
-    r = 1.0 + 2.0 * _integrate_reduced(kernel, t, w, s, kind) / _theta_norm_denominator(theta, s)
+    (t, s, theta), shape = _points(t, s, theta)
+    _check_args(t, w, kind, s, theta)
+    cpl = 1.0 + np.cos(theta)
+    s = np.where(cpl == 0.0, np.maximum(s, UNIT_BELOW), s)
+    pairs, at = np.unique(np.stack([t, s]), axis=1, return_inverse=True)
+    (j, k), (j_error, k_error) = _integrate_reduced(_theta_kernels, pairs[0], w, pairs[1], kind)
+    _check_reduced(cpl * j_error[at] + k_error[at], w, t=t, s=s, theta=theta)
+    r = 1.0 + 2.0 * (cpl * j[at] - k[at]) / _theta_norm_denominator(cpl, s)
     # theta = pi, w = inf, t = 0 is an exact 0 at any s, which rounds to -eps
     r[(r < 0.0) & (r > -1e-9)] = 0.0
     return _shaped(r, shape)
@@ -579,9 +657,10 @@ def _exchange_tail(
     worked out once per batch, and so is each tail integral: one cosine
     integral per distinct frequency among |tau| and |eta_- +- tau| (F and
     O_pm share them, as does a +-tau pair) and, for a symmetrized state,
-    one sine integral per distinct signed eta_- +- tau.  Each tau's value
-    and error are then sums of those.  ``quad`` runs every integral; it is
-    the package's only use of ``scipy.integrate``.
+    one sine integral per distinct |eta_- +- tau|, negated at a negative
+    frequency as ``quad`` itself does.  Each tau's value and error are
+    then sums of those.  ``quad`` runs every integral; it is the package's
+    only use of ``scipy.integrate``.
     """
     pump, crystal = state.pump, state.crystal
     eta_m = crystal.eta_minus
@@ -629,11 +708,13 @@ def _exchange_tail(
         cos_at = {f: quad(csq_over_d2, d_half, f) for f in dict.fromkeys(map(abs, [*taus, *chain(*shifted)]))}
         sin_at = {}
         if symmetrized:
-            sin_at = {f: quad(lambda d: csq_over_d2(d) / d, d_half, f, "sin") for f in dict.fromkeys(chain(*shifted))}
+            sin_at = {f: quad(lambda d: csq_over_d2(d) / d, d_half, f, "sin")
+                      for f in dict.fromkeys(map(abs, chain(*shifted)))}
         for tau, pair in zip(taus, shifted):
             flat = cos_at[abs(tau)]
             osc = [cos_at[abs(f)] for f in pair]
-            sines = [sin_at.get(f, QuadratureResult(0.0, 0.0)) for f in pair]
+            sines = [sin_at.get(abs(f), QuadratureResult(0.0, 0.0)) for f in pair]
+            sines = [QuadratureResult(-q.value, q.error) if f < 0.0 else q for f, q in zip(pair, sines)]
             results.append(
                 QuadratureResult(
                     value=scale

@@ -199,15 +199,15 @@ def biphoton_norm_closed_form(pump: PumpParams, crystal: CrystalParams) -> float
     return math.pi ** 1.5 * pump.sigma / abs(crystal.eta_minus)
 
 
-def _theta_norm_denominator(theta: float, s):
-    """2 [1 + cos(theta) m(s)], m(s) = Erf(s/2) sqrt(pi)/s, written as
-    2 [(1 - m) + (1 + cos theta) m] so it does not cancel at theta = pi.
-    Elementwise over an array of s.
+def _theta_norm_denominator(cpl, s):
+    """2 [1 + cos(theta) m(s)], m(s) = Erf(s/2) sqrt(pi)/s, of cpl = 1 + cos(theta),
+    written as 2 [(1 - m) + cpl m] so it does not cancel at theta = pi.
+    Elementwise over arrays of cpl and s.
 
     The continuum norm of B(w1,w2) + e^{i theta} B(w2,w1) is this times
     ``biphoton_norm_closed_form``.
     """
-    return 2.0 * (one_minus_erf_ratio(s) + (1.0 + math.cos(theta)) * erf_ratio(s))
+    return 2.0 * (one_minus_erf_ratio(s) + cpl * erf_ratio(s))
 
 
 def _continuum_norm(state: Union[EntangledState, SymmetrizedState]) -> float:
@@ -217,7 +217,7 @@ def _continuum_norm(state: Union[EntangledState, SymmetrizedState]) -> float:
     if isinstance(state, SymmetrizedState):
         s = abs(state.pump.sigma * state.crystal.eta_plus)
         symmetrized_norm_sq(state.theta, s)
-        norm *= _theta_norm_denominator(state.theta, s)
+        norm *= _theta_norm_denominator(1.0 + math.cos(state.theta), s)
     return norm
 
 
@@ -227,7 +227,7 @@ def symmetrized_norm_sq(theta: float, s: float) -> float:
     Raises ``DegenerateStateError`` when the bracket drops below
     1e-10 (antisymmetric state with a nearly monochromatic pump).
     """
-    denom = _theta_norm_denominator(theta, s)
+    denom = _theta_norm_denominator(1.0 + math.cos(theta), s)
     if denom < 2.0 * NORM_DEGENERACY_FLOOR:
         raise DegenerateStateError(
             f"degenerate antisymmetric state: norm denominator {0.5 * denom:.3e} < {NORM_DEGENERACY_FLOOR}"

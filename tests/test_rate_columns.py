@@ -32,23 +32,63 @@ _STATE = SymmetrizedState(PumpParams(omega_bar=100.0, sigma=1.0), CrystalParams(
 _MODEL = ModelII(omega_th=1.0)
 
 
-def _columns(figure_id, kind):
-    _, x, columns = cli._figure_columns(figure_id, kind, _FIGURE_ARGS, [])
-    return x, columns
-
-
 @pytest.mark.parametrize("kind", ["I", "II"])
 @pytest.mark.parametrize("figure_id", range(3, 11))
 def test_column_call_equals_point_calls(figure_id, kind):
-    # every column, w = inf included: theta = pi at s = 0 (the Richardson
-    # limit) in figures 7 and 8, s up to 8 (the extra graded panels) in 8
-    x, columns = _columns(figure_id, kind)
+    # every group of columns, w = inf included: theta = pi at s = 0 (the
+    # Richardson limit) in figures 7 and 8, s up to 8 (the extra graded
+    # panels) in 8; a symmetrized group is one call over a column of theta
+    _, x, names, groups = cli._figure_columns(figure_id, kind, _FIGURE_ARGS, [])
+    assert sorted(names) == sorted(name for group, _ in groups for name in group)
     points = np.arange(0, x.size, 5)
-    for name, rate in columns:
-        column = rate(x)
-        assert column.shape == x.shape, name
-        singles = np.array([rate(float(v)) for v in x[points]])
-        assert np.max(np.abs(column[points] - singles)) <= 1e-14, name
+    for group, rate in groups:
+        columns = np.atleast_2d(rate(x))
+        assert columns.shape == (len(group), x.size), group
+        singles = np.column_stack([np.ravel(rate(float(v))) for v in x[points]])
+        assert np.max(np.abs(columns[:, points] - singles)) <= 1e-14, group
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_theta_column_equals_per_theta_calls(kind):
+    # the grids of figures 8 (t = 0 over s) and 9 (s = 4 over t), and
+    # s = 0, where theta = pi raises s and so shares no integral
+    thetas = np.array([0.0, 0.5 * math.pi, math.pi, 2.5])
+    t = np.linspace(-3.0, 3.0, 241)
+    for w in (math.inf, 1.0, 0.3):
+        for t_axis, s_axis in ((0.0, np.linspace(0.0, 8.0, 161)), (t, 4.0), (t, 0.0)):
+            rows = rate_theta(t_axis, s_axis, w, thetas[:, None], kind)
+            for row, theta in zip(rows, thetas):
+                assert np.max(np.abs(row - rate_theta(t_axis, s_axis, w, theta, kind))) <= 1e-15, (w, theta)
+
+
+def test_gauss_kronrod_rule_integrates_its_degrees():
+    # K21 is exact for x^k up to k = 31, its embedded G10 up to k = 19
+    kronrod, gauss = rates._GK_WEIGHTS.T
+    for weights, degree in ((kronrod, 31), (gauss, 19)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ rates._GK_NODES**k - exact) <= 1e-15, k
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    on = gauss != 0.0
+    order = np.argsort(rates._GK_NODES[on])
+    assert np.max(np.abs(rates._GK_NODES[on][order] - nodes)) <= 1e-15
+    assert np.max(np.abs(gauss[on][order] - weights)) <= 1e-15
+
+
+def test_figure_8_evaluates_each_node_once_for_every_theta(monkeypatch):
+    # its three theta per (s, w) share one integral, on 21 nodes per panel
+    # that give value and estimate both: 74 340 pole sums, 317 340 with a
+    # call per theta on the 20 + 10 nodes of a Gauss-Legendre pair
+    nodes = []
+    pole_sum = rates._pole_sum
+
+    def counted(xi):
+        nodes.append(xi.size)
+        return pole_sum(xi)
+
+    monkeypatch.setattr(rates, "_pole_sum", counted)
+    cli._figure_dataset(8, "II", _FIGURE_ARGS)
+    assert sum(nodes) <= 74_340
 
 
 @pytest.mark.parametrize(
@@ -99,16 +139,20 @@ def test_closed_form_curve_is_one_call(tmp_path, monkeypatch):
 
 def test_a_failing_point_inside_a_column_raises():
     # a square-root cusp off every panel edge at one point of the column:
-    # its 20- and 10-node rules disagree far above the gate
+    # its 21-node Kronrod and 10-node Gauss sums disagree far above the gate
     def kernel(s, x):
         return np.where(s > 1.0, np.sqrt(np.abs(x - 0.3)), 1.0 - np.abs(x))
 
+    def integrate(t, s):
+        _, error = rates._integrate_reduced(kernel, t, 1.0, s, "I")
+        rates._check_reduced(error, 1.0, t=t, s=s)
+
     t = np.zeros(20)
     s = np.zeros(20)
-    rates._integrate_reduced(kernel, t, 1.0, s, "I")
+    integrate(t, s)
     s[13] = 2.0
     with pytest.raises(QuadratureNotConvergedError, match="s=2,"):
-        rates._integrate_reduced(kernel, t, 1.0, s, "I")
+        integrate(t, s)
 
 
 def test_model_ii_figure_8_column_stays_memory_bounded():
@@ -133,8 +177,8 @@ def test_pole_sum_skips_only_terms_that_change_no_bit():
 
 def test_model_i_column_blocks_by_its_own_terms(monkeypatch):
     # Model I has no pole terms: its blocks count 8 kernel values per node
-    # against the budget (not 20 pole terms), so this column runs in 9
-    # blocks rather than 17
+    # against the budget (not 20 pole terms), so this column runs in 7
+    # blocks of the 21-node rule rather than 13
     blocks = []
     block = rates._reduced_block
 
@@ -145,9 +189,9 @@ def test_model_i_column_blocks_by_its_own_terms(monkeypatch):
     monkeypatch.setattr(rates, "_reduced_block", counted)
     t = np.linspace(-3.0, 3.0, 241)
     column = rate_entangled(t, 2.0, 1.0, "I")
-    assert len(blocks) == 9
+    assert len(blocks) == 7
     assert sum(rows for rows, _ in blocks) == t.size
-    assert all(rows * panels * rates._GL_NODES.size * 8 <= rates._BLOCK_VALUES for rows, panels in blocks)
+    assert all(rows * panels * rates._GK_NODES.size * 8 <= rates._BLOCK_VALUES for rows, panels in blocks)
     monkeypatch.setattr(rates, "_reduced_block", block)
     assert np.array_equal(column, [rate_entangled(float(v), 2.0, 1.0, "I") for v in t])
 

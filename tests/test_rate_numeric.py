@@ -488,13 +488,14 @@ _SHARED_TAIL_BATCH = [
 def test_each_tail_frequency_is_integrated_once_per_batch(monkeypatch):
     # a flat kernel keeps the tail integrals; over 13 taus symmetric about
     # 0 (eta_- = 1) the cosine frequencies |tau| and |1 +- tau| take 11
-    # distinct values and the signed sine frequencies 1 +- tau 13, so with
-    # the H integral the batch makes 25 calls, and each value and error is
-    # the one of 5 integrals per tau
+    # distinct values, and so do the sine frequencies |1 +- tau| (a sine
+    # integral at -f is the one at f, negated), so with the H integral the
+    # batch makes 23 calls, and each value and error is the one of 5
+    # integrals per tau
     calls = _counting_quad(monkeypatch)
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.5 * math.pi)
     results = rate_numeric_batch(state, ModelI(omega_corr=1e3), np.linspace(-1.5, 1.5, 13))
-    assert len(calls) == 25
+    assert len(calls) == 23
     assert [(float(res.value), float(res.error)) for res in results] == _SHARED_TAIL_BATCH
 
 

@@ -491,6 +491,14 @@ def test_reduced_forms_check_t_and_s(name):
             rate(0.0, s)
 
 
+def test_rate_theta_checks_theta():
+    # theta broadcasts like t and s, so one bad entry of a column is refused
+    for w in (1.0, INF):
+        for theta in (NAN, INF, np.array([[0.0], [NAN]])):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                rate_theta(0.0, 1.0, w, theta)
+
+
 def test_closed_form_rejects_nan_delay(entangled_s2, antisymmetric_s2):
     for state in (entangled_s2, antisymmetric_s2, FockState(100.0, 1.0), CoherentState(100.0, 1.0)):
         for model in (ModelI(omega_corr=1.0), ModelII(omega_th=1.0), ModelI(omega_corr=INF)):
