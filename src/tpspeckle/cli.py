@@ -589,8 +589,12 @@ def cmd_visibility(args) -> int:
         names, data = read_curve_csv(args.infile)
         if data.ndim != 2 or data.shape[1] < 2:
             raise ConfigError(f"{args.infile} needs a tau and a rate column")
-        tau_idx = names.index("tau") if "tau" in names else 0
-        r_idx = 1 if tau_idx == 0 else 0
+        tau_idx, r_idx = 0, 1  # a figure: its abscissa and first column
+        if "tau" in names:
+            rate_names = [name for name in ("r", "mean") if name in names]
+            if not rate_names:
+                raise ConfigError(f"{args.infile} has a tau column but no r or mean column")
+            tau_idx, r_idx = names.index("tau"), names.index(rate_names[0])
         v = visibility(data[:, tau_idx], data[:, r_idx])
     print(repr(v))
     return EXIT_OK

@@ -6,7 +6,8 @@ circular Gaussian random variables with
 
 * Model I  - exponential decay, ``C(dw) = exp(-|dw| / omega_corr)``,
 * Model II - diffusive kernel, ``C(dw) = z / sinh(z)`` with
-  ``z = sqrt(-i dw / omega_th)``, ``omega_th`` the Thouless frequency.
+  ``z = sqrt(-i dw / omega_th)``, ``omega_th`` the Thouless frequency,
+  evaluated in real parts (``_model_ii``), so ``|C|^2`` takes no complex step.
 
 Either scale may be inf: frequency-flat transmission (the cw limit), where
 C = 1 at every detuning.
@@ -115,27 +116,21 @@ class CovarianceFactor:
     jitter_used: float
 
 
-def _model_ii_ratio(z: np.ndarray) -> np.ndarray:
-    """z / sinh(z), stable at the removable singularity and for large |z|."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    az = np.abs(z)
+def _model_ii(delta_omega, omega_th):
+    """C_II = num (1 - i s) / (re - i s im) at v = delta_omega / omega_th; returns (num, re, im, s, a).
 
-    small = az < 1e-3
-    zs = z[small]
-    z2 = zs * zs
-    # z/sinh z = 1 - z^2/6 + 7 z^4/360 - ...
-    out[small] = 1.0 - z2 / 6.0 + 7.0 * z2 * z2 / 360.0
-
-    big = az > 20.0
-    zb = z[big]
-    # 2 z e^{-z} / (1 - e^{-2z}) avoids sinh overflow; Re z > 0 for the principal root
-    emz = np.exp(-zb)
-    out[big] = 2.0 * zb * emz / (1.0 - emz * emz)
-
-    mid = ~(small | big)
-    out[mid] = z[mid] / np.sinh(z[mid])
-    return out
+    With a = sqrt(|v| / 2), e = exp(-a) and s = sign v, z = a (1 - i s), and z and
+    sinh z times 2e give num = 2 a e, re = -expm1(-2a) cos a, im = (1 + e^2) sin a:
+    |C_II|^2 = 2 num^2 / (re^2 + im^2) has nothing to cancel.  Below a = 1e-8,
+    C_II = 1 + i s a^2 / 3 and |C_II|^2 = 1 to double precision, so the parts are
+    taken at a = 1e-8 there and the readers use the limit; past a = 800, e = 0
+    and the parts are taken at 800, so C_II(+-inf) = 0.
+    """
+    v = np.asarray(delta_omega, dtype=float) / omega_th
+    a = np.sqrt(0.5 * np.abs(v))
+    b = np.minimum(np.maximum(a, 1e-8), 800.0)
+    e = np.exp(-b)
+    return 2.0 * b * e, -np.expm1(-2.0 * b) * np.cos(b), (1.0 + e * e) * np.sin(b), np.sign(v), a
 
 
 def correlation(delta_omega, model: CorrelationModel):
@@ -144,16 +139,19 @@ def correlation(delta_omega, model: CorrelationModel):
     if isinstance(model, ModelI):
         out = np.exp(-np.abs(dw) / model.omega_corr).astype(complex)
     else:
-        z = np.sqrt(-1j * dw / model.omega_th + 0j)
-        out = _model_ii_ratio(z)
-    if np.isscalar(delta_omega) or out.ndim == 0:
-        return complex(out)
-    return out
+        num, re, im, s, a = _model_ii(dw, model.omega_th)
+        out = np.where(a < 1e-8, 1.0 + 1j * s * a * a / 3.0, num * (1.0 - 1j * s) / (re - 1j * s * im))
+    return complex(out) if out.ndim == 0 else out
 
 
 def correlation_sq_magnitude(delta_omega, model: CorrelationModel):
     """|C(delta_omega)|^2, real, even, equal to 1 at zero detuning."""
-    out = np.abs(correlation(delta_omega, model)) ** 2
+    dw = np.asarray(delta_omega, dtype=float)
+    if isinstance(model, ModelI):
+        out = np.exp(-np.abs(dw) / model.omega_corr) ** 2
+    else:
+        num, re, im, _, a = _model_ii(dw, model.omega_th)
+        out = np.where(a < 1e-8, 1.0, 2.0 * num * num / (re * re + im * im))
     return float(out) if np.ndim(out) == 0 else out
 
 

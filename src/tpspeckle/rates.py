@@ -156,8 +156,8 @@ def _i_kernel(s, x):
 #   psi(v) = sum_k c_k / (v^2 + b_k^2),   c_k = (-1)^(k+1) 4 pi^5 k^5 / sinh(pi k),
 #   G(xi)  = Int_0^inf psi(v) cos(xi v) dv = sum_k a_k exp(-b_k |xi|),   a_k = pi c_k / (2 b_k).
 # The terms past k = 20 carry under 1e-24 of psi(0) = 1 and of Int_R G = pi.
-# The series cancels for large v, so |C|^2 itself stays the direct
-# ``correlation_sq_magnitude``.
+# The series cancels at large v, and the 2v / (cosh - cos) form at small v;
+# |C|^2 stays ``correlation_sq_magnitude``, whose real parts cancel nowhere.
 _POLE_K = np.arange(1.0, 21.0)
 _POLE_B = math.pi**2 * _POLE_K**2
 _POLE_C = (-1.0) ** (_POLE_K + 1.0) * 4.0 * math.pi**5 * _POLE_K**5 / np.sinh(math.pi * _POLE_K)

@@ -498,6 +498,20 @@ def test_visibility_command(tmp_path, capsys):
     assert main(["visibility", "--in", str(curve)]) == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    # a one-combination sweep writes sigma,tau,r: its rate column is read by
+    # name, and gives the visibility of the same cw curve from ``rate``
+    sweep = tmp_path / "sweep.csv"
+    cfg = {"state": json.loads(ENT_STATE), "vary": {"sigma": [1.0]}, "tau": {"min": -20, "max": 20, "n": 81}}
+    assert main(["sweep", "--config", json.dumps(cfg), "--out", str(sweep)]) == 0
+    assert read_curve_csv(str(sweep))[0] == ["sigma", "tau", "r"]
+    capsys.readouterr()
+    assert main(["visibility", "--in", str(sweep)]) == 0
+    assert capsys.readouterr().out.strip() == "0.2718864028793013"
+    # an mc-validate report has a tau column but no rate column
+    report = tmp_path / "report.csv"
+    report.write_text("state,case,tau,closed_form,mc_mean\nentangled,0,0.0,2.0,2.0\n")
+    assert main(["visibility", "--in", str(report)]) == 2
+    assert "no r or mean column" in capsys.readouterr().err
 
 
 def test_visibility_not_converged(tmp_path):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,25 @@ def test_csq_model_ii_high_precision_oracle():
     assert correlation_sq_magnitude(10.0, MODEL_II) == pytest.approx(
         0.45438625343569136, rel=1e-10
     )
+    # C and |C|^2 of both models against 40-digit mpmath, from the subnormal
+    # detunings to where |C|^2 leaves the double range, both signs
+    v = np.concatenate([[5e-324, 1e-310, 1e-300, 1e-20], np.geomspace(1e-16, 6.3e5, 600)])
+    oracles = {
+        "I": lambda x: mpmath.exp(-abs(x)),
+        "II": lambda x: mpmath.sqrt(-1j * x) / mpmath.sinh(mpmath.sqrt(-1j * x)),
+    }
+    for kind, model in (("I", MODEL_I), ("II", MODEL_II)):
+        with mpmath.workdps(40):
+            for dw in np.concatenate([v, -v]).tolist():
+                ref = oracles[kind](mpmath.mpf(dw))
+                ref_sq = abs(ref) ** 2
+                if ref_sq <= 1e-290:
+                    continue
+                assert abs(mpmath.mpc(correlation(dw, model)) - ref) <= 1e-13 * abs(ref)
+                assert abs(correlation_sq_magnitude(dw, model) - ref_sq) <= 1e-13 * ref_sq
+        assert correlation(0.0, model) == 1.0 and correlation_sq_magnitude(0.0, model) == 1.0
+        for dw in (math.inf, -math.inf):
+            assert correlation(dw, model) == 0.0 and correlation_sq_magnitude(dw, model) == 0.0
 
 
 def test_csq_matches_abs_correlation_squared():
@@ -99,10 +119,10 @@ def test_csq_monotone_decay():
 @pytest.mark.parametrize("kind", [ModelI, ModelII])
 def test_quadrature_axes_end_where_the_kernel_has_decayed(kind):
     # what the quadrature route relies on instead of an edge-mass check:
-    # |C|^2 never rises with |d| (by at most 5 ulp, where Model II's series
-    # meets z / sinh z), so past an axis end it stays under its value
-    # there, and at the support that value is e^-38 (Model I) or 2.2e-12
-    # (Model II) at every scale
+    # |C|^2 never rises with |d| (by at most 4 ulp, Model II's roundoff
+    # under v = 4e-6, where |C|^2 = 1 - v^2/90 is 1 to within 2e-13), so
+    # past an axis end it stays under its value there, and at the support
+    # that value is e^-38 (Model I) or 2.2e-12 (Model II) at every scale
     from tpspeckle.rates import _model_d_support
 
     v = np.unique(np.concatenate([np.linspace(0.0, 2000.0, 200001), np.geomspace(1e-9, 1e6, 20001)]))
@@ -131,7 +151,8 @@ def test_magnitude_bounded(dw):
 
 
 def test_large_argument_stable():
-    # sinh would overflow near |z| ~ 700 without the scaled branch
+    # sinh z would overflow near |z| ~ 700: the real parts carry e^-a instead,
+    # and the clip at a = 800 keeps them finite up to infinite detuning
     val = correlation(1e7, MODEL_II)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) < 1e-300 or abs(val) <= 1.0
