@@ -1,25 +1,19 @@
 """Small numerical kernels shared by the state and rate modules.
 
 Everything here is pure numpy and accurate through removable
-singularities.  The two error functions are rational approximations:
+singularities.  The one rational approximation is ``erfcx``:
+exp(z^2) erfc(z) = w(i z), w the Faddeeva function, by Weideman's
+rational series with N = 40 (J. A. C. Weideman, "Computation of the
+Complex Error Function", SIAM J. Numer. Anal. 31 (1994) 1497-1518), for
+real or complex z with Re z >= 0, within 2e-15 relative on the Fock and
+coherent arguments.
 
-* ``erf``: the forms of Cephes ``ndtr.c`` (S. L. Moshier, Cephes Math
-  Library), x T(x^2) / U(x^2) of degree 4/5 for |x| <= 1 and
-  1 - exp(-x^2) P(|x|) / Q(|x|) of degree 8/8 above, within 4e-16
-  relative.  From |x| = 6 on, erfc(x) < 2.2e-17 is under half an ulp
-  of 1, and erf is exactly +-1 (Cephes' third form, for erfc past 8,
-  is never needed).
-* ``erfcx``: exp(z^2) erfc(z) = w(i z), w the Faddeeva function, by
-  Weideman's rational series with N = 40 (J. A. C. Weideman, "Computation
-  of the Complex Error Function", SIAM J. Numer. Anal. 31 (1994)
-  1497-1518), for real or complex z with Re z >= 0, within 2e-15
-  relative on the Fock and coherent arguments.
-
-Each function is evaluated only where its values are used: a branch of
-``erf`` runs on its own entries, ``_over_x`` skips an array whose entries
-it all sets to 1 (a few such entries among others cost less to
-overwrite than to pick out), and ``one_minus_erf_ratio`` runs its series
-and ``erf_ratio`` each on their own range.
+The overlap m(s) = sqrt(pi) erf(s/2) / s and 1 - m(s) share one range
+split: below |s| = 2, the Taylor series of 1 - m, which is at most 0.253
+there, gives both; from 2 on, erfcx gives m, within 4e-16 relative, and
+1 - m >= 0.25 is a plain difference.  Each range runs only on its own
+entries, and ``sinc`` and ``erf_ratio`` skip an array that is all below
+``UNIT_BELOW``, where they are 1.
 """
 
 from __future__ import annotations
@@ -30,83 +24,14 @@ import numpy as np
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
-# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8; U and Q are monic.
-_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_ERF_U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-# erfc(6) = 2.2e-17 < 2^-54: from here on 1 - erfc(|x|) rounds to 1
-_ERF_ONE = 6.0
 
-
-def _polynomial(x, coeffs, monic=False):
-    """sum_k coeffs[k] x^(n-k) by Horner's rule, into a new array; ``monic`` adds a leading x^(n+1)."""
-    out = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+def _polynomial(x, coeffs):
+    """sum_k coeffs[k] x^(n-k) by Horner's rule, into a new array."""
+    out = np.full_like(x, coeffs[0])
     for c in coeffs[1:]:
         out *= x
         out += c
     return out
-
-
-def _erf_small(x):
-    """erf for |x| <= 1."""
-    z = x * x
-    value = _polynomial(z, _ERF_T)
-    value *= x
-    value /= _polynomial(z, _ERF_U, monic=True)
-    return value
-
-
-def _erf_mid(a):
-    """erf for 1 < a < _ERF_ONE, in place of a."""
-    value = a * a
-    np.negative(value, out=value)
-    np.exp(value, out=value)
-    value *= _polynomial(a, _ERFC_P)
-    value /= _polynomial(a, _ERFC_Q, monic=True)
-    return np.subtract(1.0, value, out=a)
-
-
-def _erf_flat(x):
-    """erf of a 1-D array."""
-    a = np.abs(x)
-    small = a <= 1.0
-    if small.all():
-        return _erf_small(x)
-    mid = ~small & (a < _ERF_ONE)  # NaN is in neither branch
-    if mid.all():
-        return np.copysign(_erf_mid(a), x, out=a)
-    out = np.sign(x)  # +-1 from _ERF_ONE on; NaN stays NaN
-    if small.any():
-        out[small] = _erf_small(x[small])
-    if mid.any():
-        out[mid] *= _erf_mid(a[mid])
-    return out
-
-
-def erf(x):
-    """erf of a real number or array: a new array, a numpy float for 0-d input.
-
-    Each branch runs only on its own entries, and on the array itself
-    where it holds them all.
-    """
-    x = np.asarray(x, dtype=float)
-    return _erf_flat(x.reshape(-1)).reshape(x.shape)[()]
 
 
 # Weideman's series: w(z) = 2 p(Z) / (L - i z)^2 + 1 / (sqrt(pi) (L - i z)),
@@ -196,38 +121,70 @@ def erfcx(z):
 
 
 # Below this |x| the correctly rounded sin(x)/x and sqrt(pi) erf(x/2)/x are
-# both 1: their x^2/6 and x^2/12 terms are under half an ulp.  The guard
-# also keeps erf off subnormal arguments, where it loses relative accuracy.
+# both 1: their x^2/6 and x^2/12 terms are under half an ulp.  So sinc is 1
+# there without the 0/0 at x = 0, and an all-below array skips the work.
 UNIT_BELOW = 1e-8
 
 
-def _over_x(x, numerator):
-    """numerator(x) / x, with 1 where |x| < UNIT_BELOW; ``numerator`` does not run where every entry is 1.
-
-    ``numerator`` takes an array and returns a new one.  Returns a float
-    for 0-d input.
-    """
+def sinc(x):
+    """sin(x)/x with sinc(0) = 1 (unnormalized convention); a float for 0-d input."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     unit = np.abs(flat) < UNIT_BELOW
     if unit.all():
         out = np.ones_like(flat)
     else:
-        out = numerator(flat)
+        out = np.sin(flat)
         np.divide(out, flat, out=out, where=~unit)
         out[unit] = 1.0
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
-    return _over_x(x, np.sin)
+# 1 - erf_ratio(s) = sum_{n>=1} (-1)^(n+1) q^n / (n! (2n+1)), q = s^2/4.  For
+# |s| < 2 the 17 terms below leave out under 2e-17 of the sum.
+_OMER_SERIES = [(-1.0) ** (n + 1) / (math.factorial(n) * (2 * n + 1)) for n in range(1, 18)]
 
 
-def _erf_half(z):
-    out = erf(np.multiply(0.5, z))
-    out *= SQRT_PI
+def _omer_series(a):
+    q = a * (0.25 * a)
+    out = _polynomial(q, _OMER_SERIES[::-1])
+    out *= q
     return out
+
+
+def _erf_ratio_far(a):
+    """erf_ratio(a) for a >= 2: sqrt(pi) (1 - exp(-x^2) erfcx(x)) / a, x = a/2.
+
+    exp(-x^2) is taken as 0 from x = 30 on (it underflows there), so x^2 cannot overflow.
+    """
+    x = 0.5 * a
+    out = np.minimum(x, 30.0)
+    out *= -out
+    np.exp(out, out=out)
+    out *= _erfcx_real(x)
+    np.subtract(1.0, out, out=out)
+    out *= SQRT_PI
+    out /= a
+    return out
+
+
+def _by_range(z, series, far):
+    """``series(|z|)`` where |z| < 2 and ``far(|z|)`` elsewhere, NaN included, each on its own entries.
+
+    Elementwise over an array; returns a float for 0-d input.
+    """
+    a = np.abs(np.asarray(z, dtype=float))
+    flat = a.reshape(-1)
+    near = flat < 2.0
+    if near.all():
+        out = series(flat)
+    elif not near.any():
+        out = far(flat)
+    else:
+        out = np.empty_like(flat)
+        out[near] = series(flat[near])
+        out[~near] = far(flat[~near])
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def erf_ratio(z):
@@ -236,20 +193,10 @@ def erf_ratio(z):
     This is the two-photon spectral overlap of the biphoton with its
     frequency-swapped copy at dimensionless pump width z.
     """
-    return _over_x(z, _erf_half)
-
-
-# 1 - erf_ratio(s) = sum_{n>=1} (-1)^(n+1) q^n / (n! (2n+1)), q = s^2/4.  For
-# |s| < 2 the 17 terms below leave out under 2e-17 of the sum; from |s| = 2
-# on, 1 - erf_ratio(s) >= 0.25 and the plain difference is good to 1e-15.
-_OMER_SERIES = [(-1.0) ** (n + 1) / (math.factorial(n) * (2 * n + 1)) for n in range(1, 18)]
-
-
-def _omer_series(s):
-    q = s * (0.25 * s)
-    out = _polynomial(q, _OMER_SERIES[::-1])
-    out *= q
-    return out
+    z = np.asarray(z, dtype=float)
+    if (np.abs(z) < UNIT_BELOW).all():
+        return 1.0 if z.ndim == 0 else np.ones_like(z)
+    return _by_range(z, lambda a: 1.0 - _omer_series(a), _erf_ratio_far)
 
 
 def one_minus_erf_ratio(s):
@@ -257,15 +204,4 @@ def one_minus_erf_ratio(s):
 
     Elementwise over an array; returns a float for 0-d input.
     """
-    s = np.asarray(s, dtype=float)
-    small = np.abs(s) < 2.0
-    if small.all():
-        out = _omer_series(s)
-    elif not small.any():
-        out = 1.0 - erf_ratio(s)
-    else:
-        out = np.empty_like(s)
-        out[small] = _omer_series(s[small])
-        big = ~small
-        out[big] = 1.0 - erf_ratio(s[big])
-    return float(out) if np.ndim(out) == 0 else out
+    return _by_range(s, _omer_series, lambda a: 1.0 - _erf_ratio_far(a))

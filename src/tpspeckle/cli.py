@@ -104,6 +104,13 @@ def _finite(x, name: str) -> float:
     return x
 
 
+def _tau_axis(lo: float, hi: float, n: int) -> List[float]:
+    """``n`` evenly spaced taus from ``lo`` to ``hi``.  A step past the double
+    range makes points NaN or infinite, without a warning: the caller refuses them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, n).tolist()
+
+
 def _load_json(blob: str):
     """The one place a string becomes JSON: a file path or inline JSON."""
     if os.path.exists(blob):
@@ -303,14 +310,12 @@ def cmd_rate(args) -> int:
         most = np.iinfo(np.intp).max
         if not 2 <= args.tau_n <= most:
             raise ConfigError(f"tau-n must be >= 2 and at most {most}")
-        if not (math.isfinite(args.tau_min) and math.isfinite(args.tau_max)):
-            raise ConfigError("tau-min and tau-max must be finite")
+        taus = [_finite(tau, "tau") for tau in _tau_axis(args.tau_min, args.tau_max, args.tau_n)]
         if not args.tau_min < args.tau_max:
             raise ConfigError("tau-min must be below tau-max")
         if args.method == "monte-carlo":
             spec = {} if args.ensemble is None else _load_json(args.ensemble)
             ens = ensemble_from_config(spec, state=state, model=model, seed=args.seed)
-    taus = np.linspace(args.tau_min, args.tau_max, args.tau_n).tolist()
     config = {
         "state": state_to_config(state),
         "model": model_to_config(model),
@@ -471,8 +476,8 @@ def cmd_sweep(args) -> int:
         taus = cfg.get("tau", [0.0])
         if isinstance(taus, dict):
             axis = _object(taus, "tau axis", {"min", "max", "n"})
-            taus = np.linspace(_finite(axis["min"], "tau min"), _finite(axis["max"], "tau max"),
-                               _json_int(axis["n"], "tau n")).tolist()
+            taus = _tau_axis(_finite(axis["min"], "tau min"), _finite(axis["max"], "tau max"),
+                             _json_int(axis["n"], "tau n"))
         tau_values = [_finite(tau, "tau") for tau in taus]
         model = _parse_model(model_cfg)
         vary_keys = sorted(vary)
@@ -589,12 +594,14 @@ def cmd_visibility(args) -> int:
         names, data = read_curve_csv(args.infile)
         if data.ndim != 2 or data.shape[1] < 2:
             raise ConfigError(f"{args.infile} needs a tau and a rate column")
-        tau_idx, r_idx = 0, 1  # a figure: its abscissa and first column
+        tau_idx, r_idx = 0, 1  # a figure over the delay t: its abscissa and first column
         if "tau" in names:
             rate_names = [name for name in ("r", "mean") if name in names]
             if not rate_names:
                 raise ConfigError(f"{args.infile} has a tau column but no r or mean column")
             tau_idx, r_idx = names.index("tau"), names.index(rate_names[0])
+        elif names[0] != "t":
+            raise ConfigError(f"{args.infile} has no tau column, and its abscissa {names[0]!r} is not the delay t")
         v = visibility(data[:, tau_idx], data[:, r_idx])
     print(repr(v))
     return EXIT_OK

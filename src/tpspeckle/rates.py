@@ -44,9 +44,9 @@ complementary error function: the textbook grouping multiplies
 ``exp(-t^2/2)`` by an Erf term growing like ``exp(+t^2/2)`` and loses all
 precision beyond |t| ~ 6, while ``Re erfcx(z)`` with
 ``z = sqrt(2)/w + i|t|/sqrt(2)`` is the same quantity evaluated as a single
-decaying factor.  ``erfcx`` is Weideman's rational series and ``erf`` the
-Cephes rational forms, both in numpy (``_special``), so the closed forms
-load no scipy; ``quad``, the one QUADPACK call of the exchange tail,
+decaying factor.  ``erfcx`` is Weideman's rational series in numpy
+(``_special``), and gives ``erf_ratio`` too, so the closed forms load no
+scipy; ``quad``, the one QUADPACK call of the exchange tail,
 imports ``scipy.integrate`` on its first call.
 
 ``rate_numeric_batch`` is the independent verification route: a

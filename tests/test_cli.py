@@ -512,6 +512,12 @@ def test_visibility_command(tmp_path, capsys):
     report.write_text("state,case,tau,closed_form,mc_mean\nentangled,0,0.0,2.0,2.0\n")
     assert main(["visibility", "--in", str(report)]) == 2
     assert "no r or mean column" in capsys.readouterr().err
+    # figures 2 and 8 run over the pump width, not a delay
+    for fig in (["--id", "2", "--nu-o", "-0.073", "--nu-e", "-0.264"], ["--id", "8", "--model", "II"]):
+        figure = tmp_path / f"figure-{fig[1]}.csv"
+        assert main(["figure", *fig, "--out", str(figure)]) == 0
+        assert main(["visibility", "--in", str(figure)]) == 2
+        assert "is not the delay t" in capsys.readouterr().err
 
 
 def test_visibility_not_converged(tmp_path):
@@ -735,6 +741,20 @@ def test_rate_rejects_non_finite_tau(tmp_path):
     args = ["rate", "--state", FOCK_STATE, "--model", MODEL_I,
             "--tau-min", "nan", "--tau-max", "1", "--tau-n", "3", "--out", str(out)]
     assert main(args) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quadrature", "monte-carlo"])
+def test_rate_rejects_overflowing_tau_axis(tmp_path, capsys, method):
+    # the step 1e308 overflows: linspace gives the points [nan, inf, 1e308]
+    out = tmp_path / "r.csv"
+    args = ["rate", "--state", FOCK_STATE, "--model", MODEL_I, "--tau-min=-1e308", "--tau-max=1e308",
+            "--tau-n", "3", "--method", method, "--out", str(out)]
+    assert main(args) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+    sweep = {"state": json.loads(FOCK_STATE), "tau": {"min": -1e308, "max": 1e308, "n": 3}}
+    assert main(["sweep", "--config", json.dumps(sweep), "--out", str(out)]) == 2
     assert not out.exists()
 
 
