@@ -25,9 +25,10 @@ hands them to a per-realization function reading ``_operators``.  The
 same-mode and cross-mode correlators share one pair estimator of two
 modes' draws (mode 0 twice for same-mode); they differ only in the norm.
 
-A pass allocates one workspace (``_Workspace``), and every chunk draws
-and contracts in it through ``out=``: a pass faults its pages in once,
-not once per chunk, with the bits of the allocating formulas.
+Each process of a pass allocates one workspace (``_Workspace``), and
+each of its chunks draws and contracts in it through ``out=``: a pass
+faults its pages in once per process, not once per chunk, with the bits
+of the allocating formulas.
 
 The transmissions do not depend on the delay, so a rate curve takes one
 draw per curve: ``mc_correlator_batch`` draws each chunk once and
@@ -45,6 +46,24 @@ counter, rather than constructing a new generator per realization, and
 fills that realization's row of a real (chunk, 2n) buffer with a single
 call of 2n normals: the real parts, then the imaginary parts.
 
+A pass of at least ``2 * _WORKER_CHUNKS`` chunks may split across the
+CPUs of the process's affinity mask: its chunks go in W contiguous runs
+of whole chunks (``_runs``), W the smaller of the usable CPUs and the
+chunk count over ``_WORKER_CHUNKS``, the fewest chunks that repay a fork
+on the measured break-even (``BENCH_28.json``).  The calling process
+runs the first run; each other run runs in a worker forked for it
+(multiprocessing's ``"fork"`` context, imported only here), with its own
+workspace, and sends its values back through a pipe into their place in
+realization order.  Every chunk keeps its shapes and products, so every
+estimate has the bits of a one-process pass.  The covariance factor and
+the operators are built before the fork, and every worker inherits them.
+The pass stays in one process (``_usable_cpus``) where the process runs
+more than one OS thread, since forking a threaded process is unsafe and
+a threaded BLAS would oversubscribe the CPUs, and where the platform has
+no affinity API.  A worker's exception is raised again in the caller; a
+worker that dies raises ``TpspeckleError``; every worker is joined (or
+terminated and joined) before the pass returns or raises.
+
 Real matrices take real products, chosen by dtype.  Model I's covariance
 factor is real (``_factor`` keeps a real copy), so ``L u`` is two real
 products, one per half of the buffer; the exchange operator ``g_t`` is
@@ -57,6 +76,7 @@ complex ``g_t`` of other symmetrized states keep the complex products.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -65,6 +85,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .correlation import CorrelationModel, FrequencyGrid, _model_scale, covariance_factor
+from .errors import TpspeckleError
 from .states import (
     CoherentState,
     EntangledState,
@@ -91,7 +112,11 @@ __all__ = [
 ]
 
 _CHUNK = 512
-_VALUE_BUDGET = 8 * 2**20  # float64 values (64 MB) of one ensemble pass over a tau group
+_WORKER_CHUNKS = 4  # the fewest chunks per process of a split pass (break-even in BENCH_28.json)
+# float64 values (64 MB) of one ensemble pass over a tau group; a split
+# pass's caller briefly holds a worker's block twice (the bytes received,
+# then their copy into place)
+_VALUE_BUDGET = 8 * 2**20
 MC_GRID_POINTS = 128  # frequency points of ``mc_default_grid``
 
 
@@ -164,8 +189,9 @@ def mc_default_grid(state: StateSpec, model: CorrelationModel) -> FrequencyGrid:
 
 
 class _Workspace:
-    """The buffers of one ensemble pass, allocated once and reused by every
-    chunk, so a pass faults its pages in once rather than once per chunk.
+    """The buffers of one process's run of an ensemble pass, allocated once
+    and reused by every chunk of the run, so a process faults its pages in
+    once rather than once per chunk.
 
     Each buffer is flat and holds one complex (grid.n, chunk) array; a
     chunk of c realizations works on C-contiguous prefix views (``_view``),
@@ -248,18 +274,108 @@ def _draws(cfg: EnsembleConfig, ws: _Workspace, block: range) -> List[Tuple[np.n
     ]
 
 
+def _usable_cpus() -> int:
+    """CPUs an ensemble pass may fork workers onto: those of this process's
+    affinity mask, or 1 where a fork is unsafe (the process runs more than
+    one OS thread) or the platform cannot tell (no affinity API or no
+    ``/proc/self/task``)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return cpus if threads == 1 else 1
+
+
+def _runs(n_realizations: int) -> List[List[range]]:
+    """The chunks of ``_CHUNK`` realizations in contiguous runs, one run
+    per process of the pass, each of at least ``_WORKER_CHUNKS`` chunks."""
+    chunks = [range(start, min(start + _CHUNK, n_realizations)) for start in range(0, n_realizations, _CHUNK)]
+    most = len(chunks) // _WORKER_CHUNKS
+    workers = min(_usable_cpus(), most) if most > 1 else 1
+    cuts = [len(chunks) * k // workers for k in range(workers + 1)]
+    return [chunks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _fill(
+    out: np.ndarray, cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray], run: List[range]
+) -> np.ndarray:
+    """``out`` (rows, realizations of ``run``) from ``per_block`` over the
+    run's contiguous chunks, all in one workspace."""
+    ws = _Workspace(cfg.grid.n, modes, len(run[0]))
+    first = run[0].start
+    for block in run:
+        out[:, block.start - first : block.stop - first] = per_block(ws, *_draws(cfg, ws, block))
+    return out
+
+
+def _worker(send, fill: Callable[..., np.ndarray], rows: int, run: List[range]) -> None:
+    """A forked worker's body: sends ``None`` and the bytes of the run's
+    values, or the exception that ``fill`` raised."""
+    with send:
+        try:
+            values = fill(np.empty((rows, run[-1].stop - run[0].start)), run)
+        except Exception as exc:
+            send.send(exc)
+        else:
+            send.send(None)
+            send.send_bytes(values)
+
+
+def _split(values: np.ndarray, runs: List[List[range]], fill: Callable[..., np.ndarray]) -> None:
+    """``values`` run by run through ``fill(out, run)``: the first run in
+    this process, each other run in a worker forked for it, whose values
+    come back through a pipe.  Every worker is joined, or terminated and
+    joined, before this returns or raises."""
+    import multiprocessing  # a split pays for the import, a serial pass does not
+
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for run in runs[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(send, fill, values.shape[0], run))
+            workers.append((proc, receive, run))
+            with send:  # the worker holds the only write end: EOF if it dies
+                proc.start()
+        fill(values[:, runs[0][0].start : runs[0][-1].stop], runs[0])
+        for proc, receive, run in workers:
+            try:
+                error = receive.recv()
+                block = receive.recv_bytes() if error is None else None
+            except EOFError:
+                proc.join()
+                raise TpspeckleError(
+                    f"a Monte Carlo worker exited with code {proc.exitcode} before sending its values"
+                ) from None
+            if error is not None:
+                raise error
+            values[:, run[0].start : run[-1].stop] = np.frombuffer(block).reshape(values.shape[0], -1)
+            proc.join()
+    finally:
+        for proc, receive, _ in workers:
+            receive.close()
+            if proc.pid is None:  # never started
+                continue
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+
+
 def _ensemble(
     cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray], rows: int = 1
 ) -> np.ndarray:
     """``rows`` values per realization, shape (rows, n_realizations):
     ``per_block(workspace, (t_o, t_e) of mode 0, ...)`` over chunks of
-    ``_CHUNK`` realizations, each array of shape (grid.n, chunk), all
-    chunks in one workspace."""
+    ``_CHUNK`` realizations, each array of shape (grid.n, chunk); each run
+    of chunks (``_runs``) in one workspace and one process."""
     values = np.empty((rows, cfg.n_realizations))
-    ws = _Workspace(cfg.grid.n, modes, min(_CHUNK, cfg.n_realizations))
-    for start in range(0, cfg.n_realizations, _CHUNK):
-        block = range(start, min(start + _CHUNK, cfg.n_realizations))
-        values[:, block.start : block.stop] = per_block(ws, *_draws(cfg, ws, block))
+    runs = _runs(cfg.n_realizations)
+    if len(runs) == 1:
+        _fill(values, cfg, modes, per_block, runs[0])
+        return values
+    _factor(cfg.grid, cfg.model, cfg.t_bar)  # built here, so every worker inherits the cached factor
+    _split(values, runs, lambda out, run: _fill(out, cfg, modes, per_block, run))
     return values
 
 

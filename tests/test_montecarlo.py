@@ -412,6 +412,7 @@ def test_batch_draws_once_per_tau_group(monkeypatch, budget, draws_per_stream):
 
     monkeypatch.setattr(montecarlo, "_VALUE_BUDGET", budget)
     monkeypatch.setattr(montecarlo, "_draw_block", counted)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)  # a worker's draws would escape the count
     assert mc_correlator_batch(state, _PIN_CFG, _BATCH_TAUS) == expect
     assert sorted(calls) == [0] * draws_per_stream + [1] * draws_per_stream
 
@@ -551,9 +552,15 @@ def test_workspace_sample_transmission_matches_allocating_draw(model):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults by ru_minflt")
 @pytest.mark.parametrize("model", list(_WS_MODELS))
 @pytest.mark.parametrize("name", ["entangled", "coherent"])
-def test_pass_faults_do_not_grow_with_chunks(name, model):
-    # one workspace per pass: 20 chunks fault no more pages than 2 do
+def test_pass_faults_do_not_grow_with_chunks(name, model, monkeypatch):
+    # one workspace per pass: 20 chunks fault no more pages than 2 do.  In
+    # this process: after a fork, every page the parent writes faults once
+    # more (copy on write), whatever the chunk count
     import resource
+
+    from tpspeckle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
 
     state = _PIN_STATES[name]
 
@@ -567,3 +574,102 @@ def test_pass_faults_do_not_grow_with_chunks(name, model):
     faults(1024)  # warm-up: the covariance factor and the BLAS buffers
     small = faults(1024)
     assert faults(10_240) <= 2 * small + 500
+
+
+# --- forked workers: the bits of one process from any number of processes
+
+def _split_cfg(model, monkeypatch, processes):
+    # 700 realizations in chunks of 13 are 54 chunks, the last of 11 realizations
+    from tpspeckle import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_CHUNK", 13)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: processes)
+    assert len(montecarlo._runs(700)) == processes
+    return EnsembleConfig(grid=_PIN_CFG.grid, model=_WS_MODELS[model], t_bar=0.01, n_realizations=700, seed=29)
+
+
+@pytest.mark.parametrize("model", list(_WS_MODELS))
+def test_worker_count_changes_no_estimate(monkeypatch, model):
+    import multiprocessing
+
+    state = _PIN_STATES["entangled"]
+    results = []
+    for processes in (1, 2, 3):
+        cfg = _split_cfg(model, monkeypatch, processes)
+        results.append((
+            mc_correlator_batch(state, cfg, _WS_TAUS),
+            mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=True),
+            mc_mean_photocount(cfg, state),
+        ))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+    assert multiprocessing.active_children() == []
+
+
+def _in_workers_only(monkeypatch, action):
+    # every chunk drawn outside this process runs ``action`` first
+    import os
+
+    from tpspeckle import montecarlo
+
+    parent, draw = os.getpid(), montecarlo._draw_block
+
+    def draw_block(*args):
+        if os.getpid() != parent:
+            action()
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "_draw_block", draw_block)
+
+
+def test_worker_memory_error_exits_numerical_without_a_file(monkeypatch, tmp_path, capsys):
+    import json
+    import multiprocessing
+
+    from tpspeckle import cli
+
+    def exhausted():
+        raise MemoryError
+
+    cfg = _split_cfg("I", monkeypatch, 2)
+    _in_workers_only(monkeypatch, exhausted)
+    ensemble = json.dumps({"grid": {"half_width": cfg.grid.half_width, "n": cfg.grid.n},
+                           "n_realizations": cfg.n_realizations, "seed": cfg.seed})
+    out = tmp_path / "mc.csv"
+    assert cli.main(["rate", "--state", json.dumps({"state": "fock", "omega_bar": 100.0, "delta": 1.0}),
+                     "--model", '{"model": "I", "scale": 1.0}', "--tau-min", "0", "--tau-max", "1",
+                     "--tau-n", "2", "--method", "monte-carlo", "--ensemble", ensemble, "--out", str(out)]) == 3
+    assert "out of memory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises(monkeypatch):
+    import multiprocessing
+    import os
+
+    from tpspeckle.errors import TpspeckleError
+
+    cfg = _split_cfg("I", monkeypatch, 3)
+    _in_workers_only(monkeypatch, lambda: os._exit(7))
+    with pytest.raises(TpspeckleError, match="exited with code 7"):
+        mc_correlator_batch(_PIN_STATES["fock"], cfg, _WS_TAUS)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_a_threaded_process_never_forks():
+    import threading
+
+    from tpspeckle import montecarlo
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert montecarlo._usable_cpus() == 1
+        assert len(montecarlo._runs(10**6)) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
