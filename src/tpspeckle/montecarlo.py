@@ -370,12 +370,14 @@ def _ensemble(
     ``_CHUNK`` realizations, each array of shape (grid.n, chunk); each run
     of chunks (``_runs``) in one workspace and one process."""
     values = np.empty((rows, cfg.n_realizations))
+    # factored before the thread probe (a BLAS may start its threads in
+    # the factorisation) and before any fork, so every worker inherits it
+    _factor(cfg.grid, cfg.model, cfg.t_bar)
     runs = _runs(cfg.n_realizations)
     if len(runs) == 1:
         _fill(values, cfg, modes, per_block, runs[0])
-        return values
-    _factor(cfg.grid, cfg.model, cfg.t_bar)  # built here, so every worker inherits the cached factor
-    _split(values, runs, lambda out, run: _fill(out, cfg, modes, per_block, run))
+    else:
+        _split(values, runs, lambda out, run: _fill(out, cfg, modes, per_block, run))
     return values
 
 
