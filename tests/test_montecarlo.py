@@ -553,9 +553,9 @@ def test_workspace_sample_transmission_matches_allocating_draw(model):
 @pytest.mark.parametrize("model", list(_WS_MODELS))
 @pytest.mark.parametrize("name", ["entangled", "coherent"])
 def test_pass_faults_do_not_grow_with_chunks(name, model, monkeypatch):
-    # one workspace per pass: 20 chunks fault no more pages than 2 do.  In
-    # this process: after a fork, every page the parent writes faults once
-    # more (copy on write), whatever the chunk count
+    # one workspace per pass: 20 chunks fault no more pages than 2 do.
+    # Pinned to one process: after a fork, every page the caller writes
+    # faults once more (copy on write), whatever the chunk count
     import resource
 
     from tpspeckle import montecarlo
