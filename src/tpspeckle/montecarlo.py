@@ -60,9 +60,11 @@ the operators are built before the fork, and every worker inherits them.
 The pass stays in one process (``_usable_cpus``) where the process runs
 more than one OS thread, since forking a threaded process is unsafe and
 a threaded BLAS would oversubscribe the CPUs, and where the platform has
-no affinity API.  A worker's exception is raised again in the caller; a
-worker that dies raises ``TpspeckleError``; every worker is joined (or
-terminated and joined) before the pass returns or raises.
+no affinity API.  A worker that cannot be forked leaves its run, and
+the runs after it, to the caller.  A worker's exception is raised again
+in the caller; a worker that dies raises ``TpspeckleError``; every
+worker is joined (or terminated and joined) before the pass returns or
+raises.
 
 Real matrices take real products, chosen by dtype.  Model I's covariance
 factor is real (``_factor`` keeps a real copy), so ``L u`` is two real
@@ -322,23 +324,39 @@ def _worker(send, fill: Callable[..., np.ndarray], rows: int, run: List[range]) 
             send.send_bytes(values)
 
 
+def _start(ctx, fill: Callable[..., np.ndarray], rows: int, run: List[range]):
+    """A worker forked for ``run``, and the read end of its pipe."""
+    receive, send = ctx.Pipe(duplex=False)
+    with send:  # the worker holds the only write end: EOF if it dies
+        try:
+            proc = ctx.Process(target=_worker, args=(send, fill, rows, run))
+            proc.start()
+        except BaseException:
+            receive.close()
+            raise
+    return proc, receive
+
+
 def _split(values: np.ndarray, runs: List[List[range]], fill: Callable[..., np.ndarray]) -> None:
     """``values`` run by run through ``fill(out, run)``: the first run in
     this process, each other run in a worker forked for it, whose values
-    come back through a pipe.  Every worker is joined, or terminated and
-    joined, before this returns or raises."""
+    come back through a pipe.  Where a worker or its pipe cannot be had
+    (``OSError``: no process, memory or file descriptor left), this
+    process runs that run and the ones after it.  Every worker is joined,
+    or terminated and joined, before this returns or raises."""
     import multiprocessing  # a split pays for the import, a serial pass does not
 
     ctx = multiprocessing.get_context("fork")
-    workers = []
+    workers, local = [], runs[:1]
     try:
-        for run in runs[1:]:
-            receive, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(send, fill, values.shape[0], run))
-            workers.append((proc, receive, run))
-            with send:  # the worker holds the only write end: EOF if it dies
-                proc.start()
-        fill(values[:, runs[0][0].start : runs[0][-1].stop], runs[0])
+        for k, run in enumerate(runs[1:], 1):
+            try:
+                workers.append((*_start(ctx, fill, values.shape[0], run), run))
+            except OSError:
+                local = local + runs[k:]
+                break
+        for run in local:
+            fill(values[:, run[0].start : run[-1].stop], run)
         for proc, receive, run in workers:
             try:
                 error = receive.recv()
@@ -355,8 +373,6 @@ def _split(values: np.ndarray, runs: List[List[range]], fill: Callable[..., np.n
     finally:
         for proc, receive, _ in workers:
             receive.close()
-            if proc.pid is None:  # never started
-                continue
             if proc.exitcode is None:
                 proc.terminate()
             proc.join()

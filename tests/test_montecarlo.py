@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 
 import numpy as np
@@ -552,31 +553,83 @@ def test_workspace_sample_transmission_matches_allocating_draw(model):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults by ru_minflt")
 @pytest.mark.parametrize("model", list(_WS_MODELS))
 @pytest.mark.parametrize("name", ["entangled", "coherent"])
-def test_pass_faults_do_not_grow_with_chunks(name, model, monkeypatch):
-    # one workspace per pass: 20 chunks fault no more pages than 2 do.
-    # Pinned to one process: after a fork, every page the caller writes
-    # faults once more (copy on write), whatever the chunk count
+def test_pass_faults_do_not_grow_with_chunks(name, model, monkeypatch, fork_safe):
+    # one workspace per process of a pass: on one process and on two, 10
+    # chunks fault no more pages than 2 do; a joined worker's faults count
+    # in RUSAGE_CHILDREN.  The margin covers the larger value block and the
+    # pages the caller writes after a fork (copy on write), a few hundred
+    # of the 4 000 faults of a two-process pass; a buffer allocated per
+    # chunk would add 256 pages a chunk
+    if not fork_safe:
+        return
     import resource
 
     from tpspeckle import montecarlo
-
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
 
     state = _PIN_STATES[name]
 
     def faults(n_realizations):
         cfg = EnsembleConfig(grid=FrequencyGrid(100.0, 8.0, 128), model=_WS_MODELS[model], t_bar=0.01,
                              n_realizations=n_realizations, seed=3)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        count = lambda: sum(resource.getrusage(who).ru_minflt  # noqa: E731
+                            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        before = count()
         mc_correlator_batch(state, cfg, [0.0, 0.5])
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        return count() - before
 
-    faults(1024)  # warm-up: the covariance factor and the BLAS buffers
-    small = faults(1024)
-    assert faults(10_240) <= 2 * small + 500
+    monkeypatch.setattr(montecarlo, "_WORKER_CHUNKS", 1)
+    for processes in (2, 1):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: processes)
+        assert [len(montecarlo._runs(n)) for n in (1024, 5120)] == [processes, processes]
+        if processes == 2:
+            faults(1024)  # warm-up: the covariance factor, the BLAS buffers, the multiprocessing import
+        small = faults(1024)
+        assert faults(5120) <= small + 1_000
 
 
 # --- forked workers: the bits of one process from any number of processes
+
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.fixture(scope="session")
+def _one_thread_passes(request):
+    # the node ids of the selected ``fork_safe`` tests that pass in one fresh
+    # interpreter with one BLAS thread, and its output
+    import subprocess
+
+    import tpspeckle
+
+    ids = [item.nodeid for item in request.session.items if "fork_safe" in getattr(item, "fixturenames", ())]
+    path = [os.path.dirname(os.path.dirname(tpspeckle.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
+         "-p", "no:benchmark", *ids],
+        cwd=request.config.rootpath, env=env, capture_output=True, text=True, timeout=600,
+    )
+    passed = {line.split(" ", 1)[1] for line in done.stdout.splitlines() if line.startswith("PASSED ")}
+    return passed, done.stdout + done.stderr
+
+
+@pytest.fixture
+def fork_safe(request):
+    """Whether the test runs in this process.  Forcing a split forks it,
+    which is safe only while it runs one OS thread.  A process with more (a
+    threaded BLAS) runs the test in a fresh interpreter with one BLAS
+    thread instead, asserts that it passed there, and gives False."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("counts threads in /proc/self/task")
+    threads = len(os.listdir("/proc/self/task"))
+    if threads == 1:
+        return True
+    assert not all(os.environ.get(k) == v for k, v in _ONE_BLAS_THREAD.items()), (
+        f"{threads} OS threads with one BLAS thread: nowhere to fork safely"
+    )
+    passed, output = request.getfixturevalue("_one_thread_passes")
+    assert request.node.nodeid in passed, output
+    return False
+
 
 def _split_cfg(model, monkeypatch, processes):
     # 700 realizations in chunks of 13 are 54 chunks, the last of 11 realizations
@@ -588,28 +641,54 @@ def _split_cfg(model, monkeypatch, processes):
     return EnsembleConfig(grid=_PIN_CFG.grid, model=_WS_MODELS[model], t_bar=0.01, n_realizations=700, seed=29)
 
 
+def _split_estimates(cfg):
+    # same-mode and cross-mode rates at 3 taus, and the mean photocount
+    state = _PIN_STATES["entangled"]
+    return (
+        mc_correlator_batch(state, cfg, _WS_TAUS),
+        mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=True),
+        mc_mean_photocount(cfg, state),
+    )
+
+
 @pytest.mark.parametrize("model", list(_WS_MODELS))
-def test_worker_count_changes_no_estimate(monkeypatch, model):
+def test_worker_count_changes_no_estimate(monkeypatch, model, fork_safe):
+    if not fork_safe:
+        return
     import multiprocessing
 
-    state = _PIN_STATES["entangled"]
-    results = []
-    for processes in (1, 2, 3):
-        cfg = _split_cfg(model, monkeypatch, processes)
-        results.append((
-            mc_correlator_batch(state, cfg, _WS_TAUS),
-            mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=True),
-            mc_mean_photocount(cfg, state),
-        ))
+    results = [_split_estimates(_split_cfg(model, monkeypatch, processes)) for processes in (1, 2, 3)]
     assert results[1] == results[0]
     assert results[2] == results[0]
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("failing", [1, 2], ids=["no-worker", "second-worker"])
+def test_a_worker_that_cannot_fork_leaves_its_run_to_the_caller(monkeypatch, failing, fork_safe):
+    # ``failing`` = 1: no start succeeds; 2: of a pass's two starts, the second fails
+    if not fork_safe:
+        return
+    import errno
+    import multiprocessing
+    from multiprocessing.process import BaseProcess
+
+    expect = _split_estimates(_split_cfg("I", monkeypatch, 1))
+    start, attempts = BaseProcess.start, []
+
+    def start_or_fail(proc):
+        attempts.append(proc)
+        if len(attempts) % failing == 0:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        start(proc)
+
+    monkeypatch.setattr(BaseProcess, "start", start_or_fail)
+    assert _split_estimates(_split_cfg("I", monkeypatch, 3)) == expect
+    assert len(attempts) == 3 * failing  # a pass stops forking at its first failure
+    assert multiprocessing.active_children() == []
+
+
 def _in_workers_only(monkeypatch, action):
     # every chunk drawn outside this process runs ``action`` first
-    import os
-
     from tpspeckle import montecarlo
 
     parent, draw = os.getpid(), montecarlo._draw_block
@@ -622,7 +701,9 @@ def _in_workers_only(monkeypatch, action):
     monkeypatch.setattr(montecarlo, "_draw_block", draw_block)
 
 
-def test_worker_memory_error_exits_numerical_without_a_file(monkeypatch, tmp_path, capsys):
+def test_worker_memory_error_exits_numerical_without_a_file(monkeypatch, tmp_path, capsys, fork_safe):
+    if not fork_safe:
+        return
     import json
     import multiprocessing
 
@@ -644,9 +725,10 @@ def test_worker_memory_error_exits_numerical_without_a_file(monkeypatch, tmp_pat
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_that_dies_raises(monkeypatch):
+def test_a_worker_that_dies_raises(monkeypatch, fork_safe):
+    if not fork_safe:
+        return
     import multiprocessing
-    import os
 
     from tpspeckle.errors import TpspeckleError
 
