@@ -34,7 +34,6 @@ from .montecarlo import (
     RateRelation,
     beam_splitter_check,
     mc_correlator,
-    mc_correlator_batch,
     mc_default_grid,
     mc_mean_photocount,
     rate_correlation_relation,
@@ -51,7 +50,6 @@ from .rates import (
     rate_entangled_cw_limit,
     rate_fock,
     rate_numeric,
-    rate_numeric_batch,
     rate_theta,
     visibility,
 )

@@ -31,12 +31,12 @@ faults its pages in once per process, not once per chunk, with the bits
 of the allocating formulas.
 
 The transmissions do not depend on the delay, so a rate curve takes one
-draw per curve: ``mc_correlator_batch`` draws each chunk once and
-evaluates the estimator at every tau of the curve (the tau-independent
-direct term once per chunk, the exchange term per tau).  Its value
-buffer holds one row per tau; past ``_VALUE_BUDGET`` values the taus are
-split into groups that draw once each.  ``mc_correlator`` is its
-same-mode call at one tau; ``cross_mode=True`` gives the cross-mode rate.
+draw per curve: ``mc_correlator`` takes a list of taus, draws each chunk
+once and evaluates the estimator at every tau of the list (the
+tau-independent direct term once per chunk, the exchange term per tau).
+Its value buffer holds one row per tau; past ``_VALUE_BUDGET`` values the
+taus are split into groups that draw once each.  It gives the same-mode
+rate, and ``cross_mode=True`` the cross-mode rate.
 
 Randomness is counter-based (Philox): stream (realization r, mode m,
 polarization p) uses counter ``[0, 0, 2 m + p, r]`` under the master seed,
@@ -107,7 +107,6 @@ __all__ = [
     "mc_default_grid",
     "sample_transmission",
     "mc_correlator",
-    "mc_correlator_batch",
     "mc_mean_photocount",
     "rate_correlation_relation",
     "beam_splitter_check",
@@ -499,7 +498,7 @@ def _pair_estimator(ops: _Operators, grid: FrequencyGrid, taus: Sequence[float])
     return pair
 
 
-def mc_correlator_batch(
+def mc_correlator(
     state: StateSpec,
     cfg: EnsembleConfig,
     taus: Sequence[float],
@@ -510,9 +509,10 @@ def mc_correlator_batch(
 
     Same-mode R(tau) by default; ``cross_mode=True`` gives R_{ij}, i != j,
     from a two-mode run (parameter-free targets: 2 for the two-photon
-    states, 4 for coherent).  Each estimate equals the one-tau call at
-    the same seed.  A tau that is not finite raises ``ValueError`` before
-    anything is drawn.
+    states, 4 for coherent).  An estimate does not depend on the other
+    taus: it equals that of a one-tau list at the same seed.  Before
+    anything is drawn, ``taus`` that is a bare number raises ``TypeError``
+    and a tau that is not finite ``ValueError``.
     """
     taus = [float(tau) for tau in taus]
     if not all(math.isfinite(tau) for tau in taus):
@@ -531,11 +531,6 @@ def mc_correlator_batch(
             values = _ensemble(cfg, 1, lambda ws, mode: pair(ws, mode, mode) / norm, len(group))
         estimates.extend(_estimate(row) for row in values)
     return estimates
-
-
-def mc_correlator(state: StateSpec, cfg: EnsembleConfig, tau: float) -> McEstimate:
-    """Same-mode coincidence rate R(tau): ``mc_correlator_batch`` at one tau."""
-    return mc_correlator_batch(state, cfg, [tau])[0]
 
 
 def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:

@@ -49,7 +49,7 @@ decaying factor.  ``erfcx`` is Weideman's rational series in numpy
 scipy; ``quad``, the one QUADPACK call of the exchange tail,
 imports ``scipy.integrate`` on its first call.
 
-``rate_numeric_batch`` is the independent verification route: a
+``rate_numeric`` is the independent verification route: a
 tensor-product trapezoid quadrature (in rotated sum/difference frequency
 coordinates, with Richardson extrapolation) of the defining
 double-frequency integrals.  The delay only multiplies the integrand by
@@ -65,9 +65,9 @@ are built in blocks of pump-axis rows under the ``_BLOCK_VALUES`` budget
 of the reduced forms, so no n x n array is held, and their part past the
 d axis is the analytic exchange tail, or its bound where |C|^2 has
 decayed there; every other axis ends where the integrand is negligible.
-``rate_numeric`` is the one-tau call; both take their axes from the
-state, the model and the batch's largest |tau|, a model at infinite
-scale (the cw limit) included.  Every value comes with its error
+It takes a list of taus and returns one result per tau, with its
+axes from the state, the model and the list's largest |tau|, a model at
+infinite scale (the cw limit) included.  Every value comes with its error
 estimate; ``rate --method quadrature`` writes the worst one over its
 curve into the CSV header.
 """
@@ -107,7 +107,6 @@ __all__ = [
     "rate_coherent",
     "rate_theta",
     "rate_numeric",
-    "rate_numeric_batch",
     "rate_cross_mode",
     "rate_closed_form",
     "mean_photocount",
@@ -212,7 +211,7 @@ REDUCED_ERROR_GATE = 1e-7
 # float64 values (512 kB) of one block of points of ``_integrate_reduced``,
 # counted per quadrature node as its Model II pole terms; unblocked, a
 # Model II figure column peaks at 5 to 8 MB of temporaries.  The sinc
-# field of ``rate_numeric_batch`` takes as many values per block of
+# field of ``rate_numeric`` takes as many values per block of
 # pump-axis rows, and the Fock field's d axis at most as many points.
 _BLOCK_VALUES = 2**16
 
@@ -604,18 +603,19 @@ def _model_d_support(model: CorrelationModel) -> float:
 
 
 def quad(f, a: float, freq: float, weight: str = "cos") -> QuadratureResult:
-    """Int_a^inf f(d) w(freq d) dd, w = cos or sin, for decaying f (QUADPACK
-    Fourier rule), with its error estimate; at freq ~ 0, a plain integral
-    held to a relative tolerance, as the default absolute 1.5e-8 is loose.
-    Only the exchange tail integrates with QUADPACK, and most commands
-    never reach it, so ``scipy.integrate`` is imported on the first call."""
+    """Int_a^inf f(d) w(freq d) dd, w = cos or sin, at a frequency freq >= 0,
+    for decaying f (QUADPACK Fourier rule), with its error estimate; at
+    freq ~ 0, a plain integral held to a relative tolerance, as the default
+    absolute 1.5e-8 is loose.  The caller keeps the sign of a sine at a
+    negative frequency.  Only the exchange tail integrates with QUADPACK,
+    and most commands never reach it, so ``scipy.integrate`` is imported on
+    the first call."""
     from scipy.integrate import quad as scipy_quad
 
-    if abs(freq) < 1e-12:
+    if freq < 1e-12:
         flat = scipy_quad(f, a, np.inf, epsabs=0.0, limit=200) if weight == "cos" else (0.0, 0.0)
         return QuadratureResult(*flat)
-    value, error = scipy_quad(f, a, np.inf, weight=weight, wvar=abs(freq), limit=200)
-    return QuadratureResult(-value if weight == "sin" and freq < 0 else value, error)
+    return QuadratureResult(*scipy_quad(f, a, np.inf, weight=weight, wvar=freq, limit=200))
 
 
 def _exchange_tail(
@@ -657,8 +657,8 @@ def _exchange_tail(
     worked out once per batch, and so is each tail integral: one cosine
     integral per distinct frequency among |tau| and |eta_- +- tau| (F and
     O_pm share them, as does a +-tau pair) and, for a symmetrized state,
-    one sine integral per distinct |eta_- +- tau|, negated at a negative
-    frequency as ``quad`` itself does.  Each tau's value and error are
+    one sine integral per distinct |eta_- +- tau|, negated here at a
+    negative frequency.  Each tau's value and error are
     then sums of those.  ``quad`` runs every integral; it is the package's
     only use of ``scipy.integrate``.
     """
@@ -848,7 +848,7 @@ def _contract(taus: list, d: np.ndarray, sums: np.ndarray, tails: list, norm: fl
     return results
 
 
-def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence[float]) -> List[QuadratureResult]:
+def rate_numeric(state: StateSpec, model: CorrelationModel, taus: Sequence[float]) -> List[QuadratureResult]:
     """Rates at every tau by tensor-product quadrature of the double frequency integral.
 
     Integration runs in rotated coordinates p = w1 + w2 - 2 wbar (pump
@@ -868,10 +868,11 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
 
     Returns one ``QuadratureResult(value, error)`` per tau.  Before it
     builds anything it raises ``TypeError`` for a model that is not a
-    ``ModelI`` or a ``ModelII``, ``ValueError`` for a tau that is not
-    finite, ``MonochromaticPumpError`` for a cw pump and
-    ``DegenerateStateError`` for a degenerate symmetrized state; a model
-    at infinite scale is flat transmission.  It raises
+    ``ModelI`` or a ``ModelII`` and for ``taus`` that is a bare number,
+    ``ValueError`` for a tau that is not finite,
+    ``MonochromaticPumpError`` for a cw pump and ``DegenerateStateError``
+    for a degenerate symmetrized state; a model at infinite scale is flat
+    transmission.  It raises
     ``QuadratureNotConvergedError`` when a tau's error estimate exceeds
     ``QUADRATURE_ERROR_GATE``, when the Fock d axis would need more than
     ``_BLOCK_VALUES`` points, or when the exchange tail cannot be bounded
@@ -895,11 +896,6 @@ def rate_numeric_batch(state: StateSpec, model: CorrelationModel, taus: Sequence
                 f"quadrature not converged: estimate {res.error:.2e} > tolerance {QUADRATURE_ERROR_GATE:.2e}"
             )
     return results
-
-
-def rate_numeric(state: StateSpec, model: CorrelationModel, tau: float) -> QuadratureResult:
-    """``rate_numeric_batch`` at one tau."""
-    return rate_numeric_batch(state, model, [tau])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from tpspeckle import (
     correlation,
     covariance_factor,
     mc_correlator,
-    mc_correlator_batch,
     mc_default_grid,
     mc_mean_photocount,
     mean_photocount,
@@ -32,7 +31,7 @@ from tpspeckle import (
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
-    rate_numeric_batch,
+    rate_numeric,
     rate_theta,
     sample_transmission,
     visibility,
@@ -138,7 +137,7 @@ def test_criterion_4_closed_form_vs_quadrature():
     ts = (0.0, 0.7, 1.6)
     for s in (0.5, 2.0, 4.0):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(_entangled(s), ModelI(omega_corr=w), ts)
+            got = rate_numeric(_entangled(s), ModelI(omega_corr=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate_entangled(t, s, w)))
                 runs += 1
@@ -146,7 +145,7 @@ def test_criterion_4_closed_form_vs_quadrature():
     # symmetrized: 3 x 3 x 3 with theta cycling over the s-axis
     for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(_symmetrized(s, theta), ModelI(omega_corr=w), ts)
+            got = rate_numeric(_symmetrized(s, theta), ModelI(omega_corr=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate_theta(t, s, w, theta)))
                 runs += 1
@@ -155,7 +154,7 @@ def test_criterion_4_closed_form_vs_quadrature():
     ts = (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0)
     for state, rate in ((FockState(OMEGA_BAR, 1.0), rate_fock), (CoherentState(OMEGA_BAR, 1.0), rate_coherent)):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(state, ModelI(omega_corr=w), ts)
+            got = rate_numeric(state, ModelI(omega_corr=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate(t, w)))
                 runs += 1
@@ -173,13 +172,13 @@ def test_criterion_4_model_ii_closed_form_vs_quadrature():
     ts = (0.0, 0.7, 1.6)
     for s in (0.5, 2.0, 4.0):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(_entangled(s), ModelII(omega_th=w), ts)
+            got = rate_numeric(_entangled(s), ModelII(omega_th=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate_entangled(t, s, w, "II")))
                 runs += 1
     for s, theta in ((0.5, 0.0), (2.0, math.pi / 2), (2.0, math.pi)):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(_symmetrized(s, theta), ModelII(omega_th=w), ts)
+            got = rate_numeric(_symmetrized(s, theta), ModelII(omega_th=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate_theta(t, s, w, theta, "II")))
                 runs += 1
@@ -187,7 +186,7 @@ def test_criterion_4_model_ii_closed_form_vs_quadrature():
     ts = (0.0, 0.4, 0.8, 1.2, 1.8, 2.4, 3.0, 4.0, 5.0)
     for state, rate in ((FockState(OMEGA_BAR, 1.0), rate_fock), (CoherentState(OMEGA_BAR, 1.0), rate_coherent)):
         for w in (0.3, 1.0, 3.0):
-            got = rate_numeric_batch(state, ModelII(omega_th=w), ts)
+            got = rate_numeric(state, ModelII(omega_th=w), ts)
             for t, res in zip(ts, got):
                 worst = max(worst, abs(res.value - rate(t, w, "II")))
                 runs += 1
@@ -253,7 +252,7 @@ def test_criterion_5_monte_carlo_oracle():
         cfg = EnsembleConfig(
             grid=grid, model=model, t_bar=0.01, n_realizations=n_real, seed=ACCEPTANCE_SEED + idx
         )
-        est = mc_correlator(state, cfg, tau)
+        est = mc_correlator(state, cfg, [tau])[0]
         z = abs(est.mean - closed) / est.std_error
         worst_z = max(worst_z, z)
         worst_se = max(worst_se, est.std_error / closed if closed > 0 else est.std_error)
@@ -275,7 +274,7 @@ def test_criterion_5_monte_carlo_oracle():
             grid=grid, model=ModelI(1.0), t_bar=0.01, n_realizations=n_real,
             seed=ACCEPTANCE_SEED + 100 + k,
         )
-        est = mc_correlator_batch(state, cfg, [0.4], cross_mode=True)[0]
+        est = mc_correlator(state, cfg, [0.4], cross_mode=True)[0]
         assert abs(est.mean - expect) < 3.0 * est.std_error
     _report(
         "5 (Monte Carlo oracle)",

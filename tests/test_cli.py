@@ -528,57 +528,15 @@ def test_visibility_not_converged(tmp_path):
     assert main(["visibility", "--in", str(curve)]) == 3
 
 
-# --- environment seed default
+# --- the seed option
 
-def test_seed_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("TPSPECKLE_SEED", "777")
-    from tpspeckle.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["mc-validate", "--config", "{}", "--out", str(tmp_path / "x.csv")]
-    )
-    assert args.seed == 777
-
-
-@pytest.mark.parametrize("command", ["rate", "mc-validate"])
-def test_bad_seed_env_var_exits_2_where_a_seed_is_read(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("TPSPECKLE_SEED", "abc")
-    out = tmp_path / "x.csv"
-    argv = {
-        "rate": ["rate", "--state", FOCK_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
-                 "--tau-n", "2"],
-        "mc-validate": ["mc-validate", "--config", "{}"],
-    }[command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
-    assert exc.value.code == 2
-    assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_seed_env_var_past_the_philox_key_exits_2(tmp_path, monkeypatch, capsys):
+def test_case_seed_past_the_philox_key_exits_2(tmp_path, capsys):
     # case k of mc-validate runs at seed + k, so the second case's key is 2**128
-    monkeypatch.setenv("TPSPECKLE_SEED", str(2**128 - 1))
     out = tmp_path / "x.csv"
-    assert main(["mc-validate", "--config", '{"n_realizations": 10}', "--out", str(out)]) == 2
+    argv = ["mc-validate", "--config", '{"n_realizations": 10}', "--seed", str(2**128 - 1), "--out", str(out)]
+    assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["figure", "sweep", "visibility"])
-def test_bad_seed_env_var_is_ignored_without_a_seed(tmp_path, monkeypatch, command):
-    monkeypatch.setenv("TPSPECKLE_SEED", "abc")
-    out = tmp_path / "x.csv"
-    if command == "visibility":
-        taus = np.concatenate([[0.0], np.geomspace(0.1, 60.0, 80)])
-        rows = ["tau,r"] + [f"{float(t)!r},{float(1.0 + math.exp(-0.5 * t * t))!r}" for t in taus]
-        out.write_text("\n".join(rows) + "\n")
-    argv = {
-        "figure": ["figure", "--id", "5", "--model", "I", "--out", str(out)],
-        "sweep": ["sweep", "--config", json.dumps({"state": json.loads(FOCK_STATE)}), "--out", str(out)],
-        "visibility": ["visibility", "--in", str(out)],
-    }[command]
-    assert main(argv) == 0
 
 
 # --- monte-carlo rate method and the ensemble JSON interface
@@ -783,7 +741,7 @@ def test_out_of_memory_exits_numerical(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "mc_correlator_batch", exhausted)
+    monkeypatch.setattr(cli, "mc_correlator", exhausted)
     out = tmp_path / "mc.csv"
     assert main(["rate", "--state", ENT_STATE, "--model", MODEL_I, "--tau-min", "0", "--tau-max", "1",
                  "--tau-n", "2", "--method", "monte-carlo", "--out", str(out)]) == 3

@@ -19,7 +19,6 @@ from tpspeckle import (
     beam_splitter_check,
     correlation,
     mc_correlator,
-    mc_correlator_batch,
     mc_default_grid,
     mc_mean_photocount,
     rate_correlation_relation,
@@ -109,21 +108,21 @@ def test_sampler_covariance_recovery():
 # --- same-mode correlator vs closed forms
 
 def test_mc_fock_matches_closed_form():
-    est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(10_000), tau=0.0)
+    est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(10_000), [0.0])[0]
     closed = rate_fock(0.0, 1.0)
     assert abs(est.mean - closed) < 3.0 * est.std_error
     assert est.std_error < 0.02 * closed
 
 
 def test_mc_entangled_matches_closed_form(entangled_s2):
-    est = mc_correlator(entangled_s2, _ent_cfg(10_000), tau=0.5)
+    est = mc_correlator(entangled_s2, _ent_cfg(10_000), [0.5])[0]
     closed = rate_entangled(0.5, 2.0, 1.0)
     assert abs(est.mean - closed) < 3.0 * est.std_error
 
 
 def test_mc_symmetrized_matches_closed_form(pump_s2, crystal):
     state = SymmetrizedState(pump_s2, crystal, theta=math.pi)
-    est = mc_correlator(state, _ent_cfg(10_000, seed=303), tau=0.0)
+    est = mc_correlator(state, _ent_cfg(10_000, seed=303), [0.0])[0]
     closed = rate_theta(0.0, 2.0, 1.0, math.pi)
     assert abs(est.mean - closed) < 3.0 * est.std_error
 
@@ -137,14 +136,14 @@ def test_mc_coherent_strong_correlation():
         n_realizations=8000,
         seed=11,
     )
-    est = mc_correlator(CoherentState(100.0, 1.0), cfg, tau=0.0)
+    est = mc_correlator(CoherentState(100.0, 1.0), cfg, [0.0])[0]
     assert abs(est.mean - 4.0) < 3.0 * est.std_error
 
 
 def test_mc_entangled_large_delay_uncorrelated(entangled_s2):
     # |tau| >> |eta_minus| with weak disorder: photons transmit independently.
     # tau stays below the grid's phase-aliasing bound pi/spacing ~ 8.3.
-    est = mc_correlator(entangled_s2, _ent_cfg(6000, seed=42, w=50.0), tau=2.5)
+    est = mc_correlator(entangled_s2, _ent_cfg(6000, seed=42, w=50.0), [2.5])[0]
     assert abs(est.mean - 1.0) < 3.0 * est.std_error
 
 
@@ -156,7 +155,7 @@ def test_mc_model_ii_supported(entangled_s2):
         n_realizations=3000,
         seed=77,
     )
-    est = mc_correlator(entangled_s2, cfg, tau=0.0)
+    est = mc_correlator(entangled_s2, cfg, [0.0])[0]
     assert 1.0 - 5 * est.std_error <= est.mean <= 2.0 + 5 * est.std_error
 
 
@@ -165,16 +164,16 @@ def test_mc_determinism_and_chunk_independence(monkeypatch):
 
     state = FockState(100.0, 1.0)
     cfg = _fock_cfg(700, seed=5)
-    ref = mc_correlator(state, cfg, tau=0.3)
+    ref = mc_correlator(state, cfg, [0.3])[0]
     mc_module = sys.modules["tpspeckle.montecarlo"]
     monkeypatch.setattr(mc_module, "_CHUNK", 13)
-    alt = mc_correlator(state, cfg, tau=0.3)
+    alt = mc_correlator(state, cfg, [0.3])[0]
     assert ref == alt  # bit identical regardless of batching
 
 
 def test_mc_single_realization_spread():
     # per-realization R fluctuates; the ensemble mean is stable
-    est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(2000), tau=0.0)
+    est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(2000), [0.0])[0]
     assert est.std_error > 0.0
 
 
@@ -182,7 +181,7 @@ def test_mc_convergence_scaling():
     state = FockState(100.0, 1.0)
     se = {}
     for n in (2000, 8000):
-        se[n] = mc_correlator(state, _fock_cfg(n, seed=31), tau=0.0).std_error
+        se[n] = mc_correlator(state, _fock_cfg(n, seed=31), [0.0])[0].std_error
     ratio = se[2000] / se[8000]
     assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -190,11 +189,11 @@ def test_mc_convergence_scaling():
 # --- cross-mode
 
 def test_mc_cross_mode_parameter_free(entangled_s2):
-    est = mc_correlator_batch(entangled_s2, _ent_cfg(8000, seed=13), [0.4], cross_mode=True)[0]
+    est = mc_correlator(entangled_s2, _ent_cfg(8000, seed=13), [0.4], cross_mode=True)[0]
     assert abs(est.mean - 2.0) < 3.0 * est.std_error
-    est = mc_correlator_batch(FockState(100.0, 1.0), _fock_cfg(8000, seed=14), [0.0], cross_mode=True)[0]
+    est = mc_correlator(FockState(100.0, 1.0), _fock_cfg(8000, seed=14), [0.0], cross_mode=True)[0]
     assert abs(est.mean - 2.0) < 3.0 * est.std_error
-    est = mc_correlator_batch(CoherentState(100.0, 1.0), _fock_cfg(8000, seed=15), [0.0], cross_mode=True)[0]
+    est = mc_correlator(CoherentState(100.0, 1.0), _fock_cfg(8000, seed=15), [0.0], cross_mode=True)[0]
     assert abs(est.mean - 4.0) < 3.0 * est.std_error
 
 
@@ -227,8 +226,8 @@ def test_mc_photocount_t_bar_invariance():
 def test_mc_same_seed_shares_draws():
     # identical seeds: transmissions identical, estimates differ only via state spectra
     cfg = _fock_cfg(300, seed=99)
-    a = mc_correlator(FockState(100.0, 1.0), cfg, tau=0.0)
-    b = mc_correlator(FockState(100.0, 2.0), cfg, tau=0.0)
+    a = mc_correlator(FockState(100.0, 1.0), cfg, [0.0])[0]
+    b = mc_correlator(FockState(100.0, 2.0), cfg, [0.0])[0]
     assert a.mean != b.mean
     t1 = sample_transmission(cfg, 1, 5)
     t2 = sample_transmission(cfg, 1, 5)
@@ -311,9 +310,9 @@ def test_estimators_match_pinned_values(key):
     route, name, tau = key
     state = _PIN_STATES[name]
     if route == "same":
-        est = mc_correlator(state, _PIN_CFG, tau)
+        est = mc_correlator(state, _PIN_CFG, [tau])[0]
     elif route == "cross":
-        est = mc_correlator_batch(state, _PIN_CFG, [tau], cross_mode=True)[0]
+        est = mc_correlator(state, _PIN_CFG, [tau], cross_mode=True)[0]
     else:
         est = mc_mean_photocount(_PIN_CFG, state)
     mean, std_error = _PINNED[key]
@@ -392,8 +391,8 @@ _BATCH_TAUS = [-0.9, 0.0, 0.35, 1.2, 2.5]
 def test_batch_equals_single_tau_calls(name, cross_mode):
     # 600 realizations cross the 512-realization chunk edge
     state = _PIN_STATES[name]
-    batch = mc_correlator_batch(state, _PIN_CFG, _BATCH_TAUS, cross_mode=cross_mode)
-    single = [mc_correlator_batch(state, _PIN_CFG, [tau], cross_mode=cross_mode)[0] for tau in _BATCH_TAUS]
+    batch = mc_correlator(state, _PIN_CFG, _BATCH_TAUS, cross_mode=cross_mode)
+    single = [mc_correlator(state, _PIN_CFG, [tau], cross_mode=cross_mode)[0] for tau in _BATCH_TAUS]
     assert batch == single
 
 
@@ -403,7 +402,7 @@ def test_batch_draws_once_per_tau_group(monkeypatch, budget, draws_per_stream):
     from tpspeckle import montecarlo
 
     state = _PIN_STATES["entangled"]
-    expect = [mc_correlator(state, _PIN_CFG, tau) for tau in _BATCH_TAUS]
+    expect = [mc_correlator(state, _PIN_CFG, [tau])[0] for tau in _BATCH_TAUS]
     calls = []
     draw = montecarlo._draw_block
 
@@ -414,7 +413,7 @@ def test_batch_draws_once_per_tau_group(monkeypatch, budget, draws_per_stream):
     monkeypatch.setattr(montecarlo, "_VALUE_BUDGET", budget)
     monkeypatch.setattr(montecarlo, "_draw_block", counted)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)  # a worker's draws would escape the count
-    assert mc_correlator_batch(state, _PIN_CFG, _BATCH_TAUS) == expect
+    assert mc_correlator(state, _PIN_CFG, _BATCH_TAUS) == expect
     assert sorted(calls) == [0] * draws_per_stream + [1] * draws_per_stream
 
 
@@ -427,9 +426,22 @@ def test_batch_refuses_a_non_finite_tau_before_drawing(monkeypatch, bad):
 
     monkeypatch.setattr(montecarlo, "_ensemble", no_draws)
     with pytest.raises(ValueError, match="finite"):
-        mc_correlator_batch(FockState(100.0, 1.0), _fock_cfg(n_real=100), [0.0, bad])
+        mc_correlator(FockState(100.0, 1.0), _fock_cfg(n_real=100), [0.0, bad])
     with pytest.raises(ValueError, match="finite"):
-        mc_correlator(FockState(100.0, 1.0), _fock_cfg(n_real=100), bad)
+        mc_correlator(FockState(100.0, 1.0), _fock_cfg(n_real=100), [bad])
+
+
+def test_bare_tau_is_refused_before_drawing(monkeypatch):
+    import tpspeckle.montecarlo as montecarlo
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("built the operators or drew an ensemble")
+
+    monkeypatch.setattr(montecarlo, "_operators", no_draws)
+    monkeypatch.setattr(montecarlo, "_ensemble", no_draws)
+    for cross_mode in (False, True):
+        with pytest.raises(TypeError):
+            mc_correlator(FockState(100.0, 1.0), _fock_cfg(n_real=100), 0.5, cross_mode=cross_mode)
 
 
 # --- one workspace per pass: the bits of the allocating formulas
@@ -517,7 +529,7 @@ def test_workspace_pass_matches_allocating_formulas(name, cross_mode, model):
     values = _ensemble(cfg, modes, lambda ws, *draws: pair(ws, draws[0], draws[-1]), len(_WS_TAUS))
     assert np.array_equal(values, expect)
     norm = (1.0 if cross_mode else 2.0) * cfg.t_bar**2
-    batch = mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=cross_mode)
+    batch = mc_correlator(state, cfg, _WS_TAUS, cross_mode=cross_mode)
     assert np.array_equal(_as_array(batch), _as_array(_estimate(row) for row in expect / norm))
 
 
@@ -574,7 +586,7 @@ def test_pass_faults_do_not_grow_with_chunks(name, model, monkeypatch, fork_safe
         count = lambda: sum(resource.getrusage(who).ru_minflt  # noqa: E731
                             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
         before = count()
-        mc_correlator_batch(state, cfg, [0.0, 0.5])
+        mc_correlator(state, cfg, [0.0, 0.5])
         return count() - before
 
     monkeypatch.setattr(montecarlo, "_WORKER_CHUNKS", 1)
@@ -645,8 +657,8 @@ def _split_estimates(cfg):
     # same-mode and cross-mode rates at 3 taus, and the mean photocount
     state = _PIN_STATES["entangled"]
     return (
-        mc_correlator_batch(state, cfg, _WS_TAUS),
-        mc_correlator_batch(state, cfg, _WS_TAUS, cross_mode=True),
+        mc_correlator(state, cfg, _WS_TAUS),
+        mc_correlator(state, cfg, _WS_TAUS, cross_mode=True),
         mc_mean_photocount(cfg, state),
     )
 
@@ -735,7 +747,7 @@ def test_a_worker_that_dies_raises(monkeypatch, fork_safe):
     cfg = _split_cfg("I", monkeypatch, 3)
     _in_workers_only(monkeypatch, lambda: os._exit(7))
     with pytest.raises(TpspeckleError, match="exited with code 7"):
-        mc_correlator_batch(_PIN_STATES["fock"], cfg, _WS_TAUS)
+        mc_correlator(_PIN_STATES["fock"], cfg, _WS_TAUS)
     assert multiprocessing.active_children() == []
 
 

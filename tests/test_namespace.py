@@ -33,12 +33,12 @@ import sys
 import tpspeckle.cli
 loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, f"import tpspeckle.cli loads {loaded}"
-from tpspeckle import CrystalParams, EntangledState, ModelII, PumpParams, rate_numeric_batch
+from tpspeckle import CrystalParams, EntangledState, ModelII, PumpParams, rate_numeric
 state = EntangledState(PumpParams(100.0, 1.0), CrystalParams(nu_o=1.5, nu_e=0.5))
-assert len(rate_numeric_batch(state, ModelII(1.0), [0.0, 0.5])) == 2
+assert len(rate_numeric(state, ModelII(1.0), [0.0, 0.5])) == 2
 assert "scipy.integrate" not in sys.modules, "a decayed exchange tail loads QUADPACK"
 # at omega_th = 30, |C|^2 is 0.2 at the d axis's end: the tail integrates
-assert len(rate_numeric_batch(state, ModelII(30.0), [0.0, 0.5])) == 2
+assert len(rate_numeric(state, ModelII(30.0), [0.0, 0.5])) == 2
 assert "scipy.integrate" in sys.modules, "the exchange tail ran no QUADPACK integral"
 """
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=120)

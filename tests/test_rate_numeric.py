@@ -21,7 +21,6 @@ from tpspeckle import (
     rate_entangled,
     rate_fock,
     rate_numeric,
-    rate_numeric_batch,
     rate_theta,
 )
 
@@ -35,7 +34,7 @@ def _ent(s):
 
 def test_entangled_quadrature_matches_closed_form():
     for (t, s, w) in ((0.0, 2.0, 1.0), (0.7, 0.5, 3.0), (1.6, 4.0, 0.3)):
-        res = rate_numeric(_ent(s), ModelI(omega_corr=w), tau=t)
+        res = rate_numeric(_ent(s), ModelI(omega_corr=w), [t])[0]
         closed = rate_entangled(t, s, w)
         assert res.value == pytest.approx(closed, abs=1e-6)
         assert abs(res.value - closed) <= max(1e-6, res.error)
@@ -44,21 +43,21 @@ def test_entangled_quadrature_matches_closed_form():
 def test_fock_quadrature_matches_closed_form():
     state = FockState(omega_bar=100.0, delta=1.0)
     for (t, w) in ((1.0, 1.0), (0.0, 0.3), (2.0, 3.0)):
-        res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
+        res = rate_numeric(state, ModelI(omega_corr=w), [t])[0]
         assert res.value == pytest.approx(rate_fock(t, w), abs=1e-6)
 
 
 def test_coherent_quadrature_matches_closed_form():
     state = CoherentState(omega_bar=100.0, delta=1.0)
     for (t, w) in ((0.0, 1.0), (1.0, 0.3), (3.0, 3.0)):
-        res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
+        res = rate_numeric(state, ModelI(omega_corr=w), [t])[0]
         assert res.value == pytest.approx(rate_coherent(t, w), abs=1e-6)
 
 
 def test_coherent_strong_correlation_peak():
     # Omega >> Delta: R(0) -> 4 (the Model I kernel approaches it as 1/w)
     state = CoherentState(omega_bar=100.0, delta=1.0)
-    res = rate_numeric(state, ModelI(omega_corr=2e4), tau=0.0)
+    res = rate_numeric(state, ModelI(omega_corr=2e4), [0.0])[0]
     assert res.value == pytest.approx(4.0, abs=1e-3)
 
 
@@ -67,7 +66,7 @@ def test_entangled_flat_correlation_doubles():
     # exchange tail beyond the grid is supplied analytically.
     state = _ent(0.05)
     model = ModelI(omega_corr=1e9)
-    res = rate_numeric(state, model, tau=0.0)
+    res = rate_numeric(state, model, [0.0])[0]
     assert res.value == pytest.approx(2.0, abs=1e-3)
     assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
 
@@ -78,7 +77,7 @@ def test_symmetrized_flat_correlation(theta):
     # whose remainder is the analytic tail: only the pump-axis edges count
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
     model = ModelI(omega_corr=1e9)
-    res = rate_numeric(state, model, tau=0.0)
+    res = rate_numeric(state, model, [0.0])[0]
     assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
 
 
@@ -86,7 +85,7 @@ def test_symmetrized_flat_correlation(theta):
 def test_symmetrized_quadrature_matches_closed_form(theta):
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
     for (t, w) in ((0.0, 1.0), (0.8, 0.5)):
-        res = rate_numeric(state, ModelI(omega_corr=w), tau=t)
+        res = rate_numeric(state, ModelI(omega_corr=w), [t])[0]
         closed = rate_theta(t, 2.0, w, theta)
         assert res.value == pytest.approx(closed, abs=1e-6)
 
@@ -96,7 +95,7 @@ def test_symmetrized_exchange_tail(theta):
     # omega_corr = 1e3 leaves |C|^2 ~ 1 past the d axis, so the analytic
     # exchange tail carries about 1e-4 of the rate
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, theta)
-    res = rate_numeric(state, ModelI(omega_corr=1e3), tau=0.0)
+    res = rate_numeric(state, ModelI(omega_corr=1e3), [0.0])[0]
     assert abs(res.value - rate_theta(0.0, 2.0, 1e3, theta)) < 1e-6
 
 
@@ -107,7 +106,7 @@ def test_symmetrized_tail_error_covers_large_tau_batch():
     state = SymmetrizedState(PumpParams(100.0, 2.0), CRYSTAL, math.pi)
     model = ModelII(omega_th=3.0)
     taus = [0.0, 1.0, 3.0, 10.0]
-    for tau, res in zip(taus, rate_numeric_batch(state, model, taus)):
+    for tau, res in zip(taus, rate_numeric(state, model, taus)):
         assert abs(res.value - rate_closed_form(state, model, tau)) <= res.error
 
 
@@ -117,14 +116,14 @@ def test_symmetrized_curve_reaching_large_tau():
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.0)
     model = ModelII(omega_th=3.0)
     taus = [0.0, 2.5, 5.0, 10.0]
-    for tau, res in zip(taus, rate_numeric_batch(state, model, taus)):
+    for tau, res in zip(taus, rate_numeric(state, model, taus)):
         assert abs(res.value - rate_closed_form(state, model, tau)) <= res.error
 
 
 def test_model_ii_quadrature_matches_reduced():
     state = _ent(2.0)
     for (t, w) in ((0.5, 0.5), (0.0, 1.0)):
-        res = rate_numeric(state, ModelII(omega_th=w), tau=t)
+        res = rate_numeric(state, ModelII(omega_th=w), [t])[0]
         reduced = rate_entangled(t, 2.0, w, kind="II")
         assert res.value == pytest.approx(reduced, abs=1e-6)
         assert abs(res.value - reduced) <= max(1e-12, res.error)
@@ -134,8 +133,8 @@ def test_model_ii_quadrature_matches_reduced():
 def test_coherent_is_fock_at_zero_plus_fock_at_tau(model):
     # R_coh(tau) = R_F(0) + R_F(tau) for the same envelope, errors summed
     taus = [-1.0, 0.0, 0.5, 2.0]
-    fock = rate_numeric_batch(FockState(100.0, 1.0), model, [0.0] + taus)
-    coherent = rate_numeric_batch(CoherentState(100.0, 1.0), model, taus)
+    fock = rate_numeric(FockState(100.0, 1.0), model, [0.0] + taus)
+    coherent = rate_numeric(CoherentState(100.0, 1.0), model, taus)
     for res, f in zip(coherent, fock[1:]):
         assert res.value == fock[0].value + f.value
         assert res.error == fock[0].error + f.error
@@ -146,21 +145,21 @@ def test_degenerate_antisymmetric_state_is_refused():
     # covers its error: refuse the state as the Monte Carlo route does
     for sigma in (1e-5, 1e-6, 3e-7):
         with pytest.raises(DegenerateStateError):
-            rate_numeric(SymmetrizedState(PumpParams(100.0, sigma), CRYSTAL, math.pi), M_I, tau=0.0)
+            rate_numeric(SymmetrizedState(PumpParams(100.0, sigma), CRYSTAL, math.pi), M_I, [0.0])
     state = SymmetrizedState(PumpParams(100.0, 3e-5), CRYSTAL, math.pi)
-    res = rate_numeric(state, M_I, tau=0.0)
+    res = rate_numeric(state, M_I, [0.0])[0]
     assert abs(res.value - rate_closed_form(state, M_I, 0.0)) <= res.error
 
 
 def test_parity_in_tau():
     state = _ent(1.0)
-    a = rate_numeric(state, M_I, tau=0.8).value
-    b = rate_numeric(state, M_I, tau=-0.8).value
+    a = rate_numeric(state, M_I, [0.8])[0].value
+    b = rate_numeric(state, M_I, [-0.8])[0].value
     assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_error_estimate_reported():
-    res = rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5)
+    res = rate_numeric(FockState(100.0, 1.0), M_I, [0.5])[0]
     assert res.error >= 0.0
     assert res.value == pytest.approx(rate_fock(0.5, 1.0), abs=max(1e-6, res.error))
 
@@ -172,12 +171,12 @@ def test_quadrature_not_converged_error(monkeypatch):
 
     monkeypatch.setattr(rates, "QUADRATURE_POINTS_GAUSS", 33)
     with pytest.raises(QuadratureNotConvergedError):
-        rate_numeric(FockState(100.0, 1.0), M_I, tau=0.5)
+        rate_numeric(FockState(100.0, 1.0), M_I, [0.5])
 
 
 def test_quadrature_curve(entangled_s2):
     taus = np.linspace(0.0, 1.0, 3)
-    for tau, res in zip(taus, rate_numeric_batch(entangled_s2, M_I, taus)):
+    for tau, res in zip(taus, rate_numeric(entangled_s2, M_I, taus)):
         assert res.value == pytest.approx(rate_entangled(tau, 2.0, 1.0), abs=1e-6)
 
 
@@ -196,10 +195,10 @@ def test_quadrature_at_the_cw_limit(name):
     # route checks the cw closed forms; either model gives the same field
     state = _CW_STATES[name]
     taus = [-3.0, -1.0, 0.0, 1.0, 3.0]
-    results = rate_numeric_batch(state, ModelI(math.inf), taus)
+    results = rate_numeric(state, ModelI(math.inf), taus)
     for res, closed in zip(results, rate_closed_form(state, ModelI(math.inf), taus)):
         assert abs(res.value - closed) <= res.error
-    assert rate_numeric_batch(state, ModelII(math.inf), taus) == results
+    assert rate_numeric(state, ModelII(math.inf), taus) == results
 
 
 @pytest.mark.parametrize("state", [_ent(2.0), SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 1.0)],
@@ -212,7 +211,7 @@ def test_huge_delay_fails_the_gate_before_the_tail_integrals(monkeypatch, state,
     calls = _counting_quad(monkeypatch)
     for tau_max in (1e6, 1e20, 1e100, 1e300):
         with pytest.raises(QuadratureNotConvergedError, match="exchange tail"):
-            rate_numeric_batch(state, model, [0.0, tau_max])
+            rate_numeric(state, model, [0.0, tau_max])
     assert calls == []
 
 
@@ -231,10 +230,10 @@ def test_gaussian_axis_follows_the_delay(state, model):
     # 2^16 points: 4 times that tau (|tau| delta = 1072) needs 73 537
     alias = 2.0 * math.pi * 1024 / 24.0
     for taus in ([0.0, 86.0], [0.0, alias, 2.0 * alias]):
-        for res, closed in zip(rate_numeric_batch(state, model, taus), rate_closed_form(state, model, taus)):
+        for res, closed in zip(rate_numeric(state, model, taus), rate_closed_form(state, model, taus)):
             assert abs(res.value - closed) <= res.error
     with pytest.raises(QuadratureNotConvergedError, match="points"):
-        rate_numeric_batch(state, model, [0.0, 4.0 * alias])
+        rate_numeric(state, model, [0.0, 4.0 * alias])
 
 
 @pytest.mark.parametrize("state", _GAUSSIAN_STATES, ids=["fock", "coherent"])
@@ -244,7 +243,7 @@ def test_gaussian_huge_delay_is_refused_before_any_array(state):
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureNotConvergedError, match="points"):
-            rate_numeric_batch(state, M_I, [0.0, 1e300])
+            rate_numeric(state, M_I, [0.0, 1e300])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,15 +258,15 @@ def test_tail_integral_error_estimate_is_checked(monkeypatch):
 
     state = _ent(2.0)
     model = ModelI(omega_corr=1e3)
-    healthy = rate_numeric(state, model, tau=0.5)
+    healthy = rate_numeric(state, model, [0.5])[0]
     quad = rates.quad
     monkeypatch.setattr(
         rates, "quad", lambda f, a, freq, weight="cos": rates.QuadratureResult(quad(f, a, freq, weight).value, 1e-3)
     )
     with pytest.raises(QuadratureNotConvergedError):
-        rate_numeric(state, model, tau=0.5)
+        rate_numeric(state, model, [0.5])
     monkeypatch.setattr(rates, "QUADRATURE_ERROR_GATE", 1.0)
-    sloppy = rate_numeric(state, model, tau=0.5)
+    sloppy = rate_numeric(state, model, [0.5])[0]
     assert sloppy.value == healthy.value
     assert sloppy.error > healthy.error + 1e-4
 
@@ -293,10 +292,10 @@ _PER_TAU_VALUES = {
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
 def test_batch_matches_per_tau_quadrature(name):
     state = _BATCH_STATES[name]
-    batch = rate_numeric_batch(state, M_I, _BATCH_TAUS)
+    batch = rate_numeric(state, M_I, _BATCH_TAUS)
     for tau, res, value in zip(_BATCH_TAUS, batch, _PER_TAU_VALUES[name]):
         assert res.value == pytest.approx(value, abs=1e-14)
-        single = rate_numeric(state, M_I, tau)
+        single = rate_numeric(state, M_I, [tau])[0]
         assert single.value == pytest.approx(res.value, abs=1e-14)
         assert single.error == pytest.approx(res.error, abs=1e-14)
 
@@ -312,9 +311,9 @@ def test_curve_raises_when_one_tau_fails_the_gate(monkeypatch):
 
     monkeypatch.setattr(rates, "_exchange_tail", sloppy_at_half)
     state = _ent(2.0)
-    assert len(rate_numeric_batch(state, M_I, [0.0, 1.0])) == 2
+    assert len(rate_numeric(state, M_I, [0.0, 1.0])) == 2
     with pytest.raises(QuadratureNotConvergedError, match="quadrature not converged: estimate"):
-        rate_numeric_batch(state, M_I, [0.0, 0.5, 1.0])
+        rate_numeric(state, M_I, [0.0, 0.5, 1.0])
 
 
 # --- the field in blocks of pump-axis rows
@@ -328,10 +327,10 @@ def test_batch_memory_stays_bounded(state):
     # of pump-axis rows keep a 17-tau curve far under one such array
     import tracemalloc
 
-    rate_numeric_batch(state, M_I, _CURVE_TAUS)
+    rate_numeric(state, M_I, _CURVE_TAUS)
     tracemalloc.start()
     try:
-        rate_numeric_batch(state, M_I, _CURVE_TAUS)
+        rate_numeric(state, M_I, _CURVE_TAUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,30 +348,43 @@ def test_batch_does_not_depend_on_the_block_size(monkeypatch, name, model):
     import tpspeckle.rates as rates
 
     state = _BATCH_STATES[name]
-    default = rate_numeric_batch(state, model, _BATCH_TAUS)
+    default = rate_numeric(state, model, _BATCH_TAUS)
     gaussian = name in ("fock", "coherent")
     n = rates.QUADRATURE_POINTS_SINC
     for budget in (113,) if gaussian else (7 * n, n * n):
         monkeypatch.setattr(rates, "_BLOCK_VALUES", budget)
-        for res, ref in zip(rate_numeric_batch(state, model, _BATCH_TAUS), default):
+        for res, ref in zip(rate_numeric(state, model, _BATCH_TAUS), default):
             assert abs(res.value - ref.value) <= 1e-15
             assert abs(res.error - ref.error) <= 1e-15
     if gaussian:
         monkeypatch.setattr(rates, "_BLOCK_VALUES", 112)
         with pytest.raises(QuadratureNotConvergedError, match="points"):
-            rate_numeric_batch(state, model, _BATCH_TAUS)
+            rate_numeric(state, model, _BATCH_TAUS)
 
 
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
 def test_empty_batch_has_no_rates(name):
-    assert rate_numeric_batch(_BATCH_STATES[name], M_I, []) == []
+    assert rate_numeric(_BATCH_STATES[name], M_I, []) == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", list(_BATCH_STATES))
 def test_non_finite_tau_is_refused(name, bad):
     with pytest.raises(ValueError, match="finite"):
-        rate_numeric_batch(_BATCH_STATES[name], M_I, [0.0, bad])
+        rate_numeric(_BATCH_STATES[name], M_I, [0.0, bad])
+
+
+@pytest.mark.parametrize("name", list(_BATCH_STATES))
+def test_bare_tau_is_refused_before_any_field(monkeypatch, name):
+    import tpspeckle.rates as rates
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field")
+
+    monkeypatch.setattr(rates, "_gaussian_sums", no_field)
+    monkeypatch.setattr(rates, "_sinc_sums", no_field)
+    with pytest.raises(TypeError):
+        rate_numeric(_BATCH_STATES[name], M_I, 0.5)
 
 
 def test_nan_error_estimate_fails_the_gate(monkeypatch):
@@ -382,7 +394,7 @@ def test_nan_error_estimate_fails_the_gate(monkeypatch):
         rates, "_exchange_tail", lambda state, model, d_half, taus: [rates.QuadratureResult(0.0, math.nan)] * len(taus)
     )
     with pytest.raises(QuadratureNotConvergedError):
-        rate_numeric_batch(_ent(2.0), M_I, [0.0])
+        rate_numeric(_ent(2.0), M_I, [0.0])
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
@@ -392,7 +404,7 @@ def test_error_has_a_roundoff_floor(state, scale):
     # still covers the rounding of the sums
     model = ModelII(omega_th=scale)
     taus = np.linspace(-3.0, 3.0, 25)
-    for res, closed in zip(rate_numeric_batch(state, model, taus), rate_closed_form(state, model, taus)):
+    for res, closed in zip(rate_numeric(state, model, taus), rate_closed_form(state, model, taus)):
         assert res.error >= 8.0 * np.finfo(float).eps * abs(res.value)
         assert abs(res.value - closed) <= res.error
 
@@ -418,7 +430,7 @@ def test_model_i_tail_bound_replaces_the_tail_integrals(monkeypatch):
 
     calls = _counting_quad(monkeypatch)
     state = _ent(2.0)
-    results = rate_numeric_batch(state, M_I, _CURVE_TAUS)
+    results = rate_numeric(state, M_I, _CURVE_TAUS)
     assert calls == []
     [bound] = rates._exchange_tail(state, M_I, 19.0, [0.0])
     assert bound.value == 0.0
@@ -435,7 +447,7 @@ def test_decayed_model_ii_tail_is_its_bound(monkeypatch):
     state = _ent(2.0)
     model = ModelII(omega_th=0.3)
     taus = np.linspace(-1.0, 1.0, 13)
-    results = rate_numeric_batch(state, model, taus)
+    results = rate_numeric(state, model, taus)
     assert calls == []
     for res, closed in zip(results, rate_closed_form(state, model, taus)):
         assert abs(res.value - closed) <= res.error
@@ -461,7 +473,7 @@ def test_flat_model_i_kernel_keeps_the_tail_integrals(monkeypatch):
     calls = _counting_quad(monkeypatch)
     state = _ent(2.0)
     model = ModelI(omega_corr=1e3)
-    res = rate_numeric_batch(state, model, [0.0])[0]
+    res = rate_numeric(state, model, [0.0])[0]
     assert len(calls) == 3
     assert abs(res.value - rate_closed_form(state, model, 0.0)) <= res.error
 
@@ -494,7 +506,7 @@ def test_each_tail_frequency_is_integrated_once_per_batch(monkeypatch):
     # integrals per tau
     calls = _counting_quad(monkeypatch)
     state = SymmetrizedState(PumpParams(100.0, 1.0), CRYSTAL, 0.5 * math.pi)
-    results = rate_numeric_batch(state, ModelI(omega_corr=1e3), np.linspace(-1.5, 1.5, 13))
+    results = rate_numeric(state, ModelI(omega_corr=1e3), np.linspace(-1.5, 1.5, 13))
     assert len(calls) == 23
     assert [(float(res.value), float(res.error)) for res in results] == _SHARED_TAIL_BATCH
 
@@ -526,7 +538,7 @@ def test_seeded_scan_values_lie_within_their_error():
     for _ in range(150):
         state, model, taus = _random_batch(rng)
         try:
-            results = rate_numeric_batch(state, model, taus)
+            results = rate_numeric(state, model, taus)
         except (QuadratureNotConvergedError, DegenerateStateError):
             refused += 1
             continue

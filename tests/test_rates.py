@@ -25,7 +25,7 @@ from tpspeckle import (
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
-    rate_numeric_batch,
+    rate_numeric,
     rate_theta,
     visibility,
 )
@@ -530,7 +530,7 @@ def test_model_must_be_a_model_or_cw_limit(entangled_s2, model):
         rate_closed_form(entangled_s2, model, 0.0)
     for state in (entangled_s2, FockState(100.0, 1.0), CoherentState(100.0, 1.0)):
         with pytest.raises(TypeError):
-            rate_numeric_batch(state, model, [0.0, 0.5])
+            rate_numeric(state, model, [0.0, 0.5])
 
 
 # --- visibility

@@ -47,4 +47,8 @@ def test_tracer_installs_and_reports_every_per_layer_metric(tmp_path):
     assert metrics["cli.commands"] == 2
     assert metrics["rates.closed.points"] > 0
     assert metrics["states.grid_amplitude_matrix.calls"] == 1
+    # the 3-tau Monte Carlo curve is one call over one draw of 100 realizations
+    assert metrics["montecarlo.mc_correlator.calls"] == 1
+    assert metrics["montecarlo.realizations"] == 100
+    assert metrics["montecarlo.redraw_ratio"] == 1.0
     assert all(vars(module) == attrs for module, attrs in zip(modules, before))

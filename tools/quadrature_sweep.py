@@ -1,6 +1,6 @@
 """The 72-batch check of the sinc quadrature against the closed forms.
 
-Runs ``rate_numeric_batch`` over every combination of pump width sigma
+Runs ``rate_numeric`` over every combination of pump width sigma
 (0.25, 1, 2), state (entangled, symmetrized at theta = 0, pi/2, pi),
 model (Model I at 1, 1e3, 1e9; Model II at 1, 3, 30) and the taus 0, 0.5,
 2 and 10, with omega_bar = 100, nu_o = 1.5 and nu_e = 0.5 (eta_- = 1).
@@ -28,7 +28,7 @@ from tpspeckle import (
     QuadratureNotConvergedError,
     SymmetrizedState,
     rate_closed_form,
-    rate_numeric_batch,
+    rate_numeric,
     rates,
 )
 
@@ -57,7 +57,7 @@ def main() -> int:
             calls.clear()
             head = f"sigma={sigma} {name} {model!r}:"
             try:
-                results = rate_numeric_batch(state, model, TAUS)
+                results = rate_numeric(state, model, TAUS)
             except QuadratureNotConvergedError as exc:
                 refused += 1
                 print(f"{head} refused: {exc}; quad calls {len(calls)}")
