@@ -359,6 +359,9 @@ def _w_label(w: float) -> str:
 def _figure_dataset(figure_id, kind, args):
     """Return (abscissa_name, abscissa, column names, column arrays, notes)."""
     notes = []
+    for option, value, reader in (("--s-values", args.s_values, 3), ("--nu-o", args.nu_o, 2), ("--nu-e", args.nu_e, 2)):
+        if value is not None and figure_id != reader:
+            raise ConfigError(f"{option} applies to figure {reader} only, not to figure {figure_id}")
     if figure_id == 2:
         if args.nu_o is None or args.nu_e is None:
             raise ConfigError("figure 2 needs --nu-o and --nu-e (no values are printed in the source)")

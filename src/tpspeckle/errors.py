@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TpspeckleError",
+    "MonochromaticPumpError",
+    "DegenerateStateError",
+    "NotPositiveSemidefiniteError",
+    "QuadratureNotConvergedError",
+    "TailNotConvergedError",
+    "NonFiniteValueError",
+]
+
 
 class TpspeckleError(Exception):
     """Base class for all package errors."""

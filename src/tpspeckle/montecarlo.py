@@ -50,13 +50,16 @@ A pass of at least ``2 * _WORKER_CHUNKS`` chunks may split across the
 CPUs of the process's affinity mask: its chunks go in W contiguous runs
 of whole chunks (``_runs``), W the smaller of the usable CPUs and the
 chunk count over ``_WORKER_CHUNKS``, the fewest chunks that repay a fork
-on the measured break-even (``BENCH_28.json``).  The calling process
-runs the first run; each other run runs in a worker forked for it
-(multiprocessing's ``"fork"`` context, imported only here), with its own
-workspace, and sends its values back through a pipe into their place in
-realization order.  Every chunk keeps its shapes and products, so every
-estimate has the bits of a one-process pass.  The covariance factor and
-the operators are built before the fork, and every worker inherits them.
+on the measured break-even (``BENCH_28.json``).  Every pass is one loop
+in ``_ensemble``: the calling process runs the first run, and each other
+run runs in a worker forked for it (multiprocessing's ``"fork"``
+context, imported only by a pass of more than one run).  Caller and
+worker fill a run by one function, in a workspace of their own, into
+their copy of the value array; a worker sends its run's slice back
+through a pipe in one message, into its place in realization order.
+Every chunk keeps its shapes and products, so every estimate has the
+bits of a one-process pass.  The covariance factor and the operators
+are built before the fork, and every worker inherits them.
 The pass stays in one process (``_usable_cpus``) where the process runs
 more than one OS thread, since forking a threaded process is unsafe and
 a threaded BLAS would oversubscribe the CPUs, and where the platform has
@@ -115,8 +118,8 @@ __all__ = [
 _CHUNK = 512
 _WORKER_CHUNKS = 4  # the fewest chunks per process of a split pass (break-even in BENCH_28.json)
 # float64 values (64 MB) of one ensemble pass over a tau group; a split
-# pass's caller briefly holds a worker's block twice (the bytes received,
-# then their copy into place)
+# pass's caller briefly holds a worker's block twice (the message received,
+# then the array it unpickles to)
 _VALUE_BUDGET = 8 * 2**20
 MC_GRID_POINTS = 128  # frequency points of ``mc_default_grid``
 
@@ -298,83 +301,15 @@ def _runs(n_realizations: int) -> List[List[range]]:
     return [chunks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _fill(
-    out: np.ndarray, cfg: EnsembleConfig, modes: int, per_block: Callable[..., np.ndarray], run: List[range]
-) -> np.ndarray:
-    """``out`` (rows, realizations of ``run``) from ``per_block`` over the
-    run's contiguous chunks, all in one workspace."""
-    ws = _Workspace(cfg.grid.n, modes, len(run[0]))
-    first = run[0].start
-    for block in run:
-        out[:, block.start - first : block.stop - first] = per_block(ws, *_draws(cfg, ws, block))
-    return out
-
-
-def _worker(send, fill: Callable[..., np.ndarray], rows: int, run: List[range]) -> None:
-    """A forked worker's body: sends ``None`` and the bytes of the run's
-    values, or the exception that ``fill`` raised."""
+def _worker(send, fill: Callable[[List[range]], np.ndarray], run: List[range]) -> None:
+    """A forked worker's body: sends the run's values, or the exception that
+    ``fill`` raised, in one message."""
     with send:
         try:
-            values = fill(np.empty((rows, run[-1].stop - run[0].start)), run)
+            message = fill(run)
         except Exception as exc:
-            send.send(exc)
-        else:
-            send.send(None)
-            send.send_bytes(values)
-
-
-def _start(ctx, fill: Callable[..., np.ndarray], rows: int, run: List[range]):
-    """A worker forked for ``run``, and the read end of its pipe."""
-    receive, send = ctx.Pipe(duplex=False)
-    with send:  # the worker holds the only write end: EOF if it dies
-        try:
-            proc = ctx.Process(target=_worker, args=(send, fill, rows, run))
-            proc.start()
-        except BaseException:
-            receive.close()
-            raise
-    return proc, receive
-
-
-def _split(values: np.ndarray, runs: List[List[range]], fill: Callable[..., np.ndarray]) -> None:
-    """``values`` run by run through ``fill(out, run)``: the first run in
-    this process, each other run in a worker forked for it, whose values
-    come back through a pipe.  Where a worker or its pipe cannot be had
-    (``OSError``: no process, memory or file descriptor left), this
-    process runs that run and the ones after it.  Every worker is joined,
-    or terminated and joined, before this returns or raises."""
-    import multiprocessing  # a split pays for the import, a serial pass does not
-
-    ctx = multiprocessing.get_context("fork")
-    workers, local = [], runs[:1]
-    try:
-        for k, run in enumerate(runs[1:], 1):
-            try:
-                workers.append((*_start(ctx, fill, values.shape[0], run), run))
-            except OSError:
-                local = local + runs[k:]
-                break
-        for run in local:
-            fill(values[:, run[0].start : run[-1].stop], run)
-        for proc, receive, run in workers:
-            try:
-                error = receive.recv()
-                block = receive.recv_bytes() if error is None else None
-            except EOFError:
-                proc.join()
-                raise TpspeckleError(
-                    f"a Monte Carlo worker exited with code {proc.exitcode} before sending its values"
-                ) from None
-            if error is not None:
-                raise error
-            values[:, run[0].start : run[-1].stop] = np.frombuffer(block).reshape(values.shape[0], -1)
-            proc.join()
-    finally:
-        for proc, receive, _ in workers:
-            receive.close()
-            if proc.exitcode is None:
-                proc.terminate()
-            proc.join()
+            message = exc
+        send.send(message)
 
 
 def _ensemble(
@@ -383,16 +318,60 @@ def _ensemble(
     """``rows`` values per realization, shape (rows, n_realizations):
     ``per_block(workspace, (t_o, t_e) of mode 0, ...)`` over chunks of
     ``_CHUNK`` realizations, each array of shape (grid.n, chunk); each run
-    of chunks (``_runs``) in one workspace and one process."""
+    of chunks (``_runs``) in one workspace and one process: the first in
+    this process, each other in a worker forked for it, and every worker
+    joined, or terminated and joined, before this returns or raises."""
     values = np.empty((rows, cfg.n_realizations))
     # factored before the thread probe (a BLAS may start its threads in
     # the factorisation) and before any fork, so every worker inherits it
     _factor(cfg.grid, cfg.model, cfg.t_bar)
     runs = _runs(cfg.n_realizations)
-    if len(runs) == 1:
-        _fill(values, cfg, modes, per_block, runs[0])
-    else:
-        _split(values, runs, lambda out, run: _fill(out, cfg, modes, per_block, run))
+
+    def fill(run: List[range]) -> np.ndarray:  # the run's values, in one workspace
+        ws = _Workspace(cfg.grid.n, modes, len(run[0]))
+        for block in run:
+            values[:, block.start : block.stop] = per_block(ws, *_draws(cfg, ws, block))
+        return values[:, run[0].start : run[-1].stop]
+
+    if len(runs) > 1:
+        import multiprocessing  # a split pays for the import, a one-run pass does not
+
+        ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for run in runs[1:]:
+            try:
+                receive, send = ctx.Pipe(duplex=False)
+                with send:  # the worker holds the only write end: EOF if it dies
+                    try:
+                        proc = ctx.Process(target=_worker, args=(send, fill, run))
+                        proc.start()
+                    except BaseException:
+                        receive.close()
+                        raise
+            except OSError:  # no process, memory or file descriptor left: this process runs the rest
+                break
+            workers.append((proc, receive, run))
+        for run in runs[:1] + runs[1 + len(workers) :]:
+            fill(run)
+        for proc, receive, run in workers:
+            try:
+                message = receive.recv()
+            except EOFError:
+                proc.join()
+                raise TpspeckleError(
+                    f"a Monte Carlo worker exited with code {proc.exitcode} before sending its values"
+                ) from None
+            if isinstance(message, Exception):
+                raise message
+            values[:, run[0].start : run[-1].stop] = message
+            proc.join()
+    finally:
+        for proc, receive, _ in workers:
+            receive.close()
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
     return values
 
 
@@ -525,10 +504,9 @@ def mc_correlator(
     for lo in range(0, len(taus), group_size):
         group = taus[lo : lo + group_size]
         pair = _pair_estimator(ops, cfg.grid, group)
-        if cross_mode:
-            values = _ensemble(cfg, 2, lambda ws, mode_i, mode_j: pair(ws, mode_i, mode_j) / norm, len(group))
-        else:
-            values = _ensemble(cfg, 1, lambda ws, mode: pair(ws, mode, mode) / norm, len(group))
+        # one mode's draws for same-mode (draws[0] is draws[-1]), two for cross-mode
+        values = _ensemble(cfg, 2 if cross_mode else 1, lambda ws, *draws: pair(ws, draws[0], draws[-1]) / norm,
+                           len(group))
         estimates.extend(_estimate(row) for row in values)
     return estimates
 

@@ -274,6 +274,17 @@ def test_figure_unknown_id(tmp_path):
     assert main(["figure", "--id", "11", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("option", [["--s-values", "1", "2"], ["--nu-o", "3"], ["--nu-e", "3"]],
+                         ids=["s-values", "nu-o", "nu-e"])
+def test_figure_refuses_an_option_it_does_not_read(tmp_path, capsys, option):
+    # --s-values is read by figure 3 only, --nu-o and --nu-e by figure 2 only;
+    # an unread option would be recorded in the header as if it had been used
+    out = tmp_path / "x.csv"
+    assert main(["figure", "--id", "5", "--model", "I", *option, "--out", str(out)]) == 2
+    assert f"{option[0]} applies to figure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_4_model_choice_recorded(tmp_path):
     out = tmp_path / "fig4.csv"
     assert main(["figure", "--id", "4", "--model", "I", "--out", str(out)]) == 0

@@ -767,3 +767,31 @@ def test_a_threaded_process_never_forks():
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_only_a_split_pass_imports_multiprocessing():
+    # in a fresh interpreter with one BLAS thread, where a pass may split: a
+    # pass of one run (2 000 realizations are 4 chunks) imports nothing of
+    # multiprocessing, and a 10 000-realization pass imports it when it splits
+    import subprocess
+
+    import tpspeckle
+
+    script = """
+import sys
+from tpspeckle import EnsembleConfig, FockState, FrequencyGrid, ModelI, mc_correlator, montecarlo
+assert "multiprocessing" not in sys.modules, "import tpspeckle imports multiprocessing"
+def one_pass(n):
+    cfg = EnsembleConfig(grid=FrequencyGrid(100.0, 8.0, 64), model=ModelI(1.0), n_realizations=n, seed=3)
+    assert len(mc_correlator(FockState(100.0, 1.0), cfg, [0.0, 0.5])) == 2
+one_pass(2000)
+assert len(montecarlo._runs(2000)) == 1
+assert "multiprocessing" not in sys.modules, "a one-run pass imports multiprocessing"
+one_pass(10000)
+split = len(montecarlo._runs(10000)) > 1
+assert ("multiprocessing" in sys.modules) == split, f"split {split}: multiprocessing imported or not"
+"""
+    path = [os.path.dirname(os.path.dirname(tpspeckle.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, **_ONE_BLAS_THREAD, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ import tpspeckle
 from tpspeckle.cli import main
 
 
-@pytest.mark.parametrize("module", ["correlation", "states", "rates", "montecarlo"])
+@pytest.mark.parametrize("module", ["correlation", "errors", "states", "rates", "montecarlo"])
 def test_module_exports_resolve_from_the_package(module):
     # every public name of a module exists there and is the package's own
     mod = importlib.import_module(f"tpspeckle.{module}")

@@ -9,7 +9,9 @@ output either "identical" or, per column that moved, the worst |diff|,
 absolute and relative to the larger of the two values.  A Monte Carlo
 mean column also gets its worst |diff| in units of its standard error.
 Header lines and the sweep's text lines are compared number by number.
-The commands and the sweep script come from the work tree on both sides.
+The commands come from the work tree on both sides; the sweep script
+comes from REV's tree where it has one, so that a rename of a name the
+script imports does not read as a moved sweep, else from the work tree.
 REV is unpacked with ``git archive`` into a temporary directory, which
 leaves nothing behind in ``.git`` if a run is cut short.  The script
 reports and never gates: it exits 0 whatever moved.
@@ -30,20 +32,25 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import full_commands  # noqa: E402
 
 SWEEP = "quadrature_sweep.txt"
+SWEEP_SCRIPT = Path("tools", "quadrature_sweep.py")
 # (mean column, standard error column) of ``rate --method monte-carlo`` and ``mc-validate``
 MC_COLUMNS = [("mean", "std_error"), ("mc_mean", "mc_std_error")]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 
-def run_outputs(src: Path, outdir: Path) -> dict:
-    """Run every command on ``src``, writing into ``outdir``; the exit code of each output."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run_outputs(tree: Path, outdir: Path) -> dict:
+    """Run every command on the source of ``tree``, and its sweep script (the
+    work tree's where it has none), writing into ``outdir``; the exit code
+    of each output."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     codes = {}
     for cid, cmd in full_commands(0).items():
         argv = [sys.executable, "-m", "tpspeckle.cli", *cmd.argv, "--out", str(outdir / f"{cid}.csv")]
         codes[f"{cid}.csv"] = subprocess.run(argv, env=env, capture_output=True).returncode
-    sweep = subprocess.run([sys.executable, str(ROOT / "tools" / "quadrature_sweep.py")],
-                           env=env, capture_output=True, text=True)
+    script = tree / SWEEP_SCRIPT
+    if not script.exists():
+        script = ROOT / SWEEP_SCRIPT
+    sweep = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
     (outdir / SWEEP).write_text(sweep.stdout, encoding="utf-8")
     codes[SWEEP] = sweep.returncode
     return codes
@@ -126,8 +133,8 @@ def main(argv) -> int:
             d.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(old_tree)], input=archive.stdout, check=True)
-        old_codes = run_outputs(old_tree / "src", old_out)
-        new_codes = run_outputs(ROOT / "src", new_out)
+        old_codes = run_outputs(old_tree, old_out)
+        new_codes = run_outputs(ROOT, new_out)
         same = 0
         for name in old_codes:
             if old_codes[name] != new_codes[name]:
