@@ -456,7 +456,7 @@ def cmd_figure(args) -> int:
     xname, x, names, cols, notes = _figure_dataset(args.id, args.model, args)
     config = {
         "figure": args.id,
-        "model": args.model,
+        "model": None if args.id in (2, 3) else args.model,  # figures 2 and 3 read no model
         "nu_o": args.nu_o,
         "nu_e": args.nu_e,
         "s_values": args.s_values,

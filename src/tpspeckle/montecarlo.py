@@ -105,14 +105,9 @@ from .states import _continuum_norm, _grid_mass
 __all__ = [
     "EnsembleConfig",
     "McEstimate",
-    "RateRelation",
-    "BeamSplitterReport",
     "mc_default_grid",
-    "sample_transmission",
     "mc_correlator",
     "mc_mean_photocount",
-    "rate_correlation_relation",
-    "beam_splitter_check",
 ]
 
 _CHUNK = 512
@@ -159,11 +154,6 @@ class McEstimate:
     mean: float
     std_error: float
     n: int
-
-
-class RateRelation(NamedTuple):
-    p2: float
-    c_ij: float
 
 
 @lru_cache(maxsize=32)
@@ -253,19 +243,6 @@ def _draw_block(L: np.ndarray, seed: int, stream_id: int, realizations: range, w
     t.real = np.matmul(L, z[:, :n].T, out=prod)
     t.imag = np.matmul(L, z[:, n:].T, out=prod)
     return t
-
-
-def sample_transmission(
-    cfg: EnsembleConfig, mode_count: int, realization_index: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Transmission vectors (t_o, t_e), each of shape (mode_count, grid.n).
-
-    Deterministic in (seed, realization_index, mode index); every vector is
-    an independent draw with covariance ``t_bar * C(w_m - w_n)``.
-    """
-    ws = _Workspace(cfg.grid.n, mode_count, 1)
-    draws = _draws(cfg, ws, range(realization_index, realization_index + 1))
-    return np.array([o[:, 0] for o, _ in draws]), np.array([e[:, 0] for _, e in draws])
 
 
 def _draws(cfg: EnsembleConfig, ws: _Workspace, block: range) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -529,60 +506,3 @@ def mc_mean_photocount(cfg: EnsembleConfig, state: StateSpec) -> McEstimate:
         return (wo @ _abs2(t_o, p) + we @ _abs2(t_e, p)) / cfg.t_bar
 
     return _estimate(_ensemble(cfg, 1, photocount)[0])
-
-
-def rate_correlation_relation(normal_ordered: float, mean_n: float, same_mode: bool) -> RateRelation:
-    """P2 and C_ij from the normally ordered correlator.
-
-    P2 = <:n_i n_j:> / (1 + delta_ij);  C_ij = <:n_i n_j:> + delta_ij <n_i>.
-    """
-    if normal_ordered < 0 or mean_n < 0:
-        raise ValueError("inputs must be >= 0")
-    if same_mode:
-        return RateRelation(p2=0.5 * normal_ordered, c_ij=normal_ordered + mean_n)
-    return RateRelation(p2=normal_ordered, c_ij=normal_ordered)
-
-
-@dataclass(frozen=True)
-class BeamSplitterReport:
-    p1: float
-    p2_same: float
-    p2_cross: float
-    normal_ordered_same: float
-    normal_ordered_cross: float
-    consistent: bool
-
-
-def beam_splitter_check() -> BeamSplitterReport:
-    """Two independent photons on a symmetric beam splitter, by enumeration.
-
-    Demonstrates the 1/(1+delta_ij) factor: the normally ordered moments
-    are all 1/2, yet P2(1,1) = 1/4 while P2(1,2) = 1/2.
-    """
-    outcomes = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    prob = 0.25
-    p2_same = sum(prob for a, b in outcomes if a == b == 1)
-    p2_cross = sum(prob for a, b in outcomes if {a, b} == {1, 2})
-    n1_moments = {}
-    for k in (1, 2):
-        n1_moments[k] = sum(prob * sum(1 for x in o if x == 1) ** k for o in outcomes)
-    mean_n1 = n1_moments[1]
-    sq_same = n1_moments[2] - mean_n1  # <:n1^2:> = <n1(n1-1)>
-    sq_cross = sum(
-        prob * sum(1 for x in o if x == 1) * sum(1 for x in o if x == 2) for o in outcomes
-    )
-    rel_same = rate_correlation_relation(sq_same, mean_n1, same_mode=True)
-    rel_cross = rate_correlation_relation(sq_cross, mean_n1, same_mode=False)
-    consistent = (
-        rel_same.p2 == p2_same == 0.25
-        and rel_cross.p2 == p2_cross == 0.5
-        and sq_same == sq_cross == 0.5
-    )
-    return BeamSplitterReport(
-        p1=0.5,
-        p2_same=p2_same,
-        p2_cross=p2_cross,
-        normal_ordered_same=sq_same,
-        normal_ordered_cross=sq_cross,
-        consistent=consistent,
-    )

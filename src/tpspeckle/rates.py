@@ -107,9 +107,7 @@ __all__ = [
     "rate_coherent",
     "rate_theta",
     "rate_numeric",
-    "rate_cross_mode",
     "rate_closed_form",
-    "mean_photocount",
     "visibility",
 ]
 
@@ -522,19 +520,7 @@ def rate_theta(t, s, w: float, theta, kind: str = "I"):
 
 
 # ---------------------------------------------------------------------------
-# Cross-mode rates, photocount, visibility
-
-def rate_cross_mode(state: StateSpec) -> float:
-    """R for detectors in two different outgoing modes: parameter-free."""
-    return 4.0 if isinstance(state, CoherentState) else 2.0
-
-
-def mean_photocount(t_bar: float) -> float:
-    """Disorder-averaged photon number per outgoing mode: 2 * t_bar for all states."""
-    if not 0.0 < t_bar <= 1.0:
-        raise ValueError("t_bar must be in (0, 1]")
-    return 2.0 * t_bar
-
+# Visibility
 
 # relative spread the last decade of |tau| of a curve may keep for ``visibility``
 _TAIL_RTOL = 1e-4

@@ -215,10 +215,20 @@ def _continuum_norm(state: Union[EntangledState, SymmetrizedState]) -> float:
     ``DegenerateStateError`` for a symmetrized state whose norm vanishes."""
     norm = biphoton_norm_closed_form(state.pump, state.crystal)
     if isinstance(state, SymmetrizedState):
-        s = abs(state.pump.sigma * state.crystal.eta_plus)
-        symmetrized_norm_sq(state.theta, s)
-        norm *= _theta_norm_denominator(1.0 + math.cos(state.theta), s)
+        norm *= _checked_norm_denominator(state.theta, abs(state.pump.sigma * state.crystal.eta_plus))
     return norm
+
+
+def _checked_norm_denominator(theta: float, s: float) -> float:
+    """``_theta_norm_denominator`` at (theta, s); ``DegenerateStateError``
+    when its bracket drops below 1e-10 (antisymmetric state with a nearly
+    monochromatic pump)."""
+    denom = _theta_norm_denominator(1.0 + math.cos(theta), s)
+    if denom < 2.0 * NORM_DEGENERACY_FLOOR:
+        raise DegenerateStateError(
+            f"degenerate antisymmetric state: norm denominator {0.5 * denom:.3e} < {NORM_DEGENERACY_FLOOR}"
+        )
+    return denom
 
 
 def symmetrized_norm_sq(theta: float, s: float) -> float:
@@ -227,12 +237,7 @@ def symmetrized_norm_sq(theta: float, s: float) -> float:
     Raises ``DegenerateStateError`` when the bracket drops below
     1e-10 (antisymmetric state with a nearly monochromatic pump).
     """
-    denom = _theta_norm_denominator(1.0 + math.cos(theta), s)
-    if denom < 2.0 * NORM_DEGENERACY_FLOOR:
-        raise DegenerateStateError(
-            f"degenerate antisymmetric state: norm denominator {0.5 * denom:.3e} < {NORM_DEGENERACY_FLOOR}"
-        )
-    return 1.0 / denom
+    return 1.0 / _checked_norm_denominator(theta, s)
 
 
 def _biphoton_raw(omega1, omega2, pump: PumpParams, crystal: CrystalParams):
@@ -247,7 +252,7 @@ def _raw_matrix(state: StateSpec, grid: FrequencyGrid) -> np.ndarray:
     omega = grid.axis()
     raw = _biphoton_raw(omega[:, None], omega[None, :], state.pump, state.crystal)
     if isinstance(state, SymmetrizedState):
-        symmetrized_norm_sq(state.theta, state.pump.sigma * state.crystal.eta_plus)
+        _checked_norm_denominator(state.theta, state.pump.sigma * state.crystal.eta_plus)
         raw = raw + np.exp(1j * state.theta) * raw.T
     return raw
 

@@ -292,6 +292,19 @@ def test_figure_4_model_choice_recorded(tmp_path):
     assert "correlation model: I" in text
 
 
+def test_figure_3_records_no_model(tmp_path):
+    # figure 3 is the cw limit: every --model writes the same bytes, and the
+    # config line names no model
+    outputs = []
+    for model in (["--model", "I"], ["--model", "II"], []):
+        out = tmp_path / f"fig3-{len(outputs)}.csv"
+        assert main(["figure", "--id", "3", *model, "--out", str(out)]) == 0
+        outputs.append(_read_bytes(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    [config] = [line for line in outputs[0].decode().splitlines() if line.startswith("# config:")]
+    assert '"model": null' in config
+
+
 # figure id -> (abscissa name, rows, first and last abscissa, rate columns)
 _FIGURE_LAYOUT = {
     2: ("sigma_over_dw_cw", 151, 0.0, 3.0, ["ratio_o", "ratio_e"]),

@@ -16,16 +16,13 @@ from tpspeckle import (
     ModelII,
     PumpParams,
     SymmetrizedState,
-    beam_splitter_check,
     correlation,
     mc_correlator,
     mc_default_grid,
     mc_mean_photocount,
-    rate_correlation_relation,
     rate_entangled,
     rate_fock,
     rate_theta,
-    sample_transmission,
 )
 
 M_I = ModelI(omega_corr=1.0)
@@ -56,30 +53,49 @@ def _ent_cfg(n_real=4000, seed=202, w=1.0):
 
 # --- transmission sampling
 
+def _draw(cfg, modes, block):
+    """Copies of ``montecarlo._draws``' (t_o, t_e) of each mode over one
+    block of at most ``_CHUNK`` realizations, each (grid.n, len(block))."""
+    from tpspeckle.montecarlo import _draws, _Workspace
+
+    ws = _Workspace(cfg.grid.n, modes, len(block))
+    return [(t_o.copy(), t_e.copy()) for t_o, t_e in _draws(cfg, ws, block)]
+
+
+def _mode_0_blocks(cfg):
+    """Mode 0's t_o over every realization of ``cfg``, a block of at most
+    ``_CHUNK`` realizations at a time."""
+    from tpspeckle.montecarlo import _CHUNK
+
+    for start in range(0, cfg.n_realizations, _CHUNK):
+        [(t_o, _)] = _draw(cfg, 1, range(start, min(start + _CHUNK, cfg.n_realizations)))
+        yield t_o
+
+
 def test_sample_transmission_shapes_and_determinism(_state=None):
     cfg = _fock_cfg()
-    t_o, t_e = sample_transmission(cfg, mode_count=2, realization_index=7)
-    assert t_o.shape == t_e.shape == (2, 128)
-    t_o2, t_e2 = sample_transmission(cfg, mode_count=2, realization_index=7)
+    (t_o, t_e), (t_o1, t_e1) = _draw(cfg, 2, range(7, 8))
+    assert t_o.shape == t_e.shape == t_o1.shape == t_e1.shape == (128, 1)
+    [(t_o2, t_e2), _] = _draw(cfg, 2, range(7, 8))
     assert np.array_equal(t_o, t_o2) and np.array_equal(t_e, t_e2)
-    # different realizations and polarizations are distinct draws
-    t_o3, _ = sample_transmission(cfg, mode_count=1, realization_index=8)
-    assert not np.allclose(t_o[0], t_o3[0])
-    assert not np.allclose(t_o[0], t_e[0])
+    # different realizations, modes and polarizations are distinct draws
+    [(t_o3, _)] = _draw(cfg, 1, range(8, 9))
+    assert not np.allclose(t_o, t_o3)
+    assert not np.allclose(t_o, t_o1)
+    assert not np.allclose(t_o, t_e)
 
 
 def test_sample_transmission_moments():
-    cfg = _fock_cfg()
-    n_draws = 10_000
+    cfg = _fock_cfg(n_real=10_000)
+    n_draws = cfg.n_realizations
     n = cfg.grid.n
     acc_mean = np.zeros(n, dtype=complex)
     acc_abs2 = np.zeros(n)
     acc_pseudo = np.zeros(n, dtype=complex)
-    for r in range(n_draws):
-        t_o, _ = sample_transmission(cfg, 1, r)
-        acc_mean += t_o[0]
-        acc_abs2 += np.abs(t_o[0]) ** 2
-        acc_pseudo += t_o[0] ** 2
+    for t_o in _mode_0_blocks(cfg):
+        acc_mean += t_o.sum(axis=1)
+        acc_abs2 += (np.abs(t_o) ** 2).sum(axis=1)
+        acc_pseudo += (t_o**2).sum(axis=1)
     # SEs: Var(t) = t_bar, Var(|t|^2) = t_bar^2, Var(t^2) = 2 t_bar^2
     assert np.max(np.abs(acc_mean / n_draws)) < 4.0 * math.sqrt(cfg.t_bar / n_draws)
     assert np.max(np.abs(acc_abs2 / n_draws - cfg.t_bar)) < 4.0 * cfg.t_bar / math.sqrt(n_draws)
@@ -92,9 +108,8 @@ def test_sampler_covariance_recovery():
     cfg = EnsembleConfig(grid=grid, model=M_I, t_bar=0.02, n_realizations=10_000, seed=5)
     n = grid.n
     acc = np.zeros((n, n), dtype=complex)
-    for r in range(cfg.n_realizations):
-        t_o, _ = sample_transmission(cfg, 1, r)
-        acc += np.outer(t_o[0], np.conj(t_o[0]))
+    for t_o in _mode_0_blocks(cfg):
+        acc += t_o @ t_o.conj().T
     emp = acc / cfg.n_realizations
     omega = grid.axis()
     target = cfg.t_bar * np.asarray(
@@ -229,38 +244,9 @@ def test_mc_same_seed_shares_draws():
     a = mc_correlator(FockState(100.0, 1.0), cfg, [0.0])[0]
     b = mc_correlator(FockState(100.0, 2.0), cfg, [0.0])[0]
     assert a.mean != b.mean
-    t1 = sample_transmission(cfg, 1, 5)
-    t2 = sample_transmission(cfg, 1, 5)
+    [t1] = _draw(cfg, 1, range(5, 6))
+    [t2] = _draw(cfg, 1, range(5, 6))
     assert np.array_equal(t1[0], t2[0])
-
-
-# --- correlator/rate relation and beam splitter
-
-def test_rate_correlation_relation_same_mode():
-    rel = rate_correlation_relation(0.5, 1.0, same_mode=True)
-    assert rel.p2 == 0.25
-    assert rel.c_ij == 1.5
-
-
-def test_rate_correlation_relation_cross_mode():
-    rel = rate_correlation_relation(0.5, 1.0, same_mode=False)
-    assert rel.p2 == 0.5
-    assert rel.c_ij == 0.5
-
-
-def test_rate_correlation_relation_zero():
-    assert rate_correlation_relation(0.0, 1.0, True).p2 == 0.0
-    assert rate_correlation_relation(0.0, 1.0, False).p2 == 0.0
-
-
-def test_beam_splitter_check_exact():
-    rep = beam_splitter_check()
-    assert rep.p2_same == 0.25
-    assert rep.p2_cross == 0.5
-    assert rep.normal_ordered_same == 0.5
-    assert rep.normal_ordered_cross == 0.5
-    assert rep.p1 == 0.5
-    assert rep.consistent
 
 
 def test_ensemble_config_validation():
@@ -322,14 +308,15 @@ def test_estimators_match_pinned_values(key):
 
 
 def test_sample_transmission_matches_pinned_vector():
-    t_o, t_e = sample_transmission(_PIN_CFG, 2, 517)
-    assert t_o.shape == t_e.shape == (2, 64)
+    # realization 517 is column 5 of the pass's second chunk
+    (t_o0, _), (_, t_e1) = _draw(_PIN_CFG, 2, range(512, 600))
+    assert t_o0.shape == t_e1.shape == (64, 88)
     expect_o = [-0.05343900073676127 - 0.08876506521640501j, 0.04857622547813379 - 0.08326311788233043j,
                 0.06822132787768671 - 0.04554650952496212j]
     expect_e = [-0.057517267702972344 - 0.09084831305783675j, -0.007536690783605153 - 0.05856499475981298j,
                 -0.05734637751276009 - 0.03538931850292702j]
-    np.testing.assert_allclose(t_o[0, :3], expect_o, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(t_e[1, :3], expect_e, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(t_o0[:3, 5], expect_o, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(t_e1[:3, 5], expect_e, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("stream_id", [0, 1, 2, 3])
@@ -556,10 +543,10 @@ def test_workspace_photocount_matches_allocating_formulas(name, model):
 def test_workspace_sample_transmission_matches_allocating_draw(model):
     cfg = _ws_cfg(model)
     for r in (0, 511, 512, 1299):
-        t_o, t_e = sample_transmission(cfg, 2, r)
         block = range(r, r + 1)
-        assert np.array_equal(t_o, np.array([_allocating_draw(cfg, s, block)[:, 0] for s in (0, 2)]))
-        assert np.array_equal(t_e, np.array([_allocating_draw(cfg, s, block)[:, 0] for s in (1, 3)]))
+        for m, (t_o, t_e) in enumerate(_draw(cfg, 2, block)):
+            assert np.array_equal(t_o, _allocating_draw(cfg, 2 * m, block))
+            assert np.array_equal(t_e, _allocating_draw(cfg, 2 * m + 1, block))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults by ru_minflt")

@@ -11,7 +11,30 @@ import tpspeckle
 from tpspeckle.cli import main
 
 
-@pytest.mark.parametrize("module", ["correlation", "errors", "states", "rates", "montecarlo"])
+_MODULES = ["correlation", "errors", "states", "rates", "montecarlo"]
+
+# the union of the modules' __all__: a name that leaves or joins it
+# changes this set too
+_PUBLIC = {
+    "CoherentState", "CorrelationModel", "CovarianceFactor", "CrystalParams", "DegenerateStateError",
+    "DimensionlessArgs", "EnsembleConfig", "EntangledState", "FockState", "FrequencyGrid", "McEstimate", "ModelI",
+    "ModelII", "MonochromaticPumpError", "NonFiniteValueError", "NotPositiveSemidefiniteError", "PumpParams",
+    "QuadratureNotConvergedError", "QuadratureResult", "StateSpec", "SymmetrizedState", "TailNotConvergedError",
+    "TpspeckleError", "biphoton_norm_closed_form", "correlation", "correlation_sq_magnitude", "covariance_factor",
+    "gaussian_envelope", "grid_amplitude_matrix", "grid_envelope", "mc_correlator", "mc_default_grid",
+    "mc_mean_photocount", "phase_matching", "pump_envelope", "rate_closed_form", "rate_coherent", "rate_entangled",
+    "rate_entangled_cw_limit", "rate_fock", "rate_numeric", "rate_theta", "spectral_width_ratio",
+    "symmetrized_norm_sq", "visibility",
+}
+
+
+def test_public_names_are_pinned():
+    declared = [name for module in _MODULES for name in importlib.import_module(f"tpspeckle.{module}").__all__]
+    assert len(declared) == len(set(declared)), "a public name is declared twice"
+    assert set(declared) == _PUBLIC
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_module_exports_resolve_from_the_package(module):
     # every public name of a module exists there and is the package's own
     mod = importlib.import_module(f"tpspeckle.{module}")

@@ -11,17 +11,13 @@ from scipy.integrate import quad
 from tpspeckle import (
     CoherentState,
     DimensionlessArgs,
-    EntangledState,
     FockState,
     ModelI,
     ModelII,
     NonFiniteValueError,
-    SymmetrizedState,
     TailNotConvergedError,
-    mean_photocount,
     rate_closed_form,
     rate_coherent,
-    rate_cross_mode,
     rate_entangled,
     rate_entangled_cw_limit,
     rate_fock,
@@ -380,24 +376,6 @@ def test_peak_monotone_in_disorder():
 def test_fock_bounds_property(t, w):
     v = rate_fock(t, w)
     assert 1.0 - 1e-9 <= v <= 2.0 + 1e-9
-
-
-# --- cross-mode rates, photocount, nonclassicality
-
-def test_cross_mode_values(crystal, pump_s2):
-    assert rate_cross_mode(EntangledState(pump_s2, crystal)) == 2.0
-    assert rate_cross_mode(FockState(100.0, 1.0)) == 2.0
-    assert rate_cross_mode(SymmetrizedState(pump_s2, crystal, 0.0)) == 2.0
-    assert rate_cross_mode(CoherentState(100.0, 1.0)) == 4.0
-
-
-def test_mean_photocount():
-    assert mean_photocount(0.01) == pytest.approx(0.02, rel=1e-15)
-    assert mean_photocount(0.5) == 1.0
-    with pytest.raises(ValueError):
-        mean_photocount(0.0)
-    with pytest.raises(ValueError):
-        mean_photocount(1.5)
 
 
 # --- dimensionless mapping
